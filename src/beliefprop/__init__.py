@@ -25,7 +25,6 @@ from .oracle import (
     oracle_posteriors,
 )
 from .polytree import (
-    BeliefVector,
     LinkParameters,
     MessageState,
     PropagationStats,
@@ -41,7 +40,6 @@ from .polytree import (
 )
 
 __all__ = [
-    "BeliefVector",
     "ConditionedRun",
     "ConvergenceError",
     "Cpt",

@@ -61,13 +61,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_network(path: str) -> model.Network:
+def _read_network(path: str) -> model.Network:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(str(exc)) from None
-    net = netformat.parse(text)
+    return netformat.parse(text)
+
+
+def _load_network(path: str) -> model.Network:
+    net = _read_network(path)
     problems = model.validate(net)
     if problems:
         raise _ValidationFailure(problems)
@@ -101,13 +105,7 @@ class _TraceWriter:
 
 
 def _cmd_validate(args, out) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _UsageError(str(exc)) from None
-    net = netformat.parse(text)
-    problems = model.validate(net)
+    problems = model.validate(_read_network(args.file))
     if problems:
         for line in problems:
             print(line, file=out)
@@ -136,31 +134,28 @@ def _cmd_infer(args, out) -> int:
         if q not in net.vars_by_name:
             raise _UsageError(f"unknown query variable {q!r}")
 
+    if args.method == "polytree" and not net.is_singly_connected():
+        raise _UsageError(
+            "--method polytree requires a singly connected network; "
+            "use auto or conditioning"
+        )
+
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     on_update = _TraceWriter(trace_fh) if trace_fh else None
     try:
-        likelihood = None
         if args.method == "exact":
-            beliefs = {q: oracle.oracle_marginal(net, evidence, q) for q in queries}
-            likelihood = oracle.oracle_evidence_probability(net, evidence)
-        elif args.method == "polytree":
-            if not net.is_singly_connected():
-                raise _UsageError(
-                    "--method polytree requires a singly connected network; "
-                    "use auto or conditioning"
-                )
-            mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
-            beliefs = mixed.beliefs
-            likelihood = math.exp(mixed.log_likelihood)
-        elif args.method == "conditioning":
-            members = cutset.greedy_cutset(net)
-            mixed, _ = conditioning.infer_conditioned(
-                net, evidence, members, queries, on_update=on_update
-            )
-            beliefs = mixed.beliefs
-            likelihood = math.exp(mixed.log_likelihood)
+            try:
+                beliefs = oracle.oracle_posteriors(net, evidence, queries)
+                likelihood = oracle.oracle_evidence_probability(net, evidence)
+            except ValueError as exc:  # the oracle's state-space guard
+                raise _UsageError(f"--method exact: {exc}") from None
         else:
-            mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
+            if args.method == "conditioning":
+                mixed, _ = conditioning.infer_conditioned(
+                    net, evidence, cutset.greedy_cutset(net), queries, on_update=on_update
+                )
+            else:
+                mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
             beliefs = mixed.beliefs
             likelihood = math.exp(mixed.log_likelihood)
     finally:

@@ -11,8 +11,10 @@ answers (there is a regression test for exactly that failure mode).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,8 @@ import numpy as np
 from .cutset import greedy_cutset, is_valid_cutset
 from .errors import ImpossibleEvidenceError
 from .model import Cpt, Evidence, Network
-from .polytree import evidence_log_likelihood, fuse_belief, propagate
+# bench/spans.py also traces evidence_log_likelihood under this module's name
+from .polytree import evidence_log_likelihood, fuse_belief, propagate  # noqa: F401
 
 
 @dataclass
@@ -35,9 +38,37 @@ class ConditionedRun:
     beliefs: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+class Beliefs(Mapping):
+    """Read-only map from each query variable to its belief vector.  The
+    vectors are views of one array over all the network's states, laid out
+    by `Network.state_slices`: three arrays per result, not one per query."""
+
+    def __init__(self, net: Network, vectors: dict[str, np.ndarray]) -> None:
+        self._slices = net.state_slices()
+        self._queries = tuple(vectors)
+        self._values = np.zeros(sum(v.card for v in net.variables))
+        self._asked = np.zeros(len(self._values), dtype=bool)
+        for q, vec in vectors.items():
+            self._values[self._slices[q]] = vec
+            self._asked[self._slices[q]] = True
+        self._values.flags.writeable = False
+
+    def __getitem__(self, q: str) -> np.ndarray:
+        where = self._slices.get(q)
+        if where is None or not self._asked[where.start]:
+            raise KeyError(q)
+        return self._values[where]
+
+    def __iter__(self):
+        return iter(self._queries)
+
+    def __len__(self) -> int:
+        return len(self._queries)
+
+
 @dataclass
 class MixedBelief:
-    beliefs: dict[str, np.ndarray]
+    beliefs: Beliefs
     log_likelihood: float
 
 
@@ -92,9 +123,9 @@ def infer_conditioned(
     """Enumerate all cutset assignments, propagate each, and mix.
 
     Per-case weights are exp(log P(evidence, cutset=assignment)) normalized
-    over the possible cases; the mixture covers non-cutset queries, and a
-    cutset query's belief is the total weight of the cases assigning each of
-    its states.
+    over the possible cases, and every query's belief is the weighted sum of
+    its per-case beliefs.  A cutset member is pinned in each case, so its
+    belief is the total weight of the cases assigning each of its states.
     """
     members = list(cutset)
     if not is_valid_cutset(net, members):
@@ -106,22 +137,17 @@ def infer_conditioned(
     runs: list[ConditionedRun] = []
     for combo in itertools.product(*(range(net.card(m)) for m in members)):
         assignment = dict(zip(members, combo))
-        conflict = any(
-            m in evidence and evidence[m] != assignment[m] for m in members
-        )
-        if conflict:
+        if any(m in evidence and evidence[m] != assignment[m] for m in members):
             reduced, _ = condition_network(net, members, assignment)
             runs.append(ConditionedRun(assignment, reduced, None, None))
             continue
         reduced, reduced_ev = condition_network(net, members, assignment, evidence)
-        log_weight = evidence_log_likelihood(reduced, reduced_ev)
+        callback = functools.partial(on_update, assignment) if on_update else None
+        state, stats = propagate(reduced, reduced_ev, schedule="two-pass", on_update=callback)
+        log_weight = stats.log_likelihood
         if log_weight is None:
             runs.append(ConditionedRun(assignment, reduced, reduced_ev, None))
             continue
-        callback = None
-        if on_update is not None:
-            callback = lambda rec, a=assignment: on_update(a, rec)
-        state, _ = propagate(reduced, reduced_ev, on_update=callback)
         beliefs = {v: fuse_belief(reduced, state, v) for v in reduced.var_names()}
         runs.append(ConditionedRun(assignment, reduced, reduced_ev, log_weight, beliefs))
 
@@ -137,18 +163,8 @@ def infer_conditioned(
     weights = [w / total for w in raw]
     log_likelihood = top + math.log(total)
 
-    beliefs: dict[str, np.ndarray] = {}
-    for q in queries:
-        if q in members:
-            vec = np.zeros(net.card(q))
-            for run, w in zip(live, weights):
-                vec[run.assignment[q]] += w
-        else:
-            vec = np.zeros(net.card(q))
-            for run, w in zip(live, weights):
-                vec = vec + w * run.beliefs[q]
-        beliefs[q] = vec
-    return MixedBelief(beliefs, log_likelihood), runs
+    beliefs = {q: sum(w * run.beliefs[q] for run, w in zip(live, weights)) for q in queries}
+    return MixedBelief(Beliefs(net, beliefs), log_likelihood), runs
 
 
 def auto_infer(
@@ -158,15 +174,12 @@ def auto_infer(
     cutset conditioning."""
     queries = list(queries)
     if net.is_singly_connected():
-        log_likelihood = evidence_log_likelihood(net, evidence)
-        if log_likelihood is None:
+        callback = functools.partial(on_update, {}) if on_update else None
+        state, stats = propagate(net, evidence, schedule="two-pass", on_update=callback)
+        if stats.log_likelihood is None:
             raise ImpossibleEvidenceError("evidence has probability zero")
-        callback = None
-        if on_update is not None:
-            callback = lambda rec: on_update({}, rec)
-        state, _ = propagate(net, evidence, on_update=callback)
-        beliefs = {q: fuse_belief(net, state, q) for q in queries}
-        return MixedBelief(beliefs, log_likelihood)
+        beliefs = Beliefs(net, {q: fuse_belief(net, state, q) for q in queries})
+        return MixedBelief(beliefs, stats.log_likelihood)
     mixed, _ = infer_conditioned(
         net, evidence, greedy_cutset(net), queries, on_update=on_update
     )

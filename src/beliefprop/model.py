@@ -233,6 +233,16 @@ class Network:
             idx = idx * self.card(p) + s
         return idx
 
+    def state_slices(self) -> dict[str, slice]:
+        """Each variable's slice of a vector over the states of all
+        variables, in declaration order."""
+        if "slices" not in self._cache:
+            stops = itertools.accumulate(v.card for v in self.variables)
+            self._cache["slices"] = {
+                v.name: slice(stop - v.card, stop) for v, stop in zip(self.variables, stops)
+            }
+        return self._cache["slices"]
+
     def cpt_tensor(self, name: str) -> np.ndarray:
         """CPT reshaped to one axis per parent (declared order) plus a final
         child axis."""

@@ -26,10 +26,6 @@ import numpy as np
 from .errors import ConvergenceError, ImpossibleEvidenceError
 from .model import Evidence, Network
 
-# A normalized probability vector over one variable's states.
-BeliefVector = np.ndarray
-
-
 @dataclass
 class LinkParameters:
     """Message pair on one directed arc; both vectors range over the
@@ -47,14 +43,20 @@ class MessageState:
 
 @dataclass
 class PropagationStats:
+    """`updates` counts applied message changes larger than the tolerance.
+    `log_likelihood` is log P(evidence) under the two-pass schedule (None
+    when the evidence is impossible) and None under the relaxations."""
+
     sweeps: int
     updates: int
+    log_likelihood: float | None = None
 
 
 @dataclass
 class TraceRecord:
     """One applied message update.  `sweep` is the synchronous sweep number,
-    or the running update count under the fair-random schedule."""
+    the running update count under the fair-random schedule, or 1 under
+    the two-pass schedule."""
 
     sweep: int
     parent: str
@@ -75,32 +77,18 @@ def _maxdiff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def _indicator(k: int, j: int) -> np.ndarray:
-    vec = np.zeros(k)
-    vec[j] = 1.0
-    return vec
-
-
-def _check_evidence(net: Network, evidence: Evidence) -> None:
-    for var, state in evidence.items():
-        if not 0 <= state < net.card(var):
-            raise ValueError(f"state {state} out of range for variable {var!r}")
-
-
-def _require_polytree(net: Network) -> None:
-    if not net.is_singly_connected():
-        raise ValueError("network is not singly connected; condition on a cutset first")
-
-
 def init_messages(net: Network, evidence: Evidence) -> MessageState:
     """Uniform messages on every arc plus evidence indicator factors."""
-    _require_polytree(net)
-    _check_evidence(net, evidence)
+    if not net.is_singly_connected():
+        raise ValueError("network is not singly connected; condition on a cutset first")
+    for var, s in evidence.items():
+        if not 0 <= s < net.card(var):
+            raise ValueError(f"state {s} out of range for variable {var!r}")
     messages = {}
     for p, c in net.edges():
         k = net.card(p)
         messages[(p, c)] = LinkParameters(np.full(k, 1.0 / k), np.full(k, 1.0 / k))
-    factors = {v: _indicator(net.card(v), s) for v, s in evidence.items()}
+    factors = {v: np.eye(net.card(v))[s] for v, s in evidence.items()}
     return MessageState(messages, factors)
 
 
@@ -157,17 +145,20 @@ def update_lambda_to_parent(
     """Recompute the diagnostic message child `a` sends parent `b`: the CPT
     contracted with a's total diagnostic support and the pi messages of a's
     other parents.  Reads nothing from arc b->a itself."""
-    parents = net.parents(a)
-    if b not in parents:
+    if b not in net.parents(a):
         raise KeyError(f"{b} is not a parent of {a}")
+    return _normalize(_lambda_core(net, state, a, b))
+
+
+def _lambda_core(net: Network, state: MessageState, a: str, b: str) -> np.ndarray:
+    parents = net.parents(a)
     n = len(parents)
     operands: list = [net.cpt_tensor(a), list(range(n + 1))]
     for i, p in enumerate(parents):
         if p != b:
             operands += [state.messages[(p, a)].pi, [i]]
     operands += [total_diagnostic_support(net, state, a), [n]]
-    vec = np.einsum(*operands, [parents.index(b)])
-    return _normalize(vec)
+    return np.einsum(*operands, [parents.index(b)])
 
 
 def update_pi_to_child(
@@ -178,6 +169,10 @@ def update_pi_to_child(
     children.  Reads nothing from arc a->x itself."""
     if x not in net.children(a):
         raise KeyError(f"{x} is not a child of {a}")
+    return _normalize(_pi_core(net, state, a, x))
+
+
+def _pi_core(net: Network, state: MessageState, a: str, x: str) -> np.ndarray:
     vec = total_causal_support(net, state, a)
     factor = state.evidence_factor.get(a)
     if factor is not None:
@@ -185,7 +180,7 @@ def update_pi_to_child(
     for y in net.children(a):
         if y != x:
             vec = vec * state.messages[(a, y)].lam
-    return _normalize(vec)
+    return vec
 
 
 def _arc_order(net: Network) -> list[tuple[str, str]]:
@@ -228,17 +223,6 @@ def _dependents(net: Network, key: tuple[str, str, str]) -> set[tuple[str, str, 
     return deps
 
 
-def _check_possible(net: Network, state: MessageState) -> None:
-    for v in net.var_names():
-        bel = total_causal_support(net, state, v) * total_diagnostic_support(
-            net, state, v
-        )
-        if bel.sum() <= 0.0:
-            raise ImpossibleEvidenceError(
-                f"evidence is impossible: belief of {v} has zero mass", variable=v
-            )
-
-
 def propagate(
     net: Network,
     evidence: Evidence,
@@ -248,25 +232,31 @@ def propagate(
     max_sweeps: int | None = None,
     on_update=None,
 ) -> tuple[MessageState, PropagationStats]:
-    """Relax all messages to a fixpoint.
+    """Bring all messages to the fixpoint.
 
-    `schedule` is either "synchronous" (full sweeps, every message
-    recomputed from the previous sweep's snapshot, arcs in a fixed
-    topological-then-lexicographic order) or "fair-random" (repeatedly pick
-    a random possibly-out-of-kilter message, seeded by `seed`, until none
-    is).  Both stop once every stored message matches its recomputed value
-    within `tolerance` (max-norm) and both reach the same fixpoint.
+    `schedule` is "synchronous" (full sweeps, every message recomputed from
+    the previous sweep's snapshot, arcs in a fixed
+    topological-then-lexicographic order), "fair-random" (repeatedly pick a
+    random possibly-out-of-kilter message, seeded by `seed`, until none is)
+    or "two-pass" (each message computed once, see `_run_two_pass`).  The
+    relaxations stop once every stored message matches its recomputed value
+    within `tolerance` (max-norm) and raise ImpossibleEvidenceError on
+    impossible evidence, which two-pass reports as a None log-likelihood.
+    All three reach the same fixpoint.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
     state = init_messages(net, evidence)
+    if schedule == "two-pass":
+        return state, _run_two_pass(net, state, tolerance, on_update)
     if schedule == "synchronous":
         stats = _run_synchronous(net, state, tolerance, max_sweeps, on_update)
     elif schedule == "fair-random":
         stats = _run_fair_random(net, state, tolerance, seed, on_update)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
-    _check_possible(net, state)
+    for v in net.var_names():
+        fuse_belief(net, state, v)  # raises on a zero-mass belief
     return state, stats
 
 
@@ -331,66 +321,65 @@ def _run_fair_random(net, state, tolerance, seed, on_update):
     raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
 
 
-# ----------------------------------------------------------------------
-# exact evidence likelihood
-# ----------------------------------------------------------------------
-#
-# The same recursions as the message updates, but unnormalized (carrying an
-# explicit log scale instead of a normalizer), evaluated once on demand from
-# a pivot node outward.  The total mass at the pivot is then exactly the
-# probability of the evidence in the pivot's component.
+def _tree_walks(net: Network, pivot: str | None):
+    """Per connected component: its root (`pivot` if the component holds
+    it, else its first name) and every other node paired with its neighbor
+    towards the root, in depth-first pre-order."""
+    for comp in net.components():
+        root = pivot if pivot in comp else comp[0]
+        walk = []
+        stack = [(m, root) for m in net.neighbors(root)]
+        while stack:
+            node, towards = stack.pop()
+            walk.append((node, towards))
+            stack.extend((m, node) for m in net.neighbors(node) if m != towards)
+        yield root, walk
 
 
-def _rescaled(vec: np.ndarray, logscale: float) -> tuple[np.ndarray, float]:
-    s = vec.sum()
-    if s <= 0.0:
-        return np.zeros_like(vec), 0.0
-    return vec / s, logscale + math.log(s)
+def _run_two_pass(net, state, tolerance, on_update, pivot=None, distribute=True):
+    """Pearl's collect/distribute order.  In each component every node sends
+    towards the root once its subtree has reported (post-order), then the
+    root side answers outward (pre-order), so each of the 2|E| messages is
+    computed once, from final inputs.  A stored collect message is its exact
+    unnormalized value divided by its own normalizer and every normalizer
+    below it, so all of them times the root's mass give P(evidence)."""
+    updates = 0
 
+    def send(sender, receiver):
+        nonlocal updates
+        if receiver in net.parents(sender):
+            kind, p, c = "lambda", receiver, sender
+            core = _lambda_core(net, state, sender, receiver)
+        else:
+            kind, p, c = "pi", sender, receiver
+            core = _pi_core(net, state, sender, receiver)
+        new = _normalize(core)
+        lp = state.messages[(p, c)]
+        old = lp.pi if kind == "pi" else lp.lam
+        if kind == "pi":
+            lp.pi = new
+        else:
+            lp.lam = new
+        if _maxdiff(old, new) > tolerance:
+            updates += 1
+            if on_update is not None:
+                on_update(TraceRecord(1, p, c, kind, old, new))
+        return core.sum()
 
-def _support_tilde(net, evidence, node, exclude_child):
-    """Unnormalized product of causal support, local evidence, and the
-    diagnostic contributions of all children except `exclude_child`."""
-    vec = net.cpt_tensor(node)
-    logscale = 0.0
-    for p in net.parents(node):
-        pv, pls = _pi_tilde(net, evidence, p, node)
-        vec = np.tensordot(pv, vec, axes=(0, 0))
-        logscale += pls
-    if node in evidence:
-        vec = vec * _indicator(net.card(node), evidence[node])
-    for c in net.children(node):
-        if c != exclude_child:
-            lv, lls = _lambda_tilde(net, evidence, c, node)
-            vec = vec * lv
-            logscale += lls
-    return vec, logscale
-
-
-def _pi_tilde(net, evidence, b, a):
-    return _rescaled(*_support_tilde(net, evidence, b, exclude_child=a))
-
-
-def _lambda_tilde(net, evidence, a, b):
-    parents = net.parents(a)
-    n = len(parents)
-    weight = np.ones(net.card(a))
-    logscale = 0.0
-    if a in evidence:
-        weight = weight * _indicator(net.card(a), evidence[a])
-    for c in net.children(a):
-        lv, lls = _lambda_tilde(net, evidence, c, a)
-        weight = weight * lv
-        logscale += lls
-    operands: list = [net.cpt_tensor(a), list(range(n + 1))]
-    for i, p in enumerate(parents):
-        if p != b:
-            pv, pls = _pi_tilde(net, evidence, p, a)
-            operands += [pv, [i]]
-            logscale += pls
-    operands += [weight, [n]]
-    vec = np.einsum(*operands, [parents.index(b)])
-    return _rescaled(vec, logscale)
+    walks = list(_tree_walks(net, pivot))
+    scales = []  # collect normalizers, then each root's mass
+    for root, walk in walks:
+        scales += [send(node, towards) for node, towards in reversed(walk)]
+        causal = total_causal_support(net, state, root)
+        scales.append((causal * total_diagnostic_support(net, state, root)).sum())
+    if distribute:
+        for _, walk in walks:
+            for node, towards in walk:
+                send(towards, node)
+    # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
+    possible = all(s > 0.0 for s in scales)
+    log_likelihood = sum(map(math.log, scales)) if possible else None
+    return PropagationStats(sweeps=1, updates=updates, log_likelihood=log_likelihood)
 
 
 def evidence_log_likelihood(
@@ -398,19 +387,10 @@ def evidence_log_likelihood(
 ) -> float | None:
     """log P(evidence), or None when the evidence has zero probability.
 
-    Computed per connected component by one unnormalized message recursion
-    from a pivot node; the result does not depend on the pivot choice.
+    The collect half of the two-pass schedule, rooted at `pivot` in its
+    component; the result does not depend on the pivot choice.
     """
-    _require_polytree(net)
-    _check_evidence(net, evidence)
+    state = init_messages(net, evidence)
     if pivot is not None:
         net.variable(pivot)
-    total = 0.0
-    for comp in net.components():
-        node = pivot if pivot in comp else comp[0]
-        vec, logscale = _support_tilde(net, evidence, node, exclude_child=None)
-        s = vec.sum()
-        if s <= 0.0:
-            return None
-        total += math.log(s) + logscale
-    return total
+    return _run_two_pass(net, state, 1e-12, None, pivot, distribute=False).log_likelihood

@@ -159,16 +159,25 @@ def test_c05_orthogonality():
 
 
 def test_c06_schedule_independence(polytree_fixpoints):
-    worst = 0.0
+    worst = worst_log_p = 0.0
     for net, evidence, sync_state, _ in polytree_fixpoints[0]:
         sync_beliefs = {q: fuse_belief(net, sync_state, q) for q in net.var_names()}
-        for seed in range(20):
-            state, _ = propagate(net, evidence, schedule="fair-random", seed=seed)
+        two_pass_state, two_pass_stats = propagate(net, evidence, schedule="two-pass")
+        states = [two_pass_state] + [
+            propagate(net, evidence, schedule="fair-random", seed=seed)[0]
+            for seed in range(20)
+        ]
+        for state in states:
             for q in net.var_names():
                 err = np.max(np.abs(fuse_belief(net, state, q) - sync_beliefs[q]))
                 worst = max(worst, err)
+        truth = math.log(oracle_evidence_probability(net, evidence))
+        worst_log_p = max(worst_log_p, abs(two_pass_stats.log_likelihood - truth))
     assert worst <= 1e-9, f"max schedule disagreement {worst:.3e}"
-    report(6, "schedule independence", f"20 seeds x {N_POLYTREES} nets, max {worst:.2e}")
+    assert worst_log_p <= 1e-9, f"max two-pass log P(e) error {worst_log_p:.3e}"
+    report(6, "schedule independence",
+           f"two-pass + 20 seeds x {N_POLYTREES} nets, max {worst:.2e}, "
+           f"log P(e) max err {worst_log_p:.2e}")
 
 
 def test_c07_explaining_away():

@@ -126,6 +126,18 @@ class TestInfer:
             values.append(float(out.splitlines()[-1].split("=")[1]))
         assert max(values) - min(values) <= 1e-9
 
+    def test_exact_above_state_space_guard_is_usage(self, tmp_path):
+        lines = [f"var v{i:02d} : f t" for i in range(30)]
+        lines.append("cpt v00 :\n  0.5 0.5")
+        for i in range(1, 30):
+            lines.append(f"cpt v{i:02d} | v{i - 1:02d} :\n  f : 0.9 0.1\n  t : 0.2 0.8")
+        chain = tmp_path / "chain30.bn"
+        chain.write_text("\n".join(lines) + "\n")
+        code, out, err = cli("infer", str(chain), "-e", "v29=t", "--method", "exact")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and "guard" in err
+        assert cli("infer", str(chain), "-e", "v29=t")[0] == 0
+
     def test_explicit_query_subset(self):
         code, out, _ = cli("infer", FIG1, "-e", "x6=1", "-q", "x2")
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from beliefprop.conditioning import (
 from beliefprop.errors import ImpossibleEvidenceError
 from beliefprop.model import validate
 from beliefprop.oracle import oracle_evidence_probability, oracle_marginal
-from beliefprop.polytree import fuse_belief, propagate
+from beliefprop.polytree import evidence_log_likelihood, fuse_belief, propagate
 
 from helpers import (
     build_net,
@@ -21,6 +22,7 @@ from helpers import (
     fig1_net,
     random_loopy,
     random_polytree,
+    random_table,
 )
 
 
@@ -178,7 +180,7 @@ class TestAutoInfer:
             evidence = {}
         queries = [v for v in net.var_names() if v not in evidence]
         mixed = auto_infer(net, evidence, queries)
-        state, _ = propagate(net, evidence)
+        state, _ = propagate(net, evidence, schedule="two-pass")
         for q in queries:
             np.testing.assert_array_equal(mixed.beliefs[q], fuse_belief(net, state, q))
 
@@ -209,6 +211,55 @@ class TestAutoInfer:
         )
         with pytest.raises(ImpossibleEvidenceError):
             auto_infer(net, {"A": 0, "B": 1}, ["A"])
+
+    def test_beliefs_map_exactly_the_queries(self):
+        for net, evidence, queries in (
+            (chain_net(), {"B": 0}, ["A"]),
+            (fig1_net(seed=2), {"x6": 1}, ["x5", "x1", "x2"]),
+        ):
+            beliefs = auto_infer(net, evidence, queries).beliefs
+            assert list(beliefs) == queries and len(beliefs) == len(queries)
+            assert "x6" not in beliefs and "B" not in beliefs and "nope" not in beliefs
+            with pytest.raises(KeyError):
+                beliefs["nope"]
+            with pytest.raises(ValueError):
+                beliefs[queries[0]][0] = 0.5
+
+    def test_deep_chain_matches_forward_backward(self):
+        # 5,000 links: deeper than the interpreter's recursion limit
+        n, rng = 5000, random.Random(5)
+        names = [f"c{i:04d}" for i in range(n)]
+        tables = [random_table(rng, 1, 3)] + [random_table(rng, 3, 3) for _ in range(n - 1)]
+        net = build_net(
+            [(v, ("a", "b", "c")) for v in names],
+            [(names[0], (), tables[0])]
+            + [(names[i], (names[i - 1],), tables[i]) for i in range(1, n)],
+        )
+        evidence = {names[i]: rng.randrange(3) for i in range(3, n, 7)}
+        observed = [np.ones(3) for _ in range(n)]
+        for i, v in enumerate(names):
+            if v in evidence:
+                observed[i] = np.eye(3)[evidence[v]]
+
+        # forward: alpha_i = P(x_i, e_<=i), rescaled each step
+        alpha = tables[0][0] * observed[0]
+        log_p = 0.0
+        for i in range(1, n):
+            log_p += math.log(alpha.sum())
+            alpha = (alpha / alpha.sum()) @ tables[i] * observed[i]
+        log_p += math.log(alpha.sum())
+        # backward: beta_i = P(e_>i | x_i), rescaled each step
+        beta = np.ones(3)
+        for i in range(n - 1, 0, -1):
+            beta = tables[i] @ (observed[i] * beta)
+            beta = beta / beta.sum()
+        first = tables[0][0] * observed[0] * beta
+
+        mixed = auto_infer(net, evidence, [names[0], names[-1]])
+        assert mixed.log_likelihood == pytest.approx(log_p, rel=1e-12)
+        assert evidence_log_likelihood(net, evidence) == pytest.approx(log_p, rel=1e-12)
+        np.testing.assert_allclose(mixed.beliefs[names[0]], first / first.sum(), atol=1e-9)
+        np.testing.assert_allclose(mixed.beliefs[names[-1]], alpha / alpha.sum(), atol=1e-9)
 
 
 def premixed_network(net, member):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beliefprop.errors import ConvergenceError, ImpossibleEvidenceError
-from beliefprop.model import validate
+from beliefprop.model import Network, validate
 from beliefprop.oracle import oracle_evidence_probability, oracle_marginal
 from beliefprop.polytree import (
     LinkParameters,
@@ -349,6 +349,36 @@ class TestPropagate:
         assert all(len(r.old) == len(r.new) == 2 for r in records)
         sweeps = [r.sweep for r in records]
         assert sweeps == sorted(sweeps)
+
+    def test_two_pass_sends_each_message_once(self, monkeypatch):
+        def no_diameter(net):
+            raise AssertionError("two-pass must not ask for the diameter")
+
+        monkeypatch.setattr(Network, "underlying_diameter", no_diameter)
+        net, evidence = random_polytree(31, max_nodes=14)
+        records = []
+        state, stats = propagate(
+            net, evidence, schedule="two-pass", on_update=records.append
+        )
+        assert stats.sweeps == 1
+        keys = [(r.direction, r.parent, r.child) for r in records]
+        assert len(keys) == len(set(keys)) == stats.updates
+        assert all(r.sweep == 1 for r in records)
+        moved = 0
+        for (p, c), lp in state.messages.items():
+            uniform = np.full(net.card(p), 1 / net.card(p))
+            moved += np.max(np.abs(lp.pi - uniform)) > 1e-12
+            moved += np.max(np.abs(lp.lam - uniform)) > 1e-12
+            assert np.max(np.abs(update_pi_to_child(net, state, p, c) - lp.pi)) <= 1e-12
+            assert np.max(np.abs(update_lambda_to_parent(net, state, c, p) - lp.lam)) <= 1e-12
+        assert stats.updates == moved
+
+    def test_two_pass_reports_impossible_evidence_as_none(self):
+        net = deterministic_chain()
+        state, stats = propagate(net, {"A": 0, "B": 1}, schedule="two-pass")
+        assert stats.log_likelihood is None
+        with pytest.raises(ImpossibleEvidenceError):
+            fuse_belief(net, state, "A")
 
     def test_fixpoint_is_in_kilter(self):
         net, evidence = random_polytree(77, max_nodes=12)
