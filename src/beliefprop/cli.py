@@ -67,6 +67,8 @@ def _read_network(path: str) -> model.Network:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not UTF-8 text: {exc}") from None
     return netformat.parse(text)
 
 
@@ -82,6 +84,19 @@ class _ValidationFailure(Exception):
     def __init__(self, problems):
         super().__init__("validation failed")
         self.problems = problems
+
+
+def _fmt_probability(p: float, log_p: float) -> str:
+    """`p` to 12 significant digits; below the smallest normal float, where
+    `p` has lost precision or underflowed to 0, the same digits are taken
+    from `log_p` as a mantissa and a power of ten."""
+    if p >= sys.float_info.min:
+        return format(p, ".12g")
+    exponent, fraction = divmod(log_p / math.log(10), 1)
+    mantissa = format(10**fraction, ".12g")
+    if mantissa == "10":  # fraction rounded up to a whole power
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e{int(exponent)}"
 
 
 def _fmt_vec(vec) -> str:
@@ -149,6 +164,7 @@ def _cmd_infer(args, out) -> int:
                 likelihood = oracle.oracle_evidence_probability(net, evidence)
             except ValueError as exc:  # the oracle's state-space guard
                 raise _UsageError(f"--method exact: {exc}") from None
+            log_likelihood = math.log(likelihood)
         else:
             if args.method == "conditioning":
                 mixed, _ = conditioning.infer_conditioned(
@@ -157,14 +173,15 @@ def _cmd_infer(args, out) -> int:
             else:
                 mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
             beliefs = mixed.beliefs
-            likelihood = math.exp(mixed.log_likelihood)
+            log_likelihood = mixed.log_likelihood
+            likelihood = math.exp(log_likelihood)
     finally:
         if trace_fh:
             trace_fh.close()
 
     _belief_lines(net, beliefs, queries, out)
     if args.likelihood:
-        print(f"P(e) = {likelihood:.12g}", file=out)
+        print(f"P(e) = {_fmt_probability(likelihood, log_likelihood)}", file=out)
     return EXIT_OK
 
 
@@ -189,7 +206,10 @@ def _cmd_dsep(args, out) -> int:
 def _cmd_cutset(args, out) -> int:
     net = _load_network(args.file)
     if args.exhaustive:
-        members = cutset.min_cutset_exhaustive(net)
+        try:
+            members = cutset.min_cutset_exhaustive(net)
+        except ValueError as exc:  # the search's size limit
+            raise _UsageError(f"--exhaustive: {exc}") from None
     else:
         members = cutset.greedy_cutset(net)
     print(f"members: {' '.join(members) if members else '(none)'}", file=out)

@@ -28,12 +28,11 @@ from .polytree import evidence_log_likelihood, fuse_belief, propagate  # noqa: F
 
 @dataclass
 class ConditionedRun:
-    """One cutset assignment: its reduced polytree, pinned evidence, exact
-    log weight (None when the case is impossible), and fixpoint beliefs."""
+    """One cutset assignment: its exact log weight (None when the case is
+    impossible) and, for a possible case, the fixpoint belief of each
+    query."""
 
     assignment: dict[str, int]
-    reduced_net: Network
-    reduced_evidence: Evidence | None
     log_weight: float | None
     beliefs: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -137,19 +136,16 @@ def infer_conditioned(
     runs: list[ConditionedRun] = []
     for combo in itertools.product(*(range(net.card(m)) for m in members)):
         assignment = dict(zip(members, combo))
+        run = ConditionedRun(assignment, None)
+        runs.append(run)
         if any(m in evidence and evidence[m] != assignment[m] for m in members):
-            reduced, _ = condition_network(net, members, assignment)
-            runs.append(ConditionedRun(assignment, reduced, None, None))
             continue
         reduced, reduced_ev = condition_network(net, members, assignment, evidence)
         callback = functools.partial(on_update, assignment) if on_update else None
         state, stats = propagate(reduced, reduced_ev, schedule="two-pass", on_update=callback)
-        log_weight = stats.log_likelihood
-        if log_weight is None:
-            runs.append(ConditionedRun(assignment, reduced, reduced_ev, None))
-            continue
-        beliefs = {v: fuse_belief(reduced, state, v) for v in reduced.var_names()}
-        runs.append(ConditionedRun(assignment, reduced, reduced_ev, log_weight, beliefs))
+        run.log_weight = stats.log_likelihood
+        if run.log_weight is not None:
+            run.beliefs = {q: fuse_belief(reduced, state, q) for q in queries}
 
     live = [r for r in runs if r.log_weight is not None]
     if not live:

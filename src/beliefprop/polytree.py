@@ -2,11 +2,13 @@
 
 Every directed arc parent->child carries two dynamic vectors over the
 parent's states: a causal-support message (pi) flowing down the arc and a
-diagnostic-support message (lambda) flowing up.  Each message is a pure
-function of the neighboring messages; a scheduler relaxes out-of-kilter
-messages until every one equals its recomputed value, and node beliefs are
-then read off as the normalized product of total causal and diagnostic
-support.
+diagnostic-support message (lambda) flowing up.  Every message and every
+belief comes from one sum-product rule (`_sum_product`): a node multiplies
+its CPT by what it holds from each neighbor except the recipient (the pi of
+each parent, the evidence factor times the lambda of each child) and sums
+out every axis but the recipient's, or its own for a belief.  A scheduler
+relaxes out-of-kilter messages until every one equals its recomputed value,
+and node beliefs are then read off the same rule, normalized.
 
 Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
@@ -92,31 +94,57 @@ def init_messages(net: Network, evidence: Evidence) -> MessageState:
     return MessageState(messages, factors)
 
 
-def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarray:
-    """Predicted distribution of `a` from its parents' causal messages: the
-    CPT contracted with the incoming pi vector of every parent (the prior
-    itself when `a` is a root)."""
-    vec = net.cpt_tensor(a)
-    for p in net.parents(a):
-        vec = np.tensordot(state.messages[(p, a)].pi, vec, axes=(0, 0))
-    return vec
-
-
-def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
-    """Product of the evidence factor (if any) and every child's lambda
-    message; all-ones for an uninstantiated leaf."""
+def _lambda_product(net: Network, state: MessageState, a: str, skip=None) -> np.ndarray:
+    """Evidence factor of `a` times the lambda message of every child but
+    `skip`."""
     vec = np.ones(net.card(a))
     factor = state.evidence_factor.get(a)
     if factor is not None:
         vec = vec * factor
     for c in net.children(a):
-        vec = vec * state.messages[(a, c)].lam
+        if c != skip:
+            vec = vec * state.messages[(a, c)].lam
     return vec
+
+
+def _sum_product(
+    net: Network, state: MessageState, a: str, to: str | None = None, lam=None
+) -> np.ndarray:
+    """The one local rule behind every message and belief: `a`'s CPT times
+    the pi message of each parent and the diagnostic vector `lam`, summed
+    over every axis but the recipient's.  Whatever comes from the recipient
+    `to` is left out; the result ranges over `to`'s states when it is a
+    parent, else over `a`'s own (a pi message, or a belief when `to` is
+    None).  `lam` defaults to `_lambda_product` without `to`; it enters as
+    one operand because einsum takes at most 64."""
+    parents = net.parents(a)
+    n = len(parents)
+    if lam is None:
+        lam = _lambda_product(net, state, a, skip=to)
+    operands: list = [net.cpt_tensor(a), list(range(n + 1))]
+    for i, p in enumerate(parents):
+        if p != to:
+            operands += [state.messages[(p, a)].pi, [i]]
+    keep = parents.index(to) if to in parents else n
+    return np.einsum(*operands, lam, [n], [keep])
+
+
+def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarray:
+    """Predicted distribution of `a` from its parents' causal messages: the
+    CPT contracted with the incoming pi vector of every parent (the prior
+    itself when `a` is a root)."""
+    return _sum_product(net, state, a, lam=np.ones(net.card(a)))
+
+
+def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
+    """Product of the evidence factor (if any) and every child's lambda
+    message; all-ones for an uninstantiated leaf."""
+    return _lambda_product(net, state, a)
 
 
 def fuse_belief(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Normalized product of total causal and diagnostic support."""
-    bel = total_causal_support(net, state, a) * total_diagnostic_support(net, state, a)
+    bel = _sum_product(net, state, a)
     s = bel.sum()
     if s <= 0.0:
         raise ImpossibleEvidenceError(
@@ -147,18 +175,7 @@ def update_lambda_to_parent(
     other parents.  Reads nothing from arc b->a itself."""
     if b not in net.parents(a):
         raise KeyError(f"{b} is not a parent of {a}")
-    return _normalize(_lambda_core(net, state, a, b))
-
-
-def _lambda_core(net: Network, state: MessageState, a: str, b: str) -> np.ndarray:
-    parents = net.parents(a)
-    n = len(parents)
-    operands: list = [net.cpt_tensor(a), list(range(n + 1))]
-    for i, p in enumerate(parents):
-        if p != b:
-            operands += [state.messages[(p, a)].pi, [i]]
-    operands += [total_diagnostic_support(net, state, a), [n]]
-    return np.einsum(*operands, [parents.index(b)])
+    return _normalize(_sum_product(net, state, a, b))
 
 
 def update_pi_to_child(
@@ -169,58 +186,30 @@ def update_pi_to_child(
     children.  Reads nothing from arc a->x itself."""
     if x not in net.children(a):
         raise KeyError(f"{x} is not a child of {a}")
-    return _normalize(_pi_core(net, state, a, x))
+    return _normalize(_sum_product(net, state, a, x))
 
 
-def _pi_core(net: Network, state: MessageState, a: str, x: str) -> np.ndarray:
-    vec = total_causal_support(net, state, a)
-    factor = state.evidence_factor.get(a)
-    if factor is not None:
-        vec = vec * factor
-    for y in net.children(a):
-        if y != x:
-            vec = vec * state.messages[(a, y)].lam
-    return vec
+def _message_keys(net: Network) -> list[tuple[str, str]]:
+    """Every directed message as (sender, receiver): senders in topological
+    order, each sending to its neighbors in name order."""
+    return [(s, r) for s in net.topological_order() for r in net.neighbors(s)]
 
 
-def _arc_order(net: Network) -> list[tuple[str, str]]:
-    pos = {n: i for i, n in enumerate(net.topological_order())}
-    return sorted(set(net.edges()), key=lambda e: (pos[e[0]], pos[e[1]]))
-
-
-def _message_keys(net: Network) -> list[tuple[str, str, str]]:
-    keys = []
-    for p, c in _arc_order(net):
-        keys.append(("pi", p, c))
-        keys.append(("lambda", p, c))
-    return keys
-
-
-def _recompute(net, state, kind, p, c):
-    if kind == "pi":
-        return update_pi_to_child(net, state, p, c)
-    return update_lambda_to_parent(net, state, c, p)
-
-
-def _dependents(net: Network, key: tuple[str, str, str]) -> set[tuple[str, str, str]]:
-    """Messages whose recomputation reads the given message."""
-    kind, p, c = key
-    deps: set[tuple[str, str, str]] = set()
-    if kind == "pi":
-        # pi on p->c is read at node c
-        for b in net.parents(c):
-            if b != p:
-                deps.add(("lambda", b, c))
-        for y in net.children(c):
-            deps.add(("pi", c, y))
+def _store(net, state, sender, receiver, new, tolerance, on_update, sweep) -> bool:
+    """Write the message `sender` sends `receiver`; when it moved by more
+    than `tolerance`, pass it to `on_update` and return True."""
+    if receiver in net.parents(sender):
+        kind, p, c = "lambda", receiver, sender
+        lp = state.messages[(p, c)]
+        old, lp.lam = lp.lam, new
     else:
-        # lambda on p->c is read at node p
-        for y in net.children(p):
-            if y != c:
-                deps.add(("pi", p, y))
-        for b in net.parents(p):
-            deps.add(("lambda", b, p))
-    return deps
+        kind, p, c = "pi", sender, receiver
+        lp = state.messages[(p, c)]
+        old, lp.pi = lp.pi, new
+    moved = _maxdiff(old, new) > tolerance
+    if moved and on_update is not None:
+        on_update(TraceRecord(sweep, p, c, kind, old, new))
+    return moved
 
 
 def propagate(
@@ -235,14 +224,13 @@ def propagate(
     """Bring all messages to the fixpoint.
 
     `schedule` is "synchronous" (full sweeps, every message recomputed from
-    the previous sweep's snapshot, arcs in a fixed
-    topological-then-lexicographic order), "fair-random" (repeatedly pick a
-    random possibly-out-of-kilter message, seeded by `seed`, until none is)
-    or "two-pass" (each message computed once, see `_run_two_pass`).  The
-    relaxations stop once every stored message matches its recomputed value
-    within `tolerance` (max-norm) and raise ImpossibleEvidenceError on
-    impossible evidence, which two-pass reports as a None log-likelihood.
-    All three reach the same fixpoint.
+    the previous sweep's snapshot, in the fixed order of `_message_keys`),
+    "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
+    seeded by `seed`, until none is) or "two-pass" (each message computed
+    once, see `_run_two_pass`).  The relaxations stop once every stored
+    message matches its recomputed value within `tolerance` (max-norm) and
+    raise ImpossibleEvidenceError on impossible evidence, which two-pass
+    reports as a None log-likelihood.  All three reach the same fixpoint.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -261,27 +249,18 @@ def propagate(
 
 
 def _run_synchronous(net, state, tolerance, max_sweeps, on_update):
-    arcs = _arc_order(net)
+    keys = _message_keys(net)
     if max_sweeps is None:
         max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
-        new_messages = {}
-        delta = 0.0
-        for p, c in arcs:
-            old = state.messages[(p, c)]
-            new_pi = update_pi_to_child(net, state, p, c)
-            new_lam = update_lambda_to_parent(net, state, c, p)
-            new_messages[(p, c)] = LinkParameters(new_pi, new_lam)
-            for direction, o, n in (("pi", old.pi, new_pi), ("lambda", old.lam, new_lam)):
-                d = _maxdiff(o, n)
-                delta = max(delta, d)
-                if d > tolerance:
-                    updates += 1
-                    if on_update is not None:
-                        on_update(TraceRecord(sweep, p, c, direction, o, n))
-        state.messages = new_messages
-        if delta <= tolerance:
+        new = [_normalize(_sum_product(net, state, s, r)) for s, r in keys]
+        moved = sum(
+            _store(net, state, s, r, m, tolerance, on_update, sweep)
+            for (s, r), m in zip(keys, new)
+        )
+        updates += moved
+        if not moved:
             return PropagationStats(sweeps=sweep, updates=updates)
     raise ConvergenceError(f"no fixpoint after {max_sweeps} synchronous sweeps")
 
@@ -298,26 +277,18 @@ def _run_fair_random(net, state, tolerance, seed, on_update):
             return PropagationStats(sweeps=0, updates=updates)
         i = rng.randrange(len(pool))
         pool[i], pool[-1] = pool[-1], pool[i]
-        key = pool.pop()
+        s, r = key = pool.pop()
         if key not in dirty:
             continue
         dirty.remove(key)
-        kind, p, c = key
-        new = _recompute(net, state, kind, p, c)
-        lp = state.messages[(p, c)]
-        old = lp.pi if kind == "pi" else lp.lam
-        if _maxdiff(new, old) > tolerance:
-            if kind == "pi":
-                state.messages[(p, c)] = LinkParameters(new, lp.lam)
-            else:
-                state.messages[(p, c)] = LinkParameters(lp.pi, new)
+        new = _normalize(_sum_product(net, state, s, r))
+        if _store(net, state, s, r, new, tolerance, on_update, updates + 1):
             updates += 1
-            for dep in _dependents(net, key):
+            # every message r sends reads this one, except the one back to s
+            for dep in ((r, m) for m in net.neighbors(r) if m != s):
                 if dep not in dirty:
                     dirty.add(dep)
                     pool.append(dep)
-            if on_update is not None:
-                on_update(TraceRecord(updates, p, c, kind, old, new))
     raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
 
 
@@ -347,31 +318,16 @@ def _run_two_pass(net, state, tolerance, on_update, pivot=None, distribute=True)
 
     def send(sender, receiver):
         nonlocal updates
-        if receiver in net.parents(sender):
-            kind, p, c = "lambda", receiver, sender
-            core = _lambda_core(net, state, sender, receiver)
-        else:
-            kind, p, c = "pi", sender, receiver
-            core = _pi_core(net, state, sender, receiver)
+        core = _sum_product(net, state, sender, receiver)
         new = _normalize(core)
-        lp = state.messages[(p, c)]
-        old = lp.pi if kind == "pi" else lp.lam
-        if kind == "pi":
-            lp.pi = new
-        else:
-            lp.lam = new
-        if _maxdiff(old, new) > tolerance:
-            updates += 1
-            if on_update is not None:
-                on_update(TraceRecord(1, p, c, kind, old, new))
+        updates += _store(net, state, sender, receiver, new, tolerance, on_update, 1)
         return core.sum()
 
     walks = list(_tree_walks(net, pivot))
     scales = []  # collect normalizers, then each root's mass
     for root, walk in walks:
         scales += [send(node, towards) for node, towards in reversed(walk)]
-        causal = total_causal_support(net, state, root)
-        scales.append((causal * total_diagnostic_support(net, state, root)).sum())
+        scales.append(_sum_product(net, state, root).sum())
     if distribute:
         for _, walk in walks:
             for node, towards in walk:

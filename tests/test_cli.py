@@ -1,9 +1,13 @@
 import io
+import math
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 from beliefprop.cli import run
+from beliefprop.conditioning import auto_infer
+from beliefprop.netformat import parse, parse_evidence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAIN = str(FIXTURES / "chain.bn")
@@ -15,6 +19,19 @@ def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def write_chain(path, n):
+    """An n-variable binary chain v0 -> v1 -> ... (names zero-padded) as a
+    .bn file; returns the path as a string and the variable names."""
+    width = len(str(n - 1))
+    names = [f"v{i:0{width}d}" for i in range(n)]
+    lines = [f"var {v} : f t" for v in names]
+    lines.append(f"cpt {names[0]} :\n  0.5 0.5")
+    for prev, v in zip(names, names[1:]):
+        lines.append(f"cpt {v} | {prev} :\n  f : 0.9 0.1\n  t : 0.2 0.8")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), names
 
 
 class TestValidate:
@@ -43,6 +60,16 @@ class TestValidate:
     def test_missing_file_is_usage(self):
         code, _, err = cli("validate", "no-such-file.bn")
         assert code == 1
+
+    def test_non_utf8_file_is_usage(self, tmp_path):
+        latin1 = tmp_path / "latin1.bn"
+        latin1.write_bytes("var caf\xe9 : f t\ncpt caf\xe9 :\n  0.5 0.5\n".encode("latin-1"))
+        for command, *extra in (
+            ["validate"], ["infer"], ["cutset"], ["dsep", "--x", "A", "--y", "B"]
+        ):
+            code, out, err = cli(command, str(latin1), *extra)
+            assert (code, out) == (1, ""), command
+            assert err.startswith("usage error: ") and "UTF-8" in err
 
     def test_infer_on_invalid_net_exit_3(self, tmp_path):
         partial = tmp_path / "partial.bn"
@@ -127,16 +154,28 @@ class TestInfer:
         assert max(values) - min(values) <= 1e-9
 
     def test_exact_above_state_space_guard_is_usage(self, tmp_path):
-        lines = [f"var v{i:02d} : f t" for i in range(30)]
-        lines.append("cpt v00 :\n  0.5 0.5")
-        for i in range(1, 30):
-            lines.append(f"cpt v{i:02d} | v{i - 1:02d} :\n  f : 0.9 0.1\n  t : 0.2 0.8")
-        chain = tmp_path / "chain30.bn"
-        chain.write_text("\n".join(lines) + "\n")
-        code, out, err = cli("infer", str(chain), "-e", "v29=t", "--method", "exact")
+        chain, _ = write_chain(tmp_path / "chain30.bn", 30)
+        code, out, err = cli("infer", chain, "-e", "v29=t", "--method", "exact")
         assert (code, out) == (1, "")
         assert err.startswith("usage error: ") and "guard" in err
-        assert cli("infer", str(chain), "-e", "v29=t")[0] == 0
+        assert cli("infer", chain, "-e", "v29=t")[0] == 0
+
+    def test_likelihood_below_float_range_prints_from_log(self, tmp_path):
+        chain, names = write_chain(tmp_path / "chain2000.bn", 2000)
+        tokens = [f"{v}={'ft'[i % 2]}" for i, v in enumerate(names[1::2])]
+        net = parse(Path(chain).read_text())
+        log_p = auto_infer(net, parse_evidence(tokens, net), []).log_likelihood
+        assert log_p < math.log(sys.float_info.min)
+        argv = ["infer", chain, "-q", names[0], "--likelihood"]
+        for token in tokens:
+            argv += ["-e", token]
+        code, out, _ = cli(*argv)
+        assert code == 0
+        mantissa, exponent = out.splitlines()[-1].removeprefix("P(e) = ").split("e")
+        assert 1 <= float(mantissa) < 10
+        assert abs(math.log10(float(mantissa)) + int(exponent) - log_p / math.log(10)) <= 1e-9
+        _, out, _ = cli("infer", CHAIN, "-e", "B=f", "--likelihood")
+        assert out.splitlines()[-1] == "P(e) = 0.41"
 
     def test_explicit_query_subset(self):
         code, out, _ = cli("infer", FIG1, "-e", "x6=1", "-q", "x2")
@@ -192,6 +231,12 @@ class TestCutset:
     def test_exhaustive(self):
         code, out, _ = cli("cutset", FIG1, "--exhaustive")
         assert out == "members: x1\nassignments: 2\n"
+
+    def test_exhaustive_above_size_limit_is_usage(self, tmp_path):
+        chain, _ = write_chain(tmp_path / "chain17.bn", 17)
+        code, out, err = cli("cutset", chain, "--exhaustive")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and "limited to 16 variables" in err
 
     def test_polytree_has_empty_cutset(self):
         code, out, _ = cli("cutset", CHAIN)

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +376,49 @@ class TestPropagate:
             assert np.max(np.abs(update_pi_to_child(net, state, p, c) - lp.pi)) <= 1e-12
             assert np.max(np.abs(update_lambda_to_parent(net, state, c, p) - lp.lam)) <= 1e-12
         assert stats.updates == moved
+
+    def test_fair_random_is_reproducible_across_hash_seeds(self):
+        script = (
+            "from helpers import random_polytree\n"
+            "from beliefprop.polytree import propagate\n"
+            "net, evidence = random_polytree(41, max_nodes=12)\n"
+            "records = []\n"
+            "propagate(net, evidence, schedule='fair-random', seed=3, on_update=records.append)\n"
+            "for r in records:\n"
+            "    print(r.sweep, r.parent, r.child, r.direction, r.old.tolist(), r.new.tolist())\n"
+        )
+        here = Path(__file__).parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("schedule", ["synchronous", "fair-random", "two-pass"])
+    def test_root_with_80_observed_children(self, schedule):
+        # one lambda operand per child would exceed einsum's 64 operands
+        rng = random.Random(80)
+        prior = np.array([0.35, 0.65])
+        tables = [random_table(rng, 2, 2) for _ in range(80)]
+        observed = [rng.randrange(2) for _ in range(80)]
+        children = [f"c{i:02d}" for i in range(80)]
+        net = build_net(
+            [("R", ("f", "t"))] + [(c, ("f", "t")) for c in children],
+            [("R", (), [prior])] + [(c, ("R",), t) for c, t in zip(children, tables)],
+        )
+        evidence = dict(zip(children, observed))
+        joint = prior * np.prod([t[:, s] for t, s in zip(tables, observed)], axis=0)
+        state, stats = propagate(net, evidence, schedule=schedule)
+        np.testing.assert_allclose(fuse_belief(net, state, "R"), joint / joint.sum(), atol=1e-9)
+        for c, s in evidence.items():
+            np.testing.assert_allclose(fuse_belief(net, state, c), np.eye(2)[s], atol=1e-9)
+        if schedule == "two-pass":
+            assert stats.log_likelihood == pytest.approx(math.log(joint.sum()), abs=1e-9)
 
     def test_two_pass_reports_impossible_evidence_as_none(self):
         net = deterministic_chain()
