@@ -21,6 +21,7 @@ from .netformat import ParseError, SourceSpan, parse, parse_evidence, serialize
 from .oracle import (
     oracle_conditional_independence,
     oracle_evidence_probability,
+    oracle_infer,
     oracle_marginal,
     oracle_posteriors,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "min_cutset_exhaustive",
     "oracle_conditional_independence",
     "oracle_evidence_probability",
+    "oracle_infer",
     "oracle_marginal",
     "oracle_posteriors",
     "parse",

@@ -160,20 +160,13 @@ def _cmd_infer(args, out) -> int:
     try:
         if args.method == "exact":
             try:
-                beliefs = oracle.oracle_posteriors(net, evidence, queries)
-                likelihood = oracle.oracle_evidence_probability(net, evidence)
+                beliefs, likelihood = oracle.oracle_infer(net, evidence, queries)
             except ValueError as exc:  # the oracle's state-space guard
                 raise _UsageError(f"--method exact: {exc}") from None
             log_likelihood = math.log(likelihood)
-        else:
-            if args.method == "conditioning":
-                mixed, _ = conditioning.infer_conditioned(
-                    net, evidence, cutset.greedy_cutset(net), queries, on_update=on_update
-                )
-            else:
-                mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
-            beliefs = mixed.beliefs
-            log_likelihood = mixed.log_likelihood
+        else:  # a polytree is conditioning's empty-cutset case
+            mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
+            beliefs, log_likelihood = mixed.beliefs, mixed.log_likelihood
             likelihood = math.exp(log_likelihood)
     finally:
         if trace_fh:
@@ -255,3 +248,7 @@ def run(argv, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

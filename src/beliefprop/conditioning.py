@@ -1,4 +1,4 @@
-"""Inference on multiply-connected networks by reasoning over cutset cases.
+"""Inference by reasoning over loop-cutset cases.
 
 For every joint assignment of the cutset variables, slice the cutset
 members out of their children's tables, pin them as evidence, and run plain
@@ -7,6 +7,8 @@ is weighted by its exact joint likelihood P(evidence, cutset=assignment);
 beliefs are mixed across cases only at the very end.  Mixing the messages
 earlier would feed the cutset prior into the loop twice and give wrong
 answers (there is a regression test for exactly that failure mode).
+A singly-connected network is the degenerate case: an empty cutset, one
+case, weight 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,33 +32,30 @@ from .polytree import evidence_log_likelihood, fuse_belief, propagate  # noqa: F
 class ConditionedRun:
     """One cutset assignment: its exact log weight (None when the case is
     impossible) and, for a possible case, the fixpoint belief of each
-    query."""
+    query (None otherwise)."""
 
     assignment: dict[str, int]
     log_weight: float | None
-    beliefs: dict[str, np.ndarray] = field(default_factory=dict)
+    beliefs: Beliefs | None = None
 
 
 class Beliefs(Mapping):
     """Read-only map from each query variable to its belief vector.  The
     vectors are views of one array over all the network's states, laid out
-    by `Network.state_slices`: three arrays per result, not one per query."""
+    by `Network.state_slices`, so results mix as whole arrays.  A belief
+    sums to 1, so only the states of a variable not asked are all 0."""
 
-    def __init__(self, net: Network, vectors: dict[str, np.ndarray]) -> None:
+    def __init__(self, net: Network, queries, values: np.ndarray) -> None:
         self._slices = net.state_slices()
-        self._queries = tuple(vectors)
-        self._values = np.zeros(sum(v.card for v in net.variables))
-        self._asked = np.zeros(len(self._values), dtype=bool)
-        for q, vec in vectors.items():
-            self._values[self._slices[q]] = vec
-            self._asked[self._slices[q]] = True
-        self._values.flags.writeable = False
+        self._queries = tuple(dict.fromkeys(queries))
+        self.values = values
+        self.values.flags.writeable = False
 
     def __getitem__(self, q: str) -> np.ndarray:
         where = self._slices.get(q)
-        if where is None or not self._asked[where.start]:
+        if where is None or not self.values[where].any():
             raise KeyError(q)
-        return self._values[where]
+        return self.values[where]
 
     def __iter__(self):
         return iter(self._queries)
@@ -80,7 +79,7 @@ def condition_network(
     table at the assigned state; the member keeps its own table and parents
     and becomes evidence, so its probability is counted exactly once.
     Raises ImpossibleEvidenceError when prior evidence contradicts the
-    assignment.
+    assignment.  When no member has a child, `net` itself comes back.
     """
     members = list(cutset)
     if not is_valid_cutset(net, members):
@@ -96,24 +95,19 @@ def condition_network(
                 f"evidence on {m} contradicts cutset assignment", variable=m
             )
 
+    evidence.update({m: assignment[m] for m in members})
+    if not any(net.children(m) for m in members):  # no table changes
+        return net, evidence
+
     new_cpts = []
     for v in net.variables:
         cpt = net.cpts[v.name]
-        fixed = [p for p in cpt.parents if p in assignment]
-        if not fixed:
-            new_cpts.append(cpt)
-            continue
-        tensor = net.cpt_tensor(v.name)
-        for p in reversed(cpt.parents):  # slice from the back to keep axes stable
-            if p in assignment:
-                axis = cpt.parents.index(p)
-                tensor = np.take(tensor, assignment[p], axis=axis)
-        kept = tuple(p for p in cpt.parents if p not in assignment)
-        new_cpts.append(Cpt(v.name, kept, tensor.reshape(-1, v.card)))
-
-    reduced = Network(net.variables, new_cpts, name=net.name)
-    evidence.update({m: assignment[m] for m in members})
-    return reduced, evidence
+        if any(p in assignment for p in cpt.parents):
+            index = tuple(assignment.get(p, slice(None)) for p in cpt.parents)
+            kept = tuple(p for p in cpt.parents if p not in assignment)
+            cpt = Cpt(v.name, kept, net.cpt_tensor(v.name)[index].reshape(-1, v.card))
+        new_cpts.append(cpt)
+    return Network(net.variables, new_cpts, name=net.name), evidence
 
 
 def infer_conditioned(
@@ -122,9 +116,10 @@ def infer_conditioned(
     """Enumerate all cutset assignments, propagate each, and mix.
 
     Per-case weights are exp(log P(evidence, cutset=assignment)) normalized
-    over the possible cases, and every query's belief is the weighted sum of
-    its per-case beliefs.  A cutset member is pinned in each case, so its
+    over the possible cases, and the beliefs are the weighted sum of the
+    per-case beliefs.  A cutset member is pinned in each case, so its
     belief is the total weight of the cases assigning each of its states.
+    An empty cutset is the polytree: one case, weight 1.
     """
     members = list(cutset)
     if not is_valid_cutset(net, members):
@@ -132,6 +127,8 @@ def infer_conditioned(
     queries = list(queries)
     for q in queries:
         net.variable(q)
+    slices = net.state_slices()
+    n_states = sum(v.card for v in net.variables)
 
     runs: list[ConditionedRun] = []
     for combo in itertools.product(*(range(net.card(m)) for m in members)):
@@ -145,38 +142,28 @@ def infer_conditioned(
         state, stats = propagate(reduced, reduced_ev, schedule="two-pass", on_update=callback)
         run.log_weight = stats.log_likelihood
         if run.log_weight is not None:
-            run.beliefs = {q: fuse_belief(reduced, state, q) for q in queries}
+            values = np.zeros(n_states)
+            for q in queries:
+                values[slices[q]] = fuse_belief(reduced, state, q)
+            run.beliefs = Beliefs(net, queries, values)
 
     live = [r for r in runs if r.log_weight is not None]
     if not live:
         shown = ", ".join(f"{v}={s}" for v, s in sorted(evidence.items()))
         raise ImpossibleEvidenceError(
             f"evidence {{{shown}}} is impossible under every cutset case"
+            if members else "evidence has probability zero"
         )
     top = max(r.log_weight for r in live)
     raw = [math.exp(r.log_weight - top) for r in live]
     total = sum(raw)
-    weights = [w / total for w in raw]
     log_likelihood = top + math.log(total)
-
-    beliefs = {q: sum(w * run.beliefs[q] for run, w in zip(live, weights)) for q in queries}
-    return MixedBelief(Beliefs(net, beliefs), log_likelihood), runs
+    values = sum(w / total * run.beliefs.values for run, w in zip(live, raw))
+    return MixedBelief(Beliefs(net, queries, values), log_likelihood), runs
 
 
 def auto_infer(
     net: Network, evidence: Evidence, queries, on_update=None
 ) -> MixedBelief:
-    """Polytree propagation when the network allows it, otherwise greedy
-    cutset conditioning."""
-    queries = list(queries)
-    if net.is_singly_connected():
-        callback = functools.partial(on_update, {}) if on_update else None
-        state, stats = propagate(net, evidence, schedule="two-pass", on_update=callback)
-        if stats.log_likelihood is None:
-            raise ImpossibleEvidenceError("evidence has probability zero")
-        beliefs = Beliefs(net, {q: fuse_belief(net, state, q) for q in queries})
-        return MixedBelief(beliefs, stats.log_likelihood)
-    mixed, _ = infer_conditioned(
-        net, evidence, greedy_cutset(net), queries, on_update=on_update
-    )
-    return mixed
+    """Greedy cutset conditioning; on a polytree the cutset is empty."""
+    return infer_conditioned(net, evidence, greedy_cutset(net), queries, on_update)[0]

@@ -53,25 +53,30 @@ def list_paths(net: Network, x: str, y: str) -> list[UndirectedPath]:
         raise ValueError("endpoints must differ")
     net.variable(x)
     net.variable(y)
-    paths: list[UndirectedPath] = []
+    return list(_walk_paths(net, x, y))
+
+
+def _walk_paths(net: Network, x: str, y: str):
+    """Yield the simple paths from x to y in lexicographic order: a
+    depth-first walk over sorted neighbors, with an explicit stack so the
+    depth is not bounded by the interpreter's recursion limit."""
     trail = [x]
     on_trail = {x}
-
-    def walk(node: str) -> None:
-        for nxt in net.neighbors(node):  # sorted, so output is lexicographic
+    stack = [iter(net.neighbors(x))]
+    while stack:
+        for nxt in stack[-1]:
             if nxt in on_trail:
                 continue
             if nxt == y:
-                paths.append(UndirectedPath(tuple(trail) + (y,)))
+                yield UndirectedPath(tuple(trail) + (y,))
                 continue
             trail.append(nxt)
             on_trail.add(nxt)
-            walk(nxt)
-            trail.pop()
-            on_trail.remove(nxt)
-
-    walk(x)
-    return paths
+            stack.append(iter(net.neighbors(nxt)))
+            break
+        else:
+            stack.pop()
+            on_trail.remove(trail.pop())
 
 
 def _check_path(net: Network, path: UndirectedPath) -> None:
@@ -107,6 +112,6 @@ def d_separated(net: Network, x: str, y: str, given) -> bool:
         raise ValueError("endpoints must differ")
     if x in s or y in s:
         raise ValueError("the conditioning set may not contain an endpoint")
-    for v in s:
+    for v in (x, y, *s):
         net.variable(v)
-    return all(is_blocked(net, p, s) for p in list_paths(net, x, y))
+    return all(is_blocked(net, p, s) for p in _walk_paths(net, x, y))

@@ -133,7 +133,10 @@ class Network:
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Adjacent variables in the underlying undirected graph, sorted."""
-        return tuple(sorted(set(self.parents(name)) | set(self.children(name))))
+        key = ("neighbors", name)
+        if key not in self._cache:
+            self._cache[key] = tuple(sorted({*self.parents(name), *self.children(name)}))
+        return self._cache[key]
 
     def descendants(self, name: str) -> frozenset[str]:
         if "descendants" not in self._cache:
@@ -199,8 +202,10 @@ class Network:
 
     def is_singly_connected(self) -> bool:
         """True iff the underlying undirected graph is a forest."""
-        n_edges = len(set((min(p, c), max(p, c)) for p, c in self.edges()))
-        return n_edges == len(self.variables) - len(self.components())
+        if "forest" not in self._cache:
+            n_edges = len(set((min(p, c), max(p, c)) for p, c in self.edges()))
+            self._cache["forest"] = n_edges == len(self.variables) - len(self.components())
+        return self._cache["forest"]
 
     def underlying_diameter(self) -> int:
         """Longest shortest-path length in the underlying undirected graph,

@@ -50,22 +50,6 @@ def joint_table(net: Network) -> np.ndarray:
     return joint
 
 
-def _masked_joint(net: Network, evidence: Evidence) -> np.ndarray:
-    joint = joint_table(net)
-    names = net.var_names()
-    for var, state in evidence.items():
-        net.variable(var)
-        axis = names.index(var)
-        if not 0 <= state < net.card(var):
-            raise ValueError(f"state {state} out of range for variable {var!r}")
-        indicator = np.zeros(net.card(var))
-        indicator[state] = 1.0
-        shape = [1] * len(names)
-        shape[axis] = net.card(var)
-        joint = joint * indicator.reshape(shape)
-    return joint
-
-
 def oracle_marginal(net: Network, evidence: Evidence, q: str) -> np.ndarray:
     """P(q | evidence) by summing the joint over all consistent assignments."""
     return oracle_posteriors(net, evidence, [q])[q]
@@ -75,12 +59,37 @@ def oracle_posteriors(
     net: Network, evidence: Evidence, queries=None
 ) -> dict[str, np.ndarray]:
     """P(q | evidence) for several queries off one joint enumeration."""
+    return oracle_infer(net, evidence, queries)[0]
+
+
+def oracle_evidence_probability(net: Network, evidence: Evidence) -> float:
+    """P(evidence): total joint mass of the consistent assignments."""
+    try:
+        return oracle_infer(net, evidence, [])[1]
+    except ImpossibleEvidenceError:
+        return 0.0
+
+
+def oracle_infer(
+    net: Network, evidence: Evidence, queries=None
+) -> tuple[dict[str, np.ndarray], float]:
+    """P(q | evidence) for each query (every variable by default) and
+    P(evidence), off one joint masked by the evidence.  Raises
+    ImpossibleEvidenceError when P(evidence) is zero."""
     names = net.var_names()
     if queries is None:
         queries = names
     for q in queries:
         net.variable(q)
-    joint = _masked_joint(net, evidence)
+    joint = joint_table(net)
+    for var, state in evidence.items():
+        net.variable(var)
+        axis = names.index(var)
+        if not 0 <= state < net.card(var):
+            raise ValueError(f"state {state} out of range for variable {var!r}")
+        shape = [1] * len(names)
+        shape[axis] = net.card(var)
+        joint = joint * np.eye(net.card(var))[state].reshape(shape)
     total = joint.sum()
     if total <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
@@ -89,12 +98,7 @@ def oracle_posteriors(
         axis = names.index(q)
         other = tuple(i for i in range(joint.ndim) if i != axis)
         out[q] = joint.sum(axis=other) / total
-    return out
-
-
-def oracle_evidence_probability(net: Network, evidence: Evidence) -> float:
-    """P(evidence): total joint mass of the consistent assignments."""
-    return float(_masked_joint(net, evidence).sum())
+    return out, float(total)
 
 
 def oracle_conditional_independence(

@@ -75,10 +75,6 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / s
 
 
-def _maxdiff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
-
-
 def init_messages(net: Network, evidence: Evidence) -> MessageState:
     """Uniform messages on every arc plus evidence indicator factors."""
     if not net.is_singly_connected():
@@ -206,7 +202,7 @@ def _store(net, state, sender, receiver, new, tolerance, on_update, sweep) -> bo
         kind, p, c = "pi", sender, receiver
         lp = state.messages[(p, c)]
         old, lp.pi = lp.pi, new
-    moved = _maxdiff(old, new) > tolerance
+    moved = float(np.max(np.abs(old - new))) > tolerance
     if moved and on_update is not None:
         on_update(TraceRecord(sweep, p, c, kind, old, new))
     return moved
@@ -307,7 +303,7 @@ def _tree_walks(net: Network, pivot: str | None):
         yield root, walk
 
 
-def _run_two_pass(net, state, tolerance, on_update, pivot=None, distribute=True):
+def _run_two_pass(net, state, tolerance, on_update, pivot=None):
     """Pearl's collect/distribute order.  In each component every node sends
     towards the root once its subtree has reported (post-order), then the
     root side answers outward (pre-order), so each of the 2|E| messages is
@@ -328,10 +324,9 @@ def _run_two_pass(net, state, tolerance, on_update, pivot=None, distribute=True)
     for root, walk in walks:
         scales += [send(node, towards) for node, towards in reversed(walk)]
         scales.append(_sum_product(net, state, root).sum())
-    if distribute:
-        for _, walk in walks:
-            for node, towards in walk:
-                send(towards, node)
+    for _, walk in walks:
+        for node, towards in walk:
+            send(towards, node)
     # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
     possible = all(s > 0.0 for s in scales)
     log_likelihood = sum(map(math.log, scales)) if possible else None
@@ -343,10 +338,10 @@ def evidence_log_likelihood(
 ) -> float | None:
     """log P(evidence), or None when the evidence has zero probability.
 
-    The collect half of the two-pass schedule, rooted at `pivot` in its
-    component; the result does not depend on the pivot choice.
+    The two-pass schedule rooted at `pivot` in its component; the result
+    does not depend on the pivot choice.
     """
     state = init_messages(net, evidence)
     if pivot is not None:
         net.variable(pivot)
-    return _run_two_pass(net, state, 1e-12, None, pivot, distribute=False).log_likelihood
+    return _run_two_pass(net, state, 1e-12, None, pivot).log_likelihood

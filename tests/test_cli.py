@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from beliefprop.cli import run
 from beliefprop.conditioning import auto_infer
-from beliefprop.netformat import parse, parse_evidence
+from beliefprop.netformat import parse, parse_evidence, serialize
+
+from helpers import random_loopy, random_polytree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAIN = str(FIXTURES / "chain.bn")
@@ -190,11 +194,65 @@ class TestInfer:
         assert lines
         assert all("arc=" in ln and "dir=" in ln for ln in lines)
 
+    def test_exact_builds_the_joint_once(self, monkeypatch):
+        from beliefprop import oracle
+
+        calls = []
+        build = oracle.joint_table
+        monkeypatch.setattr(oracle, "joint_table", lambda net: calls.append(1) or build(net))
+        code, out, _ = cli("infer", FIG1, "-e", "x6=1", "--likelihood", "--method", "exact")
+        assert code == 0 and out.splitlines()[-1].startswith("P(e) = ")
+        assert len(calls) == 1
+
+    def test_conditioning_on_polytree_reports_zero_probability(self):
+        for method in ("auto", "polytree", "conditioning"):
+            code, out, err = cli("infer", DETERMINISTIC, "-e", "A=f", "-e", "B=t",
+                                 "--method", method)
+            assert (code, out) == (4, "")
+            assert err == "impossible evidence: evidence has probability zero\n"
+
     def test_trace_with_conditioning_tags_runs(self, tmp_path):
         trace = tmp_path / "trace.log"
         cli("infer", FIG1, "-e", "x6=1", "--trace", str(trace))
         lines = trace.read_text().splitlines()
         assert lines and all(ln.startswith("run x1=") for ln in lines)
+
+
+def _seeded_network(tmp_path, kind, seed):
+    """A seeded random network written as a .bn file, plus its evidence as
+    -e arguments."""
+    net, evidence = (random_polytree if kind == "polytree" else random_loopy)(seed)
+    path = tmp_path / f"{kind}{seed}.bn"
+    path.write_text(serialize(net))
+    args = []
+    for var, state in evidence.items():
+        args += ["-e", f"{var}={net.variable(var).states[state]}"]
+    return str(path), args
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("fixture", FIG1, ["-e", "x6=1"]), ("fixture", CHAIN, ["-e", "B=f"]),
+     ("fixture", DETERMINISTIC, ["-e", "B=t"])]
+    + [("polytree", seed) for seed in range(4)]
+    + [("loopy", seed) for seed in range(4)],
+)
+def test_inference_methods_share_one_path(tmp_path, source):
+    """auto, conditioning and (on a polytree) polytree print the same bytes
+    and write the same trace: they run the same conditioning code."""
+    if source[0] == "fixture":
+        path, evidence = source[1], source[2]
+    else:
+        path, evidence = _seeded_network(tmp_path, *source)
+    net = parse(Path(path).read_text())
+    methods = ["auto", "conditioning"] + (["polytree"] if net.is_singly_connected() else [])
+    results = set()
+    for method in methods:
+        trace = tmp_path / f"trace-{method}.log"
+        code, out, err = cli("infer", path, *evidence, "--likelihood", "--method", method,
+                             "--trace", str(trace))
+        results.add((code, out, err, trace.read_text()))
+    assert len(results) == 1
 
 
 class TestDsep:
@@ -220,6 +278,14 @@ class TestDsep:
 
     def test_endpoint_in_given_is_usage(self):
         assert cli("dsep", FIG1, "--x", "x2", "--y", "x3", "--given", "x2")[0] == 1
+
+    def test_path_longer_than_recursion_limit(self, tmp_path):
+        chain, names = write_chain(tmp_path / "chain5000.bn", 5000)
+        code, out, _ = cli("dsep", chain, "--x", names[0], "--y", names[-1])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "connected"
+        assert lines[1:] == [f"path {'-'.join(names)}: open"]
 
 
 class TestCutset:
@@ -262,4 +328,18 @@ def test_console_script_entry_point():
         env=dict(os.environ),
     )
     assert proc.returncode == 0
+    assert proc.stdout == "BEL(A) f=0.658537 t=0.341463\n"
+
+
+@pytest.mark.parametrize("module", ["beliefprop", "beliefprop.cli"])
+def test_python_dash_m_entry_points(module):
+    src = str(Path(__file__).parent.parent / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "infer", CHAIN, "-e", "B=f"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "BEL(A) f=0.658537 t=0.341463\n"

@@ -72,6 +72,7 @@ class TestConditionNetwork:
     def test_empty_cutset_is_identity(self):
         net = chain_net()
         reduced, evidence = condition_network(net, [], {})
+        assert reduced is net
         assert evidence == {}
         assert reduced.cpts is not None
         np.testing.assert_array_equal(
@@ -209,8 +210,19 @@ class TestAutoInfer:
             [("A", ("f", "t")), ("B", ("f", "t"))],
             [("A", (), [[1.0, 0.0]]), ("B", ("A",), [[1.0, 0.0], [0.0, 1.0]])],
         )
-        with pytest.raises(ImpossibleEvidenceError):
+        with pytest.raises(ImpossibleEvidenceError, match="^evidence has probability zero$"):
             auto_infer(net, {"A": 0, "B": 1}, ["A"])
+
+    def test_polytree_is_one_empty_case_of_weight_one(self):
+        net, evidence = random_polytree(4, max_nodes=10)
+        if oracle_evidence_probability(net, evidence) == 0:
+            evidence = {}
+        queries = net.var_names()
+        mixed, runs = infer_conditioned(net, evidence, [], queries)
+        assert [(r.assignment, r.log_weight) for r in runs] == [({}, mixed.log_likelihood)]
+        for q in queries:
+            np.testing.assert_array_equal(mixed.beliefs[q], runs[0].beliefs[q])
+        np.testing.assert_array_equal(mixed.beliefs.values, runs[0].beliefs.values)
 
     def test_beliefs_map_exactly_the_queries(self):
         for net, evidence, queries in (

@@ -97,6 +97,22 @@ class TestDSeparated:
         with pytest.raises(ValueError):
             d_separated(fig1_net(), "x2", "x2", set())
 
+    def test_unknown_endpoint_rejected(self):
+        with pytest.raises(KeyError, match="unknown variable"):
+            d_separated(fig1_net(), "x2", "nope", set())
+
+    def test_stops_at_the_first_open_path(self, monkeypatch):
+        import beliefprop.dsep as dsep_mod
+
+        net = fig1_net()
+        assert len(list_paths(net, "x2", "x3")) > 1
+        made = []
+        monkeypatch.setattr(
+            dsep_mod, "UndirectedPath", lambda nodes: made.append(nodes) or UndirectedPath(nodes)
+        )
+        assert not d_separated(net, "x2", "x3", set())
+        assert made == [("x2", "x1", "x3")]  # the first path is open
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 1_000))

@@ -139,6 +139,13 @@ class TestTopology:
         with pytest.raises(KeyError, match="unknown variable"):
             fig1_net().parents("nope")
 
+    def test_neighbors_sorted_and_cached(self):
+        net = fig1_net()
+        assert net.neighbors("x2") == ("x1", "x4", "x5")
+        assert net.neighbors("x2") is net.neighbors("x2")
+        with pytest.raises(KeyError, match="unknown variable"):
+            net.neighbors("nope")
+
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_chain_diameter(self, n):
         names = [f"c{i}" for i in range(n)]

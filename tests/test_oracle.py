@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from beliefprop.errors import ImpossibleEvidenceError
-from beliefprop.model import Cpt, Network, Variable
+from beliefprop.model import Cpt, Network, Variable, all_assignments, joint_probability
 from beliefprop.oracle import (
     STATE_SPACE_GUARD,
     joint_table,
     oracle_conditional_independence,
     oracle_evidence_probability,
+    oracle_infer,
     oracle_marginal,
 )
 
@@ -81,6 +82,28 @@ class TestEvidenceProbability:
         assert 2 ** n > STATE_SPACE_GUARD
         with pytest.raises(ValueError, match="guard"):
             oracle_evidence_probability(net, {})
+
+
+class TestInfer:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_posteriors_and_evidence_probability_match_enumeration(self, seed):
+        net, evidence = random_loopy(seed, max_nodes=7)
+        literal = sum(
+            joint_probability(net, asg)
+            for asg in all_assignments(net)
+            if all(asg[v] == s for v, s in evidence.items())
+        )
+        if literal == 0:
+            evidence, literal = {}, 1.0
+        posteriors, p_e = oracle_infer(net, evidence)
+        assert p_e == pytest.approx(literal, abs=1e-12)
+        assert list(posteriors) == net.var_names()
+        for q, vec in posteriors.items():
+            np.testing.assert_allclose(vec, enum_marginal(net, evidence, q), atol=1e-12)
+
+    def test_impossible_evidence(self):
+        with pytest.raises(ImpossibleEvidenceError, match="probability zero"):
+            oracle_infer(deterministic_chain(), {"A": 0, "B": 1}, [])
 
 
 class TestJointTable:
