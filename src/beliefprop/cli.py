@@ -155,7 +155,10 @@ def _cmd_infer(args, out) -> int:
             "use auto or conditioning"
         )
 
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    try:
+        trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    except OSError as exc:
+        raise _UsageError(str(exc)) from None
     on_update = _TraceWriter(trace_fh) if trace_fh else None
     try:
         if args.method == "exact":
@@ -206,10 +209,7 @@ def _cmd_cutset(args, out) -> int:
     else:
         members = cutset.greedy_cutset(net)
     print(f"members: {' '.join(members) if members else '(none)'}", file=out)
-    count = 1
-    for m in members:
-        count *= net.card(m)
-    print(f"assignments: {count}", file=out)
+    print(f"assignments: {math.prod(net.card(m) for m in members)}", file=out)
     return EXIT_OK
 
 

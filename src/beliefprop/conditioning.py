@@ -23,7 +23,7 @@ import numpy as np
 
 from .cutset import greedy_cutset, is_valid_cutset
 from .errors import ImpossibleEvidenceError
-from .model import Cpt, Evidence, Network
+from .model import Cpt, Evidence, Network, check_evidence
 # bench/spans.py also traces evidence_log_likelihood under this module's name
 from .polytree import evidence_log_likelihood, fuse_belief, propagate  # noqa: F401
 
@@ -119,14 +119,16 @@ def infer_conditioned(
     over the possible cases, and the beliefs are the weighted sum of the
     per-case beliefs.  A cutset member is pinned in each case, so its
     belief is the total weight of the cases assigning each of its states.
-    An empty cutset is the polytree: one case, weight 1.
+    An empty cutset is the polytree: one case, weight 1.  A member listed
+    twice counts once.
     """
-    members = list(cutset)
+    members = list(dict.fromkeys(cutset))
     if not is_valid_cutset(net, members):
         raise ValueError(f"not a valid cutset: {members}")
     queries = list(queries)
     for q in queries:
         net.variable(q)
+    check_evidence(net, evidence)
     slices = net.state_slices()
     n_states = sum(v.card for v in net.variables)
 

@@ -13,8 +13,9 @@ greedy heuristic; an exhaustive search is available for small networks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from .model import Network
+from .model import Network, is_forest
 
 Cutset = list[str]
 
@@ -24,29 +25,12 @@ def _remaining_arcs(net: Network, members) -> list[tuple[str, str]]:
     return [(p, c) for p, c in net.edges() if p not in chosen]
 
 
-def _is_forest(arcs, nodes) -> bool:
-    rep = {n: n for n in nodes}
-
-    def find(n):
-        while rep[n] != n:
-            rep[n] = rep[rep[n]]
-            n = rep[n]
-        return n
-
-    for p, c in arcs:
-        rp, rc = find(p), find(c)
-        if rp == rc:
-            return False
-        rep[rp] = rc
-    return True
-
-
 def is_valid_cutset(net: Network, members) -> bool:
     """True iff deleting every outgoing arc of every member leaves the
     underlying graph cycle-free."""
     for m in members:
         net.variable(m)
-    return _is_forest(_remaining_arcs(net, members), net.var_names())
+    return is_forest(_remaining_arcs(net, members), net.var_names())
 
 
 def _cycle_nodes(arcs, nodes) -> set[str]:
@@ -100,14 +84,9 @@ def greedy_cutset(net: Network) -> Cutset:
     nodes = net.var_names()
     chosen: Cutset = []
     arcs = _remaining_arcs(net, chosen)
-    while not _is_forest(arcs, nodes):
-        on_cycle = _cycle_nodes(arcs, nodes)
-        out_deg: dict[str, int] = {n: 0 for n in nodes}
-        deg: dict[str, int] = {n: 0 for n in nodes}
-        for p, c in arcs:
-            out_deg[p] += 1
-            deg[p] += 1
-            deg[c] += 1
+    while on_cycle := _cycle_nodes(arcs, nodes):
+        out_deg = Counter(p for p, _ in arcs)
+        deg = out_deg + Counter(c for _, c in arcs)
         candidates = [n for n in on_cycle if out_deg[n] > 0]
         if not candidates:
             raise RuntimeError("cycle without an outgoing arc; network is not a DAG")
@@ -118,14 +97,12 @@ def greedy_cutset(net: Network) -> Cutset:
     return chosen
 
 
-def min_cutset_exhaustive(net: Network, max_nodes: int = 16) -> Cutset:
+def min_cutset_exhaustive(net: Network) -> Cutset:
     """Smallest valid cutset by cardinality (lexicographic tie-break), by
-    subset enumeration; refuses networks above `max_nodes` variables."""
+    subset enumeration; refuses networks above 16 variables."""
     names = sorted(net.var_names())
-    if len(names) > max_nodes:
-        raise ValueError(
-            f"exhaustive search limited to {max_nodes} variables, got {len(names)}"
-        )
+    if len(names) > 16:
+        raise ValueError(f"exhaustive search limited to 16 variables, got {len(names)}")
     for size in range(len(names) + 1):
         for combo in itertools.combinations(names, size):
             if is_valid_cutset(net, combo):

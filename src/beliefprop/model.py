@@ -139,9 +139,7 @@ class Network:
         return self._cache[key]
 
     def descendants(self, name: str) -> frozenset[str]:
-        if "descendants" not in self._cache:
-            self._cache["descendants"] = {}
-        memo = self._cache["descendants"]
+        memo = self._cache.setdefault("descendants", {})
         if name not in memo:
             self.variable(name)
             seen: set[str] = set()
@@ -178,34 +176,41 @@ class Network:
             self._cache["topo"] = order
         return self._cache["topo"]
 
-    def components(self) -> list[list[str]]:
-        """Connected components of the underlying undirected graph."""
-        if "components" not in self._cache:
-            seen: set[str] = set()
-            comps = []
-            for v in self.variables:
-                if v.name in seen:
-                    continue
-                comp = []
-                stack = [v.name]
-                seen.add(v.name)
-                while stack:
-                    n = stack.pop()
-                    comp.append(n)
-                    for m in self.neighbors(n):
-                        if m not in seen:
-                            seen.add(m)
-                            stack.append(m)
-                comps.append(sorted(comp))
-            self._cache["components"] = comps
-        return self._cache["components"]
-
     def is_singly_connected(self) -> bool:
         """True iff the underlying undirected graph is a forest."""
         if "forest" not in self._cache:
-            n_edges = len(set((min(p, c), max(p, c)) for p, c in self.edges()))
-            self._cache["forest"] = n_edges == len(self.variables) - len(self.components())
+            self._cache["forest"] = is_forest(self.edges(), self.var_names())
         return self._cache["forest"]
+
+    def tree_walks(self, root: str | None = None) -> tuple:
+        """The two-pass walk of each tree of the forest, in order of its first
+        declared variable: (its root, its walk).  The root is `root` if the
+        tree holds it, else its smallest name; the walk pairs every other
+        node with its neighbor towards the root, in depth-first pre-order.
+        Raises ValueError on a graph with a loop."""
+        key = ("walks", root)
+        if key not in self._cache:
+            if root is not None:
+                self.variable(root)
+            if not self.is_singly_connected():
+                raise ValueError("network is not singly connected")
+            walks, seen = [], set()
+            for v in self.var_names():
+                if v not in seen:
+                    tree = {v, *(node for node, _ in self._walk(v))}
+                    seen |= tree
+                    start = root if root in tree else min(tree)
+                    walks.append((start, self._walk(start)))
+            self._cache[key] = tuple(walks)
+        return self._cache[key]
+
+    def _walk(self, start: str) -> tuple:
+        walk, stack = [], [(m, start) for m in self.neighbors(start)]
+        while stack:
+            node, towards = stack.pop()
+            walk.append((node, towards))
+            stack.extend((m, node) for m in self.neighbors(node) if m != towards)
+        return tuple(walk)
 
     def underlying_diameter(self) -> int:
         """Longest shortest-path length in the underlying undirected graph,
@@ -257,6 +262,25 @@ class Network:
             shape = tuple(self.card(p) for p in cpt.parents) + (cpt.n_states,)
             self._cache[key] = cpt.table.reshape(shape)
         return self._cache[key]
+
+
+def is_forest(arcs, nodes) -> bool:
+    """True iff the undirected graph on `nodes` with one edge per arc has no
+    cycle (union-find, stopping at the first arc that closes one)."""
+    rep = {n: n for n in nodes}
+
+    def find(n):
+        while rep[n] != n:
+            rep[n] = rep[rep[n]]
+            n = rep[n]
+        return n
+
+    for p, c in arcs:
+        rp, rc = find(p), find(c)
+        if rp == rc:
+            return False
+        rep[rp] = rc
+    return True
 
 
 def validate(net: Network) -> list[str]:
@@ -322,6 +346,13 @@ def validate(net: Network) -> list[str]:
         problems.append(f"graph has a directed cycle involving {', '.join(on_cycle)}")
 
     return problems
+
+
+def check_evidence(net: Network, evidence: Evidence) -> None:
+    """Raise ValueError on an observed state out of its variable's range."""
+    for var, s in evidence.items():
+        if not 0 <= s < net.card(var):
+            raise ValueError(f"state {s} out of range for variable {var!r}")
 
 
 def joint_probability(net: Network, assignment: dict[str, int]) -> float:

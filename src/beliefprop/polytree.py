@@ -19,6 +19,7 @@ evidence and is deliberately left unnormalized.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ImpossibleEvidenceError
-from .model import Evidence, Network
+from .model import Evidence, Network, check_evidence
 
 @dataclass
 class LinkParameters:
@@ -75,17 +76,24 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / s
 
 
+@functools.cache
+def _uniform(k: int) -> np.ndarray:
+    """The read-only uniform vector over `k` states that every message
+    starts as; `_store` rebinds a message, never writes into it."""
+    vec = np.full(k, 1.0 / k)
+    vec.flags.writeable = False
+    return vec
+
+
 def init_messages(net: Network, evidence: Evidence) -> MessageState:
     """Uniform messages on every arc plus evidence indicator factors."""
     if not net.is_singly_connected():
         raise ValueError("network is not singly connected; condition on a cutset first")
-    for var, s in evidence.items():
-        if not 0 <= s < net.card(var):
-            raise ValueError(f"state {s} out of range for variable {var!r}")
+    check_evidence(net, evidence)
     messages = {}
     for p, c in net.edges():
-        k = net.card(p)
-        messages[(p, c)] = LinkParameters(np.full(k, 1.0 / k), np.full(k, 1.0 / k))
+        vec = _uniform(net.card(p))
+        messages[(p, c)] = LinkParameters(vec, vec)
     factors = {v: np.eye(net.card(v))[s] for v, s in evidence.items()}
     return MessageState(messages, factors)
 
@@ -214,7 +222,6 @@ def propagate(
     schedule: str = "synchronous",
     tolerance: float = 1e-12,
     seed: int = 0,
-    max_sweeps: int | None = None,
     on_update=None,
 ) -> tuple[MessageState, PropagationStats]:
     """Bring all messages to the fixpoint.
@@ -234,7 +241,7 @@ def propagate(
     if schedule == "two-pass":
         return state, _run_two_pass(net, state, tolerance, on_update)
     if schedule == "synchronous":
-        stats = _run_synchronous(net, state, tolerance, max_sweeps, on_update)
+        stats = _run_synchronous(net, state, tolerance, on_update)
     elif schedule == "fair-random":
         stats = _run_fair_random(net, state, tolerance, seed, on_update)
     else:
@@ -244,10 +251,9 @@ def propagate(
     return state, stats
 
 
-def _run_synchronous(net, state, tolerance, max_sweeps, on_update):
+def _run_synchronous(net, state, tolerance, on_update):
     keys = _message_keys(net)
-    if max_sweeps is None:
-        max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
+    max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
         new = [_normalize(_sum_product(net, state, s, r)) for s, r in keys]
@@ -288,21 +294,6 @@ def _run_fair_random(net, state, tolerance, seed, on_update):
     raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
 
 
-def _tree_walks(net: Network, pivot: str | None):
-    """Per connected component: its root (`pivot` if the component holds
-    it, else its first name) and every other node paired with its neighbor
-    towards the root, in depth-first pre-order."""
-    for comp in net.components():
-        root = pivot if pivot in comp else comp[0]
-        walk = []
-        stack = [(m, root) for m in net.neighbors(root)]
-        while stack:
-            node, towards = stack.pop()
-            walk.append((node, towards))
-            stack.extend((m, node) for m in net.neighbors(node) if m != towards)
-        yield root, walk
-
-
 def _run_two_pass(net, state, tolerance, on_update, pivot=None):
     """Pearl's collect/distribute order.  In each component every node sends
     towards the root once its subtree has reported (post-order), then the
@@ -319,7 +310,7 @@ def _run_two_pass(net, state, tolerance, on_update, pivot=None):
         updates += _store(net, state, sender, receiver, new, tolerance, on_update, 1)
         return core.sum()
 
-    walks = list(_tree_walks(net, pivot))
+    walks = net.tree_walks(pivot)
     scales = []  # collect normalizers, then each root's mass
     for root, walk in walks:
         scales += [send(node, towards) for node, towards in reversed(walk)]
@@ -342,6 +333,4 @@ def evidence_log_likelihood(
     does not depend on the pivot choice.
     """
     state = init_messages(net, evidence)
-    if pivot is not None:
-        net.variable(pivot)
     return _run_two_pass(net, state, 1e-12, None, pivot).log_likelihood

@@ -18,6 +18,29 @@ CHAIN = str(FIXTURES / "chain.bn")
 FIG1 = str(FIXTURES / "fig1.bn")
 DETERMINISTIC = str(FIXTURES / "deterministic.bn")
 
+# --trace files of `infer fig1.bn -e x6=1` and `infer chain.bn -e B=f`: the
+# two-pass order and the message values, byte for byte
+FIG1_TRACE = (
+    "run x1=0 sweep=1 dir=pi arc=x3->x5 old=0.5,0.5 new=0.9,0.1\n"
+    "run x1=0 sweep=1 dir=lambda arc=x5->x6 old=0.5,0.5 new=0.157894736842,0.842105263158\n"
+    "run x1=0 sweep=1 dir=lambda arc=x2->x5 old=0.5,0.5 new=0.281052631579,0.718947368421\n"
+    "run x1=0 sweep=1 dir=pi arc=x2->x5 old=0.5,0.5 new=0.95,0.05\n"
+    "run x1=0 sweep=1 dir=pi arc=x5->x6 old=0.5,0.5 new=0.788,0.212\n"
+    "run x1=0 sweep=1 dir=lambda arc=x3->x5 old=0.5,0.5 new=0.253684210526,0.746315789474\n"
+    "run x1=0 sweep=1 dir=pi arc=x2->x4 old=0.5,0.5 new=0.881341209173,0.118658790827\n"
+    "run x1=1 sweep=1 dir=pi arc=x3->x5 old=0.5,0.5 new=0.1,0.9\n"
+    "run x1=1 sweep=1 dir=lambda arc=x5->x6 old=0.5,0.5 new=0.157894736842,0.842105263158\n"
+    "run x1=1 sweep=1 dir=lambda arc=x2->x5 old=0.5,0.5 new=0.718947368421,0.281052631579\n"
+    "run x1=1 sweep=1 dir=pi arc=x2->x5 old=0.5,0.5 new=0.05,0.95\n"
+    "run x1=1 sweep=1 dir=pi arc=x5->x6 old=0.5,0.5 new=0.788,0.212\n"
+    "run x1=1 sweep=1 dir=lambda arc=x3->x5 old=0.5,0.5 new=0.746315789474,0.253684210526\n"
+    "run x1=1 sweep=1 dir=pi arc=x2->x4 old=0.5,0.5 new=0.118658790827,0.881341209173\n"
+)
+CHAIN_TRACE = (
+    "sweep=1 dir=lambda arc=A->B old=0.5,0.5 new=0.818181818182,0.181818181818\n"
+    "sweep=1 dir=pi arc=A->B old=0.5,0.5 new=0.3,0.7\n"
+)
+
 
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -216,6 +239,23 @@ class TestInfer:
         cli("infer", FIG1, "-e", "x6=1", "--trace", str(trace))
         lines = trace.read_text().splitlines()
         assert lines and all(ln.startswith("run x1=") for ln in lines)
+
+    @pytest.mark.parametrize(
+        "path, evidence, golden",
+        [(FIG1, "x6=1", FIG1_TRACE), (CHAIN, "B=f", CHAIN_TRACE)],
+        ids=["fig1", "chain"],
+    )
+    def test_trace_bytes_are_pinned(self, tmp_path, path, evidence, golden):
+        trace = tmp_path / "trace.log"
+        code, _, _ = cli("infer", path, "-e", evidence, "--trace", str(trace))
+        assert code == 0 and trace.read_text() == golden
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_trace_path_that_cannot_be_opened_is_usage(self, tmp_path, where):
+        target = tmp_path / "missing" / "t.log" if where == "missing directory" else tmp_path
+        code, out, err = cli("infer", CHAIN, "--trace", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and str(target) in err
 
 
 def _seeded_network(tmp_path, kind, seed):

@@ -128,6 +128,23 @@ class TestInferConditioned:
             mixed.beliefs["x1"], oracle_marginal(net, evidence, "x1"), atol=1e-9
         )
 
+    def test_repeated_member_counts_once(self):
+        net = fig1_net(seed=3)
+        evidence = {"x6": 1}
+        mixed, runs = infer_conditioned(net, evidence, ["x1", "x1"], ["x2"])
+        assert len(runs) == 2
+        assert mixed.log_likelihood == pytest.approx(
+            math.log(oracle_evidence_probability(net, evidence)), abs=1e-9
+        )
+        np.testing.assert_allclose(
+            mixed.beliefs["x2"], oracle_marginal(net, evidence, "x2"), atol=1e-9
+        )
+
+    @pytest.mark.parametrize("var", ["x1", "x2"])  # a cutset member, then not
+    def test_out_of_range_evidence_is_a_range_error(self, var):
+        with pytest.raises(ValueError, match=f"^state 5 out of range for variable '{var}'$"):
+            auto_infer(fig1_net(seed=3), {var: 5}, ["x3"])
+
     def test_two_binary_members_enumerate_four_runs(self):
         left = diamond_net(prefix="l", seed=1)
         right = diamond_net(prefix="r", seed=2)

@@ -9,6 +9,7 @@ from beliefprop.model import (
     Network,
     Variable,
     all_assignments,
+    is_forest,
     joint_probability,
     validate,
 )
@@ -193,7 +194,50 @@ class TestSinglyConnected:
     def test_forest_edge_count_characterization(self, seed):
         net, _ = random_polytree(seed, max_nodes=10)
         undirected = {tuple(sorted(e)) for e in net.edges()}
-        assert len(undirected) == len(net.variables) - len(net.components())
+        assert len(undirected) == len(net.variables) - len(net.tree_walks())
+
+    def test_is_forest_stops_at_the_arc_closing_a_loop(self):
+        arcs = [("A", "B"), ("B", "C"), ("A", "C")]
+        assert is_forest(arcs[:2], "ABC")
+        assert not is_forest(arcs, "ABC")
+
+
+class TestTreeWalks:
+    def forest(self):
+        # declared C, R, S, T, U: trees {R, S, T, C} (R -> S, R -> T -> C) and {U}
+        return build_net(
+            [("C", ("f", "t")), ("R", ("f", "t")), ("S", ("f", "t")),
+             ("T", ("f", "t")), ("U", ("f", "t"))],
+            [
+                ("C", ("T",), [[0.5, 0.5]] * 2),
+                ("R", (), [[0.5, 0.5]]),
+                ("S", ("R",), [[0.5, 0.5]] * 2),
+                ("T", ("R",), [[0.5, 0.5]] * 2),
+                ("U", (), [[0.5, 0.5]]),
+            ],
+        )
+
+    def test_smallest_name_roots_each_tree_in_declaration_order(self):
+        # depth-first pre-order; the stack pops the largest neighbor name first
+        assert self.forest().tree_walks() == (
+            ("C", (("T", "C"), ("R", "T"), ("S", "R"))),
+            ("U", ()),
+        )
+
+    def test_root_is_used_in_its_own_tree_only(self):
+        assert self.forest().tree_walks("R") == (
+            ("R", (("T", "R"), ("C", "T"), ("S", "R"))),
+            ("U", ()),
+        )
+
+    def test_cached_per_root(self):
+        net = self.forest()
+        assert net.tree_walks() is net.tree_walks()
+        assert net.tree_walks("R") is net.tree_walks("R")
+
+    def test_loop_is_refused(self):
+        with pytest.raises(ValueError, match="singly connected"):
+            fig1_net().tree_walks()
 
 
 def test_immutable_tables():

@@ -55,6 +55,14 @@ class TestInitMessages:
             np.testing.assert_array_equal(lp.pi, np.full(k, 1 / k))
             np.testing.assert_array_equal(lp.lam, np.full(k, 1 / k))
 
+    def test_uniform_vectors_are_shared_and_read_only(self):
+        state = init_messages(star_net(), {})
+        vectors = {id(v) for lp in state.messages.values() for v in (lp.pi, lp.lam)}
+        assert len(vectors) == 1
+        lp = next(iter(state.messages.values()))
+        with pytest.raises(ValueError, match="read-only"):
+            lp.pi[0] = 1.0
+
     def test_evidence_indicator(self):
         state = init_messages(chain_net(), {"B": 1})
         np.testing.assert_array_equal(state.evidence_factor["B"], [0.0, 1.0])
