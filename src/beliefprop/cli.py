@@ -163,10 +163,9 @@ def _cmd_infer(args, out) -> int:
     try:
         if args.method == "exact":
             try:
-                beliefs, likelihood = oracle.oracle_infer(net, evidence, queries)
+                beliefs, likelihood, log_likelihood = oracle._infer(net, evidence, queries)
             except ValueError as exc:  # the oracle's state-space guard
                 raise _UsageError(f"--method exact: {exc}") from None
-            log_likelihood = math.log(likelihood)
         else:  # a polytree is conditioning's empty-cutset case
             mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
             beliefs, log_likelihood = mixed.beliefs, mixed.log_likelihood

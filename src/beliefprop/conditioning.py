@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutset import greedy_cutset, is_valid_cutset
+from .cutset import greedy_cutset
 from .errors import ImpossibleEvidenceError
 from .model import Cpt, Evidence, Network, check_evidence
 # bench/spans.py also traces evidence_log_likelihood under this module's name
@@ -78,36 +78,38 @@ def condition_network(
     Every child of a cutset member gets that member sliced out of its
     table at the assigned state; the member keeps its own table and parents
     and becomes evidence, so its probability is counted exactly once.
-    Raises ImpossibleEvidenceError when prior evidence contradicts the
-    assignment.  When no member has a child, `net` itself comes back.
+    The cutset is valid when the reduced network, which comes back, proves
+    in its own cache that it is a forest; when no member has a child, it is
+    `net` itself.  Raises ImpossibleEvidenceError when prior evidence
+    contradicts the assignment.
     """
     members = list(cutset)
-    if not is_valid_cutset(net, members):
-        raise ValueError(f"not a valid cutset: {members}")
     if set(assignment) != set(members):
         raise ValueError("assignment must cover exactly the cutset members")
+    check_evidence(net, assignment)
+
+    reduced = net
+    if any(net.children(m) for m in members):  # some table changes
+        new_cpts = []
+        for v in net.variables:
+            cpt = net.cpts[v.name]
+            if any(p in assignment for p in cpt.parents):
+                index = tuple(assignment.get(p, slice(None)) for p in cpt.parents)
+                kept = tuple(p for p in cpt.parents if p not in assignment)
+                table = net.cpt_tensor(v.name)[index].reshape(-1, v.card)
+                cpt = Cpt(v.name, kept, table)
+            new_cpts.append(cpt)
+        reduced = Network(net.variables, new_cpts, name=net.name)
+    if not reduced.is_singly_connected():
+        raise ValueError(f"not a valid cutset: {members}")
+
     evidence = dict(evidence or {})
     for m in members:
-        if not 0 <= assignment[m] < net.card(m):
-            raise ValueError(f"state {assignment[m]} out of range for {m!r}")
-        if m in evidence and evidence[m] != assignment[m]:
+        if evidence.setdefault(m, assignment[m]) != assignment[m]:
             raise ImpossibleEvidenceError(
                 f"evidence on {m} contradicts cutset assignment", variable=m
             )
-
-    evidence.update({m: assignment[m] for m in members})
-    if not any(net.children(m) for m in members):  # no table changes
-        return net, evidence
-
-    new_cpts = []
-    for v in net.variables:
-        cpt = net.cpts[v.name]
-        if any(p in assignment for p in cpt.parents):
-            index = tuple(assignment.get(p, slice(None)) for p in cpt.parents)
-            kept = tuple(p for p in cpt.parents if p not in assignment)
-            cpt = Cpt(v.name, kept, net.cpt_tensor(v.name)[index].reshape(-1, v.card))
-        new_cpts.append(cpt)
-    return Network(net.variables, new_cpts, name=net.name), evidence
+    return reduced, evidence
 
 
 def infer_conditioned(
@@ -120,11 +122,10 @@ def infer_conditioned(
     per-case beliefs.  A cutset member is pinned in each case, so its
     belief is the total weight of the cases assigning each of its states.
     An empty cutset is the polytree: one case, weight 1.  A member listed
-    twice counts once.
+    twice counts once.  A cutset that leaves a loop raises ValueError
+    before any message is sent.
     """
     members = list(dict.fromkeys(cutset))
-    if not is_valid_cutset(net, members):
-        raise ValueError(f"not a valid cutset: {members}")
     queries = list(queries)
     for q in queries:
         net.variable(q)

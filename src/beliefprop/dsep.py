@@ -35,8 +35,8 @@ class UndirectedPath:
         out = []
         for i in range(1, len(self.nodes) - 1):
             left, mid, right = self.nodes[i - 1], self.nodes[i], self.nodes[i + 1]
-            in_left = left in net.parents(mid)
-            in_right = right in net.parents(mid)
+            parents = net.parents(mid)
+            in_left, in_right = left in parents, right in parents
             if in_left and in_right:
                 out.append(CONVERGING)
             elif in_left or in_right:

@@ -182,16 +182,13 @@ class Network:
             self._cache["forest"] = is_forest(self.edges(), self.var_names())
         return self._cache["forest"]
 
-    def tree_walks(self, root: str | None = None) -> tuple:
+    def tree_walks(self) -> tuple:
         """The two-pass walk of each tree of the forest, in order of its first
-        declared variable: (its root, its walk).  The root is `root` if the
-        tree holds it, else its smallest name; the walk pairs every other
-        node with its neighbor towards the root, in depth-first pre-order.
-        Raises ValueError on a graph with a loop."""
-        key = ("walks", root)
-        if key not in self._cache:
-            if root is not None:
-                self.variable(root)
+        declared variable: (its root, its walk).  Each tree is rooted at its
+        smallest name; the walk pairs every other node with its neighbor
+        towards the root, in depth-first pre-order.  Raises ValueError on a
+        graph with a loop."""
+        if "walks" not in self._cache:
             if not self.is_singly_connected():
                 raise ValueError("network is not singly connected")
             walks, seen = [], set()
@@ -199,10 +196,9 @@ class Network:
                 if v not in seen:
                     tree = {v, *(node for node, _ in self._walk(v))}
                     seen |= tree
-                    start = root if root in tree else min(tree)
-                    walks.append((start, self._walk(start)))
-            self._cache[key] = tuple(walks)
-        return self._cache[key]
+                    walks.append((min(tree), self._walk(min(tree))))
+            self._cache["walks"] = tuple(walks)
+        return self._cache["walks"]
 
     def _walk(self, start: str) -> tuple:
         walk, stack = [], [(m, start) for m in self.neighbors(start)]

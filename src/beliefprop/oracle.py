@@ -28,26 +28,34 @@ def _check_guard(net: Network) -> None:
         )
 
 
+def _masked_joint(net: Network, evidence: Evidence) -> tuple[np.ndarray, int]:
+    """The joint masked by the evidence, one axis per variable in
+    declaration order, as (scaled, k) with joint = scaled * 2**k.  The mask
+    goes in first, and after each table the product is scaled by a power of
+    two that puts its largest entry in [1, 2).  So a joint far below the
+    smallest float keeps its digits, and, powers of two being exact, one
+    that does not underflow keeps its bits."""
+    _check_guard(net)
+    axis = {n: i for i, n in enumerate(net.var_names())}
+    every = list(axis.values())
+    joint = np.ones(tuple(v.card for v in net.variables))
+    for var, state in evidence.items():
+        if not 0 <= state < net.card(var):
+            raise ValueError(f"state {state} out of range for variable {var!r}")
+        joint = np.einsum(joint, every, np.eye(net.card(var))[state], [axis[var]], every)
+    exponent = 0
+    for v in net.variables:
+        axes = [axis[p] for p in net.cpts[v.name].parents] + [axis[v.name]]
+        joint = np.einsum(joint, every, net.cpt_tensor(v.name), axes, every)
+        shift = 1 - math.frexp(joint.max())[1]
+        joint, exponent = np.ldexp(joint, shift), exponent - shift
+    return joint, exponent
+
+
 def joint_table(net: Network) -> np.ndarray:
     """Full joint as an array with one axis per variable, declaration order."""
-    _check_guard(net)
-    names = net.var_names()
-    pos = {n: i for i, n in enumerate(names)}
-    shape = tuple(v.card for v in net.variables)
-    joint = np.ones(shape)
-    for v in net.variables:
-        cpt = net.cpts[v.name]
-        axes = [pos[p] for p in cpt.parents] + [pos[v.name]]
-        tensor = net.cpt_tensor(v.name)
-        # permute the factor's axes into global declaration order, then pad
-        # with singleton axes so it broadcasts against the joint
-        order = sorted(range(len(axes)), key=lambda i: axes[i])
-        aligned = np.transpose(tensor, order)
-        full_shape = [1] * len(names)
-        for a in axes:
-            full_shape[a] = shape[a]
-        joint = joint * aligned.reshape(full_shape)
-    return joint
+    joint, exponent = _masked_joint(net, {})
+    return np.ldexp(joint, exponent)
 
 
 def oracle_marginal(net: Network, evidence: Evidence, q: str) -> np.ndarray:
@@ -74,22 +82,20 @@ def oracle_infer(
     net: Network, evidence: Evidence, queries=None
 ) -> tuple[dict[str, np.ndarray], float]:
     """P(q | evidence) for each query (every variable by default) and
-    P(evidence), off one joint masked by the evidence.  Raises
-    ImpossibleEvidenceError when P(evidence) is zero."""
+    P(evidence), which reads 0.0 when it underflows; `_infer` also gives
+    its log.  Raises ImpossibleEvidenceError when P(evidence) is zero."""
+    return _infer(net, evidence, queries)[:2]
+
+
+def _infer(net: Network, evidence: Evidence, queries=None):
+    """`oracle_infer`'s posteriors and P(evidence), plus log P(evidence),
+    off one joint masked by the evidence."""
     names = net.var_names()
     if queries is None:
         queries = names
     for q in queries:
         net.variable(q)
-    joint = joint_table(net)
-    for var, state in evidence.items():
-        net.variable(var)
-        axis = names.index(var)
-        if not 0 <= state < net.card(var):
-            raise ValueError(f"state {state} out of range for variable {var!r}")
-        shape = [1] * len(names)
-        shape[axis] = net.card(var)
-        joint = joint * np.eye(net.card(var))[state].reshape(shape)
+    joint, exponent = _masked_joint(net, evidence)
     total = joint.sum()
     if total <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
@@ -98,7 +104,8 @@ def oracle_infer(
         axis = names.index(q)
         other = tuple(i for i in range(joint.ndim) if i != axis)
         out[q] = joint.sum(axis=other) / total
-    return out, float(total)
+    log_likelihood = math.log(total) + exponent * math.log(2)
+    return out, math.ldexp(total, exponent), log_likelihood
 
 
 def oracle_conditional_independence(

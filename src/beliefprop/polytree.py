@@ -29,6 +29,10 @@ import numpy as np
 from .errors import ConvergenceError, ImpossibleEvidenceError
 from .model import Evidence, Network, check_evidence
 
+#: a message moved when it changed by more than this (max-norm)
+TOLERANCE = 1e-12
+
+
 @dataclass
 class LinkParameters:
     """Message pair on one directed arc; both vectors range over the
@@ -46,7 +50,7 @@ class MessageState:
 
 @dataclass
 class PropagationStats:
-    """`updates` counts applied message changes larger than the tolerance.
+    """`updates` counts applied message changes larger than TOLERANCE.
     `log_likelihood` is log P(evidence) under the two-pass schedule (None
     when the evidence is impossible) and None under the relaxations."""
 
@@ -199,9 +203,9 @@ def _message_keys(net: Network) -> list[tuple[str, str]]:
     return [(s, r) for s in net.topological_order() for r in net.neighbors(s)]
 
 
-def _store(net, state, sender, receiver, new, tolerance, on_update, sweep) -> bool:
+def _store(net, state, sender, receiver, new, on_update, sweep) -> bool:
     """Write the message `sender` sends `receiver`; when it moved by more
-    than `tolerance`, pass it to `on_update` and return True."""
+    than TOLERANCE, pass it to `on_update` and return True."""
     if receiver in net.parents(sender):
         kind, p, c = "lambda", receiver, sender
         lp = state.messages[(p, c)]
@@ -210,7 +214,7 @@ def _store(net, state, sender, receiver, new, tolerance, on_update, sweep) -> bo
         kind, p, c = "pi", sender, receiver
         lp = state.messages[(p, c)]
         old, lp.pi = lp.pi, new
-    moved = float(np.max(np.abs(old - new))) > tolerance
+    moved = float(np.max(np.abs(old - new))) > TOLERANCE
     if moved and on_update is not None:
         on_update(TraceRecord(sweep, p, c, kind, old, new))
     return moved
@@ -220,7 +224,6 @@ def propagate(
     net: Network,
     evidence: Evidence,
     schedule: str = "synchronous",
-    tolerance: float = 1e-12,
     seed: int = 0,
     on_update=None,
 ) -> tuple[MessageState, PropagationStats]:
@@ -231,19 +234,17 @@ def propagate(
     "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
     seeded by `seed`, until none is) or "two-pass" (each message computed
     once, see `_run_two_pass`).  The relaxations stop once every stored
-    message matches its recomputed value within `tolerance` (max-norm) and
+    message matches its recomputed value within TOLERANCE (max-norm) and
     raise ImpossibleEvidenceError on impossible evidence, which two-pass
     reports as a None log-likelihood.  All three reach the same fixpoint.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
     state = init_messages(net, evidence)
     if schedule == "two-pass":
-        return state, _run_two_pass(net, state, tolerance, on_update)
+        return state, _run_two_pass(net, state, on_update)
     if schedule == "synchronous":
-        stats = _run_synchronous(net, state, tolerance, on_update)
+        stats = _run_synchronous(net, state, on_update)
     elif schedule == "fair-random":
-        stats = _run_fair_random(net, state, tolerance, seed, on_update)
+        stats = _run_fair_random(net, state, seed, on_update)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     for v in net.var_names():
@@ -251,15 +252,14 @@ def propagate(
     return state, stats
 
 
-def _run_synchronous(net, state, tolerance, on_update):
+def _run_synchronous(net, state, on_update):
     keys = _message_keys(net)
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
         new = [_normalize(_sum_product(net, state, s, r)) for s, r in keys]
         moved = sum(
-            _store(net, state, s, r, m, tolerance, on_update, sweep)
-            for (s, r), m in zip(keys, new)
+            _store(net, state, s, r, m, on_update, sweep) for (s, r), m in zip(keys, new)
         )
         updates += moved
         if not moved:
@@ -267,7 +267,7 @@ def _run_synchronous(net, state, tolerance, on_update):
     raise ConvergenceError(f"no fixpoint after {max_sweeps} synchronous sweeps")
 
 
-def _run_fair_random(net, state, tolerance, seed, on_update):
+def _run_fair_random(net, state, seed, on_update):
     keys = _message_keys(net)
     dirty = set(keys)
     pool = list(keys)  # work list; may hold entries already cleaned
@@ -284,7 +284,7 @@ def _run_fair_random(net, state, tolerance, seed, on_update):
             continue
         dirty.remove(key)
         new = _normalize(_sum_product(net, state, s, r))
-        if _store(net, state, s, r, new, tolerance, on_update, updates + 1):
+        if _store(net, state, s, r, new, on_update, updates + 1):
             updates += 1
             # every message r sends reads this one, except the one back to s
             for dep in ((r, m) for m in net.neighbors(r) if m != s):
@@ -294,7 +294,7 @@ def _run_fair_random(net, state, tolerance, seed, on_update):
     raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
 
 
-def _run_two_pass(net, state, tolerance, on_update, pivot=None):
+def _run_two_pass(net, state, on_update):
     """Pearl's collect/distribute order.  In each component every node sends
     towards the root once its subtree has reported (post-order), then the
     root side answers outward (pre-order), so each of the 2|E| messages is
@@ -306,11 +306,10 @@ def _run_two_pass(net, state, tolerance, on_update, pivot=None):
     def send(sender, receiver):
         nonlocal updates
         core = _sum_product(net, state, sender, receiver)
-        new = _normalize(core)
-        updates += _store(net, state, sender, receiver, new, tolerance, on_update, 1)
+        updates += _store(net, state, sender, receiver, _normalize(core), on_update, 1)
         return core.sum()
 
-    walks = net.tree_walks(pivot)
+    walks = net.tree_walks()
     scales = []  # collect normalizers, then each root's mass
     for root, walk in walks:
         scales += [send(node, towards) for node, towards in reversed(walk)]
@@ -324,13 +323,7 @@ def _run_two_pass(net, state, tolerance, on_update, pivot=None):
     return PropagationStats(sweeps=1, updates=updates, log_likelihood=log_likelihood)
 
 
-def evidence_log_likelihood(
-    net: Network, evidence: Evidence, pivot: str | None = None
-) -> float | None:
-    """log P(evidence), or None when the evidence has zero probability.
-
-    The two-pass schedule rooted at `pivot` in its component; the result
-    does not depend on the pivot choice.
-    """
-    state = init_messages(net, evidence)
-    return _run_two_pass(net, state, 1e-12, None, pivot).log_likelihood
+def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
+    """log P(evidence), or None when the evidence has zero probability: the
+    two-pass schedule's collect normalizers."""
+    return propagate(net, evidence, schedule="two-pass")[1].log_likelihood

@@ -204,6 +204,32 @@ class TestInfer:
         _, out, _ = cli("infer", CHAIN, "-e", "B=f", "--likelihood")
         assert out.splitlines()[-1] == "P(e) = 0.41"
 
+    def test_exact_keeps_evidence_below_float_range_possible(self, tmp_path):
+        # every observation has probability 1e-19, so P(e) = 1e-342, which
+        # the joint cannot hold unscaled
+        names = [f"X{i}" for i in range(18)]
+        lines = [f"var {v} : a b" for v in names + ["Y"]]
+        lines.append("cpt X0 :\n  1e-19 1")
+        for prev, v in zip(names, names[1:]):
+            lines.append(f"cpt {v} | {prev} :\n  a : 1e-19 1\n  b : 1e-19 1")
+        lines.append("cpt Y | X17 :\n  a : 0.3 0.7\n  b : 0.6 0.4")
+        path = tmp_path / "underflow.bn"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["infer", str(path), "--likelihood"]
+        for v in names:
+            argv += ["-e", f"{v}=a"]
+        results = {m: cli(*argv, "--method", m) for m in ("auto", "exact")}
+        for code, out, err in results.values():
+            assert (code, err) == (0, "")
+            assert out.splitlines()[0] == "BEL(Y) a=0.300000 b=0.700000"
+        (_, auto, _), (_, exact, _) = results.values()
+        log10s = []
+        for out in (auto, exact):
+            mantissa, exponent = out.splitlines()[1].removeprefix("P(e) = ").split("e")
+            log10s.append(math.log10(float(mantissa)) + int(exponent))
+        assert log10s[0] == pytest.approx(-342, abs=1e-9)
+        assert log10s[1] == pytest.approx(log10s[0], abs=1e-9)
+
     def test_explicit_query_subset(self):
         code, out, _ = cli("infer", FIG1, "-e", "x6=1", "-q", "x2")
         assert code == 0
@@ -221,8 +247,10 @@ class TestInfer:
         from beliefprop import oracle
 
         calls = []
-        build = oracle.joint_table
-        monkeypatch.setattr(oracle, "joint_table", lambda net: calls.append(1) or build(net))
+        build = oracle._masked_joint
+        monkeypatch.setattr(
+            oracle, "_masked_joint", lambda net, ev: calls.append(1) or build(net, ev)
+        )
         code, out, _ = cli("infer", FIG1, "-e", "x6=1", "--likelihood", "--method", "exact")
         assert code == 0 and out.splitlines()[-1].startswith("P(e) = ")
         assert len(calls) == 1

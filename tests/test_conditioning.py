@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from beliefprop import cutset, model
 from beliefprop.conditioning import (
     auto_infer,
     condition_network,
@@ -80,8 +81,14 @@ class TestConditionNetwork:
         )
 
     def test_invalid_cutset_rejected(self):
-        with pytest.raises(ValueError, match="cutset"):
+        with pytest.raises(ValueError, match=r"^not a valid cutset: \['x5'\]$"):
             condition_network(fig1_net(), ["x5"], {"x5": 0})
+
+    def test_reduced_network_keeps_its_forest_proof(self, monkeypatch):
+        reduced, _ = condition_network(fig1_net(), ["x1"], {"x1": 0})
+        monkeypatch.setattr(model, "is_forest", None)  # any further proof fails
+        assert reduced.is_singly_connected()
+        assert reduced.tree_walks()
 
     def test_incomplete_assignment_rejected(self):
         with pytest.raises(ValueError, match="cover"):
@@ -89,6 +96,12 @@ class TestConditionNetwork:
 
 
 class TestInferConditioned:
+    def test_invalid_cutset_raises_before_any_message(self):
+        records = []
+        with pytest.raises(ValueError, match=r"^not a valid cutset: \['x5'\]$"):
+            infer_conditioned(fig1_net(), {}, ["x5"], ["x1"], on_update=records.append)
+        assert records == []
+
     def test_fig1_matches_oracle_with_evidence(self):
         net = fig1_net(seed=21)
         evidence = {"x6": 1}
@@ -189,6 +202,48 @@ def _normalized_weights(runs):
     top = max(r.log_weight for r in live)
     raw = [math.exp(r.log_weight - top) for r in live]
     return np.array(raw) / sum(raw)
+
+
+class TestForestProofs:
+    """Each network proves once that it is a forest: the input network for
+    the cutset search, each case's reduced network for its propagation."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = {"is_forest": 0, "_cycle_nodes": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(model, "is_forest")
+        counted(cutset, "is_forest")
+        counted(cutset, "_cycle_nodes")
+        return calls
+
+    def test_warm_polytree_proves_nothing_again(self, monkeypatch):
+        net, _ = random_polytree(8, max_nodes=10)
+        auto_infer(net, {}, net.var_names())
+        calls = self.count(monkeypatch)
+        auto_infer(net, {}, net.var_names())
+        assert calls == {"is_forest": 0, "_cycle_nodes": 0}
+
+    @pytest.mark.parametrize("evidence, live", [({"x6": 1}, 2), ({"x1": 0}, 1)])
+    def test_loopy_network_proves_once_plus_once_per_live_case(
+        self, monkeypatch, evidence, live
+    ):
+        net = fig1_net(seed=2)
+        calls = self.count(monkeypatch)
+        auto_infer(net, evidence, ["x5"])
+        assert calls["is_forest"] == 1 + live
+        calls["is_forest"] = 0
+        auto_infer(net, evidence, ["x5"])  # the input network is warm now
+        assert calls["is_forest"] == live
 
 
 class TestAutoInfer:

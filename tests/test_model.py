@@ -224,16 +224,9 @@ class TestTreeWalks:
             ("U", ()),
         )
 
-    def test_root_is_used_in_its_own_tree_only(self):
-        assert self.forest().tree_walks("R") == (
-            ("R", (("T", "R"), ("C", "T"), ("S", "R"))),
-            ("U", ()),
-        )
-
     def test_cached_per_root(self):
         net = self.forest()
         assert net.tree_walks() is net.tree_walks()
-        assert net.tree_walks("R") is net.tree_walks("R")
 
     def test_loop_is_refused(self):
         with pytest.raises(ValueError, match="singly connected"):

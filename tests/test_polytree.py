@@ -345,10 +345,6 @@ class TestPropagate:
         with pytest.raises(ValueError, match="singly connected"):
             propagate(fig1_net(), {})
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            propagate(chain_net(), {}, tolerance=0.0)
-
     def test_rejects_unknown_schedule(self):
         with pytest.raises(ValueError, match="schedule"):
             propagate(chain_net(), {}, schedule="chaotic")
@@ -462,17 +458,14 @@ class TestEvidenceLogLikelihood:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pivot_independent_and_matches_oracle(self, seed):
+        # each tree is rooted at its smallest name; the oracle is root-free
         net, evidence = random_polytree(seed + 200, max_nodes=10)
         truth = oracle_evidence_probability(net, evidence)
-        values = [
-            evidence_log_likelihood(net, evidence, pivot=p) for p in net.var_names()
-        ]
+        value = evidence_log_likelihood(net, evidence)
         if truth == 0:
-            assert all(v is None for v in values)
-            return
-        for v in values:
-            assert v == pytest.approx(math.log(truth), abs=1e-9)
-        assert max(values) - min(values) <= 1e-9
+            assert value is None
+        else:
+            assert value == pytest.approx(math.log(truth), abs=1e-9)
 
     def test_forest_multiplies_components(self):
         net = build_net(
