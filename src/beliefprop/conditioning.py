@@ -2,19 +2,18 @@
 
 For every joint assignment of the cutset variables, slice the cutset
 members out of their children's tables, pin them as evidence, and run plain
-polytree propagation on the resulting singly-connected network.  Each case
-is weighted by its exact joint likelihood P(evidence, cutset=assignment);
-beliefs are mixed across cases only at the very end.  Mixing the messages
-earlier would feed the cutset prior into the loop twice and give wrong
-answers (there is a regression test for exactly that failure mode).
-A singly-connected network is the degenerate case: an empty cutset, one
-case, weight 1.
+polytree propagation on the resulting singly-connected network.  All the
+cases that agree with the evidence run in one pass of the compiled
+two-pass plan, one row per case.  Each case is weighted by its exact joint
+likelihood P(evidence, cutset=assignment); beliefs are mixed across cases
+only at the very end.  Mixing the messages earlier would feed the cutset
+prior into the loop twice and give wrong answers (there is a regression
+test for exactly that failure mode).  A singly-connected network is the
+degenerate case: an empty cutset, one case, weight 1.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -24,8 +23,9 @@ import numpy as np
 from .cutset import greedy_cutset
 from .errors import ImpossibleEvidenceError
 from .model import Cpt, Evidence, Network, check_evidence
-# bench/spans.py also traces evidence_log_likelihood under this module's name
+# bench/spans.py traces these under this module's names
 from .polytree import evidence_log_likelihood, fuse_belief, propagate  # noqa: F401
+from .polytree import two_pass_plan
 
 
 @dataclass
@@ -44,6 +44,8 @@ class Beliefs(Mapping):
     vectors are views of one array over all the network's states, laid out
     by `Network.state_slices`, so results mix as whole arrays.  A belief
     sums to 1, so only the states of a variable not asked are all 0."""
+
+    __slots__ = ("_slices", "_queries", "values")
 
     def __init__(self, net: Network, queries, values: np.ndarray) -> None:
         self._slices = net.state_slices()
@@ -64,7 +66,7 @@ class Beliefs(Mapping):
         return len(self._queries)
 
 
-@dataclass
+@dataclass(slots=True)
 class MixedBelief:
     beliefs: Beliefs
     log_likelihood: float
@@ -121,48 +123,46 @@ def infer_conditioned(
     over the possible cases, and the beliefs are the weighted sum of the
     per-case beliefs.  A cutset member is pinned in each case, so its
     belief is the total weight of the cases assigning each of its states.
-    An empty cutset is the polytree: one case, weight 1.  A member listed
+    A case that contradicts evidence on a member is never computed.  An
+    empty cutset is the polytree: one case, weight 1.  A member listed
     twice counts once.  A cutset that leaves a loop raises ValueError
-    before any message is sent.
+    before any message is sent.  `on_update(assignment, record)` gets each
+    case's TraceRecords once the pass is done, case by case.
     """
     members = list(dict.fromkeys(cutset))
     queries = list(queries)
     for q in queries:
         net.variable(q)
     check_evidence(net, evidence)
+    plan = two_pass_plan(net, members)
+    live = plan.live_cases(evidence)
+    run = plan.run(evidence, live)
+
     slices = net.state_slices()
-    n_states = sum(v.card for v in net.variables)
+    values = np.zeros((len(live), sum(plan.cards)))
+    for q in dict.fromkeys(queries):
+        values[:, slices[q]] = run.belief(plan.ids[q])
+    runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in plan.cases.tolist()]
+    for row, case in enumerate(live.tolist()):
+        if on_update is not None:
+            for rec in run.records(row):
+                on_update(runs[case].assignment, rec)
+        if run.possible[row]:
+            runs[case].log_weight = run.log_weights[row]
+            runs[case].beliefs = Beliefs(net, queries, values[row])
 
-    runs: list[ConditionedRun] = []
-    for combo in itertools.product(*(range(net.card(m)) for m in members)):
-        assignment = dict(zip(members, combo))
-        run = ConditionedRun(assignment, None)
-        runs.append(run)
-        if any(m in evidence and evidence[m] != assignment[m] for m in members):
-            continue
-        reduced, reduced_ev = condition_network(net, members, assignment, evidence)
-        callback = functools.partial(on_update, assignment) if on_update else None
-        state, stats = propagate(reduced, reduced_ev, schedule="two-pass", on_update=callback)
-        run.log_weight = stats.log_likelihood
-        if run.log_weight is not None:
-            values = np.zeros(n_states)
-            for q in queries:
-                values[slices[q]] = fuse_belief(reduced, state, q)
-            run.beliefs = Beliefs(net, queries, values)
-
-    live = [r for r in runs if r.log_weight is not None]
-    if not live:
+    if not run.possible.any():
         shown = ", ".join(f"{v}={s}" for v, s in sorted(evidence.items()))
         raise ImpossibleEvidenceError(
             f"evidence {{{shown}}} is impossible under every cutset case"
             if members else "evidence has probability zero"
         )
-    top = max(r.log_weight for r in live)
-    raw = [math.exp(r.log_weight - top) for r in live]
-    total = sum(raw)
-    log_likelihood = top + math.log(total)
-    values = sum(w / total * run.beliefs.values for run, w in zip(live, raw))
-    return MixedBelief(Beliefs(net, queries, values), log_likelihood), runs
+    log_weights = np.array(run.log_weights)[run.possible]
+    top = log_weights.max()
+    raw = np.exp(log_weights - top)
+    total = raw.sum()
+    mixed = (raw / total) @ values[run.possible]
+    return MixedBelief(Beliefs(net, queries, mixed), float(top + math.log(total))), runs
 
 
 def auto_infer(

@@ -80,9 +80,14 @@ def greedy_cutset(net: Network) -> Cutset:
     """Deterministic degree-greedy cutset: while the reduced graph has a
     cycle, take the highest-degree node that lies on a remaining cycle and
     still has an outgoing arc (ties to the lexicographically smallest
-    name).  A forest needs no search: its cutset is empty."""
+    name).  A forest needs no search: its cutset is empty.  The search runs
+    once per network; each call returns a fresh list."""
     if net.is_singly_connected():
         return []
+    return list(net.cached("greedy cutset", lambda: tuple(_greedy_search(net))))
+
+
+def _greedy_search(net: Network) -> Cutset:
     chosen: Cutset = []
     nodes, arcs = net.var_names(), net.edges()
     while on_cycle := _cycle_nodes(arcs, nodes):

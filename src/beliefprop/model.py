@@ -183,30 +183,20 @@ class Network:
         return self._cache["forest"]
 
     def tree_walks(self) -> tuple:
-        """The two-pass walk of each tree of the forest, in order of its first
-        declared variable: (its root, its walk).  Each tree is rooted at its
-        smallest name; the walk pairs every other node with its neighbor
-        towards the root, in depth-first pre-order.  Raises ValueError on a
-        graph with a loop."""
+        """`forest_walks` of this network.  Raises ValueError on a graph
+        with a loop."""
         if "walks" not in self._cache:
             if not self.is_singly_connected():
                 raise ValueError("network is not singly connected")
-            walks, seen = [], set()
-            for v in self.var_names():
-                if v not in seen:
-                    tree = {v, *(node for node, _ in self._walk(v))}
-                    seen |= tree
-                    walks.append((min(tree), self._walk(min(tree))))
-            self._cache["walks"] = tuple(walks)
+            self._cache["walks"] = forest_walks(self.var_names(), self.neighbors)
         return self._cache["walks"]
 
-    def _walk(self, start: str) -> tuple:
-        walk, stack = [], [(m, start) for m in self.neighbors(start)]
-        while stack:
-            node, towards = stack.pop()
-            walk.append((node, towards))
-            stack.extend((m, node) for m in self.neighbors(node) if m != towards)
-        return tuple(walk)
+    def cached(self, key, build):
+        """The value cached under `key`, made by `build()` on first use; a
+        build that raises caches nothing."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def underlying_diameter(self) -> int:
         """Longest shortest-path length in the underlying undirected graph,
@@ -258,6 +248,30 @@ class Network:
             shape = tuple(self.card(p) for p in cpt.parents) + (cpt.n_states,)
             self._cache[key] = cpt.table.reshape(shape)
         return self._cache[key]
+
+
+def forest_walks(nodes, neighbors) -> tuple:
+    """The two-pass walk of each tree of a forest, in order of its first
+    node in `nodes`: (its root, its walk).  Each tree is rooted at its
+    smallest name; the walk pairs every other node with its neighbor
+    towards the root, in depth-first pre-order.  `neighbors(v)` gives v's
+    neighbors sorted."""
+    walks, seen = [], set()
+    for v in nodes:
+        if v not in seen:
+            tree = {v, *(node for node, _ in _walk(v, neighbors))}
+            seen |= tree
+            walks.append((min(tree), _walk(min(tree), neighbors)))
+    return tuple(walks)
+
+
+def _walk(start: str, neighbors) -> tuple:
+    walk, stack = [], [(m, start) for m in neighbors(start)]
+    while stack:
+        node, towards = stack.pop()
+        walk.append((node, towards))
+        stack.extend((m, node) for m in neighbors(node) if m != towards)
+    return tuple(walk)
 
 
 def is_forest(arcs, nodes) -> bool:

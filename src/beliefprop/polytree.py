@@ -8,7 +8,10 @@ its CPT by what it holds from each neighbor except the recipient (the pi of
 each parent, the evidence factor times the lambda of each child) and sums
 out every axis but the recipient's, or its own for a belief.  A scheduler
 relaxes out-of-kilter messages until every one equals its recomputed value,
-and node beliefs are then read off the same rule, normalized.
+and node beliefs are then read off the same rule, normalized.  The two-pass
+schedule computes each message once instead; it is compiled per network and
+loop cutset (`TwoPassPlan`) and runs the same rule over integer node ids
+with one row per cutset case (`TwoPassRun.core`).
 
 Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
@@ -20,6 +23,7 @@ evidence and is deliberately left unnormalized.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ImpossibleEvidenceError
-from .model import Evidence, Network, check_evidence
+from .model import Evidence, Network, check_evidence, forest_walks, is_forest
 
 #: a message moved when it changed by more than this (max-norm)
 TOLERANCE = 1e-12
@@ -203,6 +207,10 @@ def _message_keys(net: Network) -> list[tuple[str, str]]:
     return [(s, r) for s in net.topological_order() for r in net.neighbors(s)]
 
 
+def _moved(old: np.ndarray, new: np.ndarray) -> bool:
+    return float(np.max(np.abs(old - new))) > TOLERANCE
+
+
 def _store(net, state, sender, receiver, new, on_update, sweep) -> bool:
     """Write the message `sender` sends `receiver`; when it moved by more
     than TOLERANCE, pass it to `on_update` and return True."""
@@ -214,7 +222,7 @@ def _store(net, state, sender, receiver, new, on_update, sweep) -> bool:
         kind, p, c = "pi", sender, receiver
         lp = state.messages[(p, c)]
         old, lp.pi = lp.pi, new
-    moved = float(np.max(np.abs(old - new))) > TOLERANCE
+    moved = _moved(old, new)
     if moved and on_update is not None:
         on_update(TraceRecord(sweep, p, c, kind, old, new))
     return moved
@@ -233,14 +241,14 @@ def propagate(
     the previous sweep's snapshot, in the fixed order of `_message_keys`),
     "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
     seeded by `seed`, until none is) or "two-pass" (each message computed
-    once, see `_run_two_pass`).  The relaxations stop once every stored
+    once, see `TwoPassPlan`).  The relaxations stop once every stored
     message matches its recomputed value within TOLERANCE (max-norm) and
     raise ImpossibleEvidenceError on impossible evidence, which two-pass
     reports as a None log-likelihood.  All three reach the same fixpoint.
     """
     state = init_messages(net, evidence)
     if schedule == "two-pass":
-        return state, _run_two_pass(net, state, on_update)
+        return state, _fill_two_pass(net, state, evidence, on_update)
     if schedule == "synchronous":
         stats = _run_synchronous(net, state, on_update)
     elif schedule == "fair-random":
@@ -294,32 +302,18 @@ def _run_fair_random(net, state, seed, on_update):
     raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
 
 
-def _run_two_pass(net, state, on_update):
-    """Pearl's collect/distribute order.  In each component every node sends
-    towards the root once its subtree has reported (post-order), then the
-    root side answers outward (pre-order), so each of the 2|E| messages is
-    computed once, from final inputs.  A stored collect message is its exact
-    unnormalized value divided by its own normalizer and every normalizer
-    below it, so all of them times the root's mass give P(evidence)."""
+def _fill_two_pass(net, state, evidence, on_update):
+    """Run the empty-cutset plan and store its messages in `state`."""
+    run = two_pass_plan(net, []).run(evidence)
+    for arc, (p, c) in enumerate(net.edges()):
+        lp = state.messages[(p, c)]
+        lp.pi, lp.lam = run.msgs[2 * arc][0], run.msgs[2 * arc + 1][0]
     updates = 0
-
-    def send(sender, receiver):
-        nonlocal updates
-        core = _sum_product(net, state, sender, receiver)
-        updates += _store(net, state, sender, receiver, _normalize(core), on_update, 1)
-        return core.sum()
-
-    walks = net.tree_walks()
-    scales = []  # collect normalizers, then each root's mass
-    for root, walk in walks:
-        scales += [send(node, towards) for node, towards in reversed(walk)]
-        scales.append(_sum_product(net, state, root).sum())
-    for _, walk in walks:
-        for node, towards in walk:
-            send(towards, node)
-    # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
-    possible = all(s > 0.0 for s in scales)
-    log_likelihood = sum(map(math.log, scales)) if possible else None
+    for rec in run.records(0):
+        updates += 1
+        if on_update is not None:
+            on_update(rec)
+    log_likelihood = run.log_weights[0] if run.possible[0] else None
     return PropagationStats(sweeps=1, updates=updates, log_likelihood=log_likelihood)
 
 
@@ -327,3 +321,216 @@ def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
     """log P(evidence), or None when the evidence has zero probability: the
     two-pass schedule's collect normalizers."""
     return propagate(net, evidence, schedule="two-pass")[1].log_likelihood
+
+
+# ----------------------------------------------------------------------
+# the two-pass schedule, compiled once per network and cutset
+# ----------------------------------------------------------------------
+
+#: einsum label of the case axis; a node's own axes are labeled from 0
+_CASE = 51
+#: einsum sublist of a message over node axis j, one row per case
+_ROW = [[_CASE, j] for j in range(_CASE)]
+
+
+def _normalize_rows(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_normalize` of each row, and the row sums."""
+    sums = core.sum(axis=1)
+    return core / (sums if sums.all() else np.where(sums > 0, sums, 1.0))[:, None], sums
+
+
+@functools.cache
+def _axes(n_parents: int, batched: bool) -> list[int]:
+    return [_CASE] * batched + list(range(n_parents + 1))
+
+
+@functools.cache
+def _eye(k: int) -> np.ndarray:
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+def two_pass_plan(net: Network, members) -> TwoPassPlan:
+    """The plan of `net` conditioned on the cutset `members` (listed once
+    each), cached in the network.  Raises KeyError on an unknown member and
+    ValueError when the members leave a loop."""
+    return net.cached(("two-pass plan", tuple(members)), lambda: TwoPassPlan(net, members))
+
+
+class TwoPassPlan:
+    """Pearl's collect/distribute schedule over the forest left by
+    conditioning on a loop cutset, with integer node ids.
+
+    Every arc out of a member is cut: the member's children get a leading
+    case axis on their tables, one row per joint member assignment
+    (`cases`, in `itertools.product` order), and each member is pinned
+    per case.  So one einsum per message serves every case.  The arcs that
+    remain are numbered as in `Network.edges`; the pi message on arc `a`
+    lives in slot 2a and its lambda in slot 2a + 1.  Node i's parents are
+    `parents[i]`, over arcs `first[i]`, `first[i] + 1`, ...; `down[i]` are
+    the arcs to its children, and `arc_child[a]` is the child end of arc a.
+    Each of `trees` is (its root, its walk's nodes, each one's neighbor
+    towards the root), as in `forest_walks`.  With no members this is plain
+    polytree propagation with one case.
+    """
+
+    __slots__ = ("names", "ids", "cards", "members", "cases", "parents", "first",
+                 "down", "arc_child", "tensors", "trees")
+
+    def __init__(self, net: Network, members) -> None:
+        self.members = tuple(members)
+        ranges = [range(net.card(m)) for m in self.members]
+        self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(
+            math.prod(map(len, ranges)), len(ranges)
+        )
+        self.cases.flags.writeable = False
+        self.names = tuple(net.var_names())
+        cut = set(self.members)
+        arcs = [(p, c) for p, c in net.edges() if p not in cut]
+        if not (is_forest(arcs, self.names) if cut else net.is_singly_connected()):
+            raise ValueError(f"not a valid cutset: {list(self.members)}")
+
+        self.ids = {v: i for i, v in enumerate(self.names)}
+        self.cards = tuple(net.card(v) for v in self.names)
+        parents = [[] for _ in self.names]
+        down = [[] for _ in self.names]
+        first = [0] * len(self.names)
+        neighbors = {v: [] for v in self.names}
+        for arc, (p, c) in enumerate(arcs):
+            i, j = self.ids[p], self.ids[c]
+            if not parents[j]:
+                first[j] = arc
+            parents[j].append(i)
+            down[i].append(arc)
+            neighbors[p].append(c)
+            neighbors[c].append(p)
+        self.parents = tuple(map(tuple, parents))
+        self.down = tuple(map(tuple, down))
+        self.first = tuple(first)
+        self.arc_child = tuple(self.ids[c] for _, c in arcs)
+        self.tensors = tuple(self._tensor(net, v) for v in self.names)
+        self.trees = []
+        for root, walk in forest_walks(self.names, lambda v: sorted(neighbors[v])):
+            nodes = tuple(self.ids[a] for a, _ in walk)
+            towards = tuple(self.ids[b] for _, b in walk)
+            self.trees.append((self.ids[root], nodes, towards))
+
+    def _tensor(self, net: Network, v: str) -> np.ndarray:
+        """v's CPT tensor; with the members among its parents moved to the
+        front and indexed by the case array, giving one leading case axis."""
+        tensor = net.cpt_tensor(v)
+        cut = [k for k, p in enumerate(net.parents(v)) if p in self.members]
+        if not cut:
+            return tensor
+        columns = [self.cases[:, self.members.index(net.parents(v)[k])] for k in cut]
+        tensor = np.moveaxis(tensor, cut, range(len(cut)))[tuple(columns)]
+        tensor.flags.writeable = False  # shared by every run of the plan
+        return tensor
+
+    def live_cases(self, evidence: Evidence) -> np.ndarray:
+        """Indices of the cases that agree with the evidence on members."""
+        live = np.ones(len(self.cases), dtype=bool)
+        for j, m in enumerate(self.members):
+            if m in evidence:
+                live &= self.cases[:, j] == evidence[m]
+        return np.flatnonzero(live)
+
+    def run(self, evidence: Evidence, live: np.ndarray | None = None) -> TwoPassRun:
+        """One pass over the cases `live` (all by default)."""
+        return TwoPassRun(self, evidence, np.arange(len(self.cases)) if live is None else live)
+
+
+class TwoPassRun:
+    """The messages of one pass, a row per live case.  Each message is
+    `_sum_product` over the case axis, normalized per case; a case whose
+    normalizer is 0 is impossible and its row stays 0.  A stored collect
+    message is its exact unnormalized value divided by its own normalizer
+    and every normalizer below it, so all of them times the root's mass
+    give each case's P(evidence): `log_weights`, valid where `possible`."""
+
+    __slots__ = ("plan", "tensors", "factors", "ones", "msgs", "sent", "possible",
+                 "log_weights")
+
+    def __init__(self, plan: TwoPassPlan, evidence: Evidence, live: np.ndarray) -> None:
+        self.plan = plan
+        n_cases = len(live)
+        self.tensors = plan.tensors
+        if n_cases < len(plan.cases):  # keep the live rows of the case axes
+            self.tensors = [
+                t if t.ndim == len(ps) + 1 else t[live] for t, ps in zip(plan.tensors, plan.parents)
+            ]
+        self.factors = [None] * len(plan.names)
+        for v, s in evidence.items():
+            i = plan.ids[v]
+            self.factors[i] = np.broadcast_to(_eye(plan.cards[i])[s], (n_cases, plan.cards[i]))
+        for j, m in enumerate(plan.members):
+            i = plan.ids[m]
+            self.factors[i] = _eye(plan.cards[i])[plan.cases[live, j]]
+        self.ones = {k: np.ones((n_cases, k)) for k in set(plan.cards)}
+        self.msgs: list = [None] * (2 * len(plan.arc_child))
+        self.sent: list[int] = []  # slots in the order they were sent
+
+        scales = [np.ones(n_cases)]  # collect normalizers, then each root's mass
+        for root, nodes, towards in plan.trees:
+            scales += [self._send(a, to) for a, to in zip(reversed(nodes), reversed(towards))]
+            scales.append(self.core(root).sum(axis=1))
+        for _, nodes, towards in plan.trees:
+            for a, to in zip(nodes, towards):
+                self._send(to, a)
+        scales = np.array(scales)
+        # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
+        self.possible = (scales > 0).all(axis=0)
+        logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
+        self.log_weights = np.add.accumulate(logs)[-1].tolist()
+
+    def core(self, a: int, to: int | None = None) -> np.ndarray:
+        """`_sum_product` of node `a` towards `to` (a belief when None),
+        one row per case."""
+        plan, msgs = self.plan, self.msgs
+        lam = self.factors[a]
+        for arc in plan.down[a]:
+            if plan.arc_child[arc] != to:
+                lam = msgs[2 * arc + 1] if lam is None else lam * msgs[2 * arc + 1]
+        if lam is None:
+            lam = self.ones[plan.cards[a]]
+        parents, first, tensor = plan.parents[a], plan.first[a], self.tensors[a]
+        n = len(parents)
+        operands = [tensor, _axes(n, tensor.ndim > n + 1)]
+        keep = n
+        for j, p in enumerate(parents):
+            if p == to:
+                keep = j
+            else:
+                operands += (msgs[2 * (first + j)], _ROW[j])
+        return np.einsum(*operands, lam, _ROW[n], _ROW[keep])
+
+    def _send(self, a: int, to: int) -> np.ndarray:
+        """Store the message `a` sends `to`; return its normalizers."""
+        plan = self.plan
+        if to in plan.parents[a]:
+            slot = 2 * (plan.first[a] + plan.parents[a].index(to)) + 1
+        else:
+            slot = next(2 * arc for arc in plan.down[a] if plan.arc_child[arc] == to)
+        self.msgs[slot], sums = _normalize_rows(self.core(a, to))
+        self.sent.append(slot)
+        return sums
+
+    def belief(self, a: int) -> np.ndarray:
+        """Normalized belief of node `a`, one row per case (0 where the
+        case is impossible)."""
+        return _normalize_rows(self.core(a))[0]
+
+    def records(self, case: int):
+        """The TraceRecords of one case: each message that moved away from
+        its uniform start, in the order sent."""
+        plan = self.plan
+        for slot in self.sent:
+            arc, is_lambda = divmod(slot, 2)
+            c = plan.arc_child[arc]
+            p = plan.parents[c][arc - plan.first[c]]
+            new = self.msgs[slot][case]
+            old = _uniform(len(new))
+            if _moved(old, new):
+                kind = "lambda" if is_lambda else "pi"
+                yield TraceRecord(1, plan.names[p], plan.names[c], kind, old, new)

@@ -18,8 +18,9 @@ CHAIN = str(FIXTURES / "chain.bn")
 FIG1 = str(FIXTURES / "fig1.bn")
 DETERMINISTIC = str(FIXTURES / "deterministic.bn")
 
-# --trace files of `infer fig1.bn -e x6=1` and `infer chain.bn -e B=f`: the
-# two-pass order and the message values, byte for byte
+# --trace files of `infer fig1.bn -e x6=1`, `infer fig1.bn -e x1=1 -e x6=1`
+# (evidence on the cutset member leaves one live case) and `infer chain.bn
+# -e B=f`: the two-pass order and the message values, byte for byte
 FIG1_TRACE = (
     "run x1=0 sweep=1 dir=pi arc=x3->x5 old=0.5,0.5 new=0.9,0.1\n"
     "run x1=0 sweep=1 dir=lambda arc=x5->x6 old=0.5,0.5 new=0.157894736842,0.842105263158\n"
@@ -28,6 +29,15 @@ FIG1_TRACE = (
     "run x1=0 sweep=1 dir=pi arc=x5->x6 old=0.5,0.5 new=0.788,0.212\n"
     "run x1=0 sweep=1 dir=lambda arc=x3->x5 old=0.5,0.5 new=0.253684210526,0.746315789474\n"
     "run x1=0 sweep=1 dir=pi arc=x2->x4 old=0.5,0.5 new=0.881341209173,0.118658790827\n"
+    "run x1=1 sweep=1 dir=pi arc=x3->x5 old=0.5,0.5 new=0.1,0.9\n"
+    "run x1=1 sweep=1 dir=lambda arc=x5->x6 old=0.5,0.5 new=0.157894736842,0.842105263158\n"
+    "run x1=1 sweep=1 dir=lambda arc=x2->x5 old=0.5,0.5 new=0.718947368421,0.281052631579\n"
+    "run x1=1 sweep=1 dir=pi arc=x2->x5 old=0.5,0.5 new=0.05,0.95\n"
+    "run x1=1 sweep=1 dir=pi arc=x5->x6 old=0.5,0.5 new=0.788,0.212\n"
+    "run x1=1 sweep=1 dir=lambda arc=x3->x5 old=0.5,0.5 new=0.746315789474,0.253684210526\n"
+    "run x1=1 sweep=1 dir=pi arc=x2->x4 old=0.5,0.5 new=0.118658790827,0.881341209173\n"
+)
+FIG1_X1_TRACE = (
     "run x1=1 sweep=1 dir=pi arc=x3->x5 old=0.5,0.5 new=0.1,0.9\n"
     "run x1=1 sweep=1 dir=lambda arc=x5->x6 old=0.5,0.5 new=0.157894736842,0.842105263158\n"
     "run x1=1 sweep=1 dir=lambda arc=x2->x5 old=0.5,0.5 new=0.718947368421,0.281052631579\n"
@@ -270,12 +280,17 @@ class TestInfer:
 
     @pytest.mark.parametrize(
         "path, evidence, golden",
-        [(FIG1, "x6=1", FIG1_TRACE), (CHAIN, "B=f", CHAIN_TRACE)],
-        ids=["fig1", "chain"],
+        [
+            (FIG1, ["x6=1"], FIG1_TRACE),
+            (FIG1, ["x1=1", "x6=1"], FIG1_X1_TRACE),
+            (CHAIN, ["B=f"], CHAIN_TRACE),
+        ],
+        ids=["fig1", "fig1-member-observed", "chain"],
     )
     def test_trace_bytes_are_pinned(self, tmp_path, path, evidence, golden):
         trace = tmp_path / "trace.log"
-        code, _, _ = cli("infer", path, "-e", evidence, "--trace", str(trace))
+        flags = [arg for e in evidence for arg in ("-e", e)]
+        code, _, _ = cli("infer", path, *flags, "--trace", str(trace))
         assert code == 0 and trace.read_text() == golden
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])

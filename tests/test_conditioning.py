@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from beliefprop import cutset, model
+from beliefprop import conditioning, cutset, model, polytree
 from beliefprop.conditioning import (
     auto_infer,
     condition_network,
@@ -206,24 +206,26 @@ def _normalized_weights(runs):
 
 class TestForestProofs:
     """Each network proves once that it is a forest: the input network for
-    the cutset search, each case's reduced network for its propagation."""
+    the cutset search, the compiled plan for its cutset."""
 
     @staticmethod
-    def count(monkeypatch):
-        calls = {"is_forest": 0, "_cycle_nodes": 0}
+    def count(monkeypatch, *names):
+        names = names or ("is_forest", "_cycle_nodes")
+        calls = dict.fromkeys(names, 0)
 
         def counted(owner, name):
             original = getattr(owner, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(model, "is_forest")
-        counted(cutset, "is_forest")
-        counted(cutset, "_cycle_nodes")
+        for owner in (model, cutset, polytree, conditioning, np):
+            for name in names:
+                if hasattr(owner, name):
+                    counted(owner, name)
         return calls
 
     def test_warm_polytree_proves_nothing_again(self, monkeypatch):
@@ -233,17 +235,30 @@ class TestForestProofs:
         auto_infer(net, {}, net.var_names())
         assert calls == {"is_forest": 0, "_cycle_nodes": 0}
 
-    @pytest.mark.parametrize("evidence, live", [({"x6": 1}, 2), ({"x1": 0}, 1)])
-    def test_loopy_network_proves_once_plus_once_per_live_case(
-        self, monkeypatch, evidence, live
-    ):
+    @pytest.mark.parametrize("evidence", [{"x6": 1}, {"x1": 0}], ids=["two-live", "one-live"])
+    def test_loopy_network_proves_its_cutset_once(self, monkeypatch, evidence):
         net = fig1_net(seed=2)
         calls = self.count(monkeypatch)
         auto_infer(net, evidence, ["x5"])
-        assert calls["is_forest"] == 1 + live
-        calls["is_forest"] = 0
-        auto_infer(net, evidence, ["x5"])  # the input network is warm now
-        assert calls["is_forest"] == live
+        assert calls == {"is_forest": 2, "_cycle_nodes": 2}
+        calls.update(is_forest=0, _cycle_nodes=0)
+        auto_infer(net, evidence, ["x5"])  # the network and its plan are warm now
+        assert calls == {"is_forest": 0, "_cycle_nodes": 0}
+
+    def test_warm_loopy_network_runs_every_case_in_one_pass(self, monkeypatch):
+        net = fig1_net(seed=2)
+        queries = ["x2", "x5"]
+        auto_infer(net, {"x6": 1}, queries)
+        calls = self.count(
+            monkeypatch, "condition_network", "propagate", "is_forest", "_cycle_nodes", "einsum"
+        )
+        einsums = []
+        for evidence in ({"x6": 1}, {"x1": 0, "x6": 1}):  # two live cases, then one
+            calls["einsum"] = 0
+            auto_infer(net, evidence, queries)
+            einsums.append(calls.pop("einsum"))
+        assert calls == {"condition_network": 0, "propagate": 0, "is_forest": 0, "_cycle_nodes": 0}
+        assert einsums[0] == einsums[1] > 0
 
 
 class TestAutoInfer:
@@ -308,6 +323,12 @@ class TestAutoInfer:
                 beliefs["nope"]
             with pytest.raises(ValueError):
                 beliefs[queries[0]][0] = 0.5
+
+    @pytest.mark.parametrize("net", [chain_net(), fig1_net(seed=2)], ids=["polytree", "loopy"])
+    def test_result_is_compact_and_owns_its_vector(self, net):
+        mixed = auto_infer(net, {}, net.var_names())
+        assert not hasattr(mixed, "__dict__") and not hasattr(mixed.beliefs, "__dict__")
+        assert mixed.beliefs.values.base is None  # not a view of the per-case rows
 
     def test_deep_chain_matches_forward_backward(self):
         # 5,000 links: deeper than the interpreter's recursion limit

@@ -1,5 +1,6 @@
 import pytest
 
+from beliefprop import cutset
 from beliefprop.cutset import greedy_cutset, is_valid_cutset, min_cutset_exhaustive
 from beliefprop.model import Cpt, Network, Variable
 
@@ -51,6 +52,16 @@ class TestGreedyCutset:
         assert {m[0] for m in members} == {"l", "r"}  # one per diamond
         assert is_valid_cutset(net, members)
         assert len(min_cutset_exhaustive(net)) == 2
+
+    def test_search_runs_once_per_network(self, monkeypatch):
+        net = two_diamonds()
+        first = greedy_cutset(net)
+        calls = []
+        search = cutset._cycle_nodes
+        monkeypatch.setattr(cutset, "_cycle_nodes", lambda *a: calls.append(1) or search(*a))
+        first.append("lA")  # the caller owns the list it gets
+        second = greedy_cutset(net)
+        assert calls == [] and second == first[:-1] and second is not first
 
     @pytest.mark.parametrize("seed", range(30))
     def test_always_valid_and_near_optimal(self, seed):

@@ -1,11 +1,16 @@
 """Structural differential fuzz: small networks built directly, with loops
 or without, zeros and deterministic rows in the tables, evidence that may be
 impossible and queries that may be observed.  Every inference route must
-agree with the enumeration oracle and with the others."""
+agree with the enumeration oracle and with the others.  Above the oracle's
+state-space guard, hubbed loopy networks with up to 1,024 cutset cases are
+checked against the benchmark's variable elimination instead."""
 
 import io
 import math
+import random
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +19,20 @@ from hypothesis import strategies as st
 
 from beliefprop.cli import run
 from beliefprop.conditioning import auto_infer
+from beliefprop.cutset import greedy_cutset
 from beliefprop.errors import ImpossibleEvidenceError
 from beliefprop.netformat import parse, serialize
-from beliefprop.oracle import oracle_infer
+from beliefprop.oracle import STATE_SPACE_GUARD, oracle_infer
 from beliefprop.polytree import propagate
 
 from helpers import build_net
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import netgen  # noqa: E402
+import refinfer  # noqa: E402
 
 DIFFERENTIAL = settings(
     derandomize=True,
@@ -130,3 +143,26 @@ def test_every_route_agrees_with_the_oracle(tmp_path, case):
             for state in states[1:]:
                 np.testing.assert_allclose(state.messages[arc].pi, link.pi, rtol=0, atol=1e-9)
                 np.testing.assert_allclose(state.messages[arc].lam, link.lam, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("member_observed", [False, True], ids=["free", "member-observed"])
+@pytest.mark.parametrize("loops", range(3, 11))
+def test_above_the_guard_matches_elimination(loops, member_observed):
+    """Binary hubbed networks with 8 to 1,024 cutset cases, against
+    variable elimination to 1e-9 on beliefs and log P(e)."""
+    rng = random.Random(f"above-guard/{loops}")
+    net = netgen.hubbed_loopy(rng, 30 + 3 * loops, 2, loops)
+    assert math.prod(v.card for v in net.variables) > STATE_SPACE_GUARD
+    members = greedy_cutset(net)
+    assert len(members) == loops
+    evidence = netgen.loopy_evidence(rng, net, loops, 0.1)  # observes one member
+    if not member_observed:
+        evidence = {v: s for v, s in evidence.items() if v not in members}
+    assert sum(m in evidence for m in members) == member_observed
+    queries = [v for v in net.var_names() if v not in evidence]
+
+    mixed = auto_infer(net, evidence, queries)
+    truth, log_p = refinfer.Reference(net).answer(evidence, queries)
+    assert mixed.log_likelihood == pytest.approx(log_p, abs=1e-9)
+    for q in queries:
+        np.testing.assert_allclose(mixed.beliefs[q], truth[q], rtol=0, atol=1e-9)
