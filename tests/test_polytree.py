@@ -46,6 +46,102 @@ def star_net():
     )
 
 
+# Relaxation traces of random_polytree(41, max_nodes=12) with its evidence
+# (8 variables, 3 observed): (sweeps, updates), then every record as
+# (sweep, parent, child, direction, old, new).
+SYNCHRONOUS_TRACE_41 = (
+    (3, 15),
+    [
+        (1, "n03", "n02", "pi",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.5639081500783487, 0.1636642168700249, 0.2724276330516264]),
+        (1, "n05", "n01", "pi",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.1461652652238928, 0.31695757473432895, 0.27166749669176143, 0.2652096633500167]),
+        (1, "n05", "n06", "pi",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.1461652652238928, 0.31695757473432895, 0.27166749669176143, 0.2652096633500167]),
+        (1, "n05", "n06", "lambda",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.21100596313010853, 0.3712853314962719, 0.3062080339490356, 0.1115006714245839]),
+        (1, "n07", "n02", "pi",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.0, 1.0, 0.0, 0.0]),
+        (1, "n02", "n00", "pi",
+         [0.5, 0.5],
+         [1.0, 0.0]),
+        (1, "n03", "n02", "lambda",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.29674223349924744, 0.3729985257732509, 0.3302592407275018]),
+        (1, "n07", "n02", "lambda",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.25254509961334165, 0.25613408045456876, 0.23646291304421682, 0.25485790688787285]),
+        (1, "n00", "n01", "pi",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.2300732061212374, 0.27668313696687835, 0.4932436569118843]),
+        (1, "n00", "n04", "pi",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.2300732061212374, 0.27668313696687835, 0.4932436569118843]),
+        (2, "n05", "n01", "pi",
+         [0.1461652652238928, 0.31695757473432895, 0.27166749669176143, 0.2652096633500167],
+         [0.11804038994207566, 0.4504023570025188, 0.31838015488568844, 0.11317709816971706]),
+        (2, "n03", "n02", "lambda",
+         [0.29674223349924744, 0.3729985257732509, 0.3302592407275018],
+         [0.3537604355388276, 0.3206219192433883, 0.3256176452177841]),
+        (2, "n07", "n02", "lambda",
+         [0.25254509961334165, 0.25613408045456876, 0.23646291304421682, 0.25485790688787285],
+         [0.2189996833178004, 0.27408889041243417, 0.25429660174980157, 0.252614824519964]),
+        (2, "n00", "n01", "pi",
+         [0.2300732061212374, 0.27668313696687835, 0.4932436569118843],
+         [0.41504631453102253, 0.06911062832315745, 0.5158430571458201]),
+        (2, "n00", "n04", "pi",
+         [0.2300732061212374, 0.27668313696687835, 0.4932436569118843],
+         [0.41504631453102253, 0.06911062832315745, 0.5158430571458201]),
+    ],
+)
+FAIR_RANDOM_TRACE_41 = (
+    (0, 12),
+    [
+        (1, "n05", "n06", "lambda",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.21100596313010853, 0.3712853314962719, 0.3062080339490356, 0.1115006714245839]),
+        (2, "n00", "n01", "pi",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.2300732061212374, 0.27668313696687835, 0.4932436569118843]),
+        (3, "n05", "n06", "pi",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.1461652652238928, 0.31695757473432895, 0.27166749669176143, 0.2652096633500167]),
+        (4, "n02", "n00", "pi",
+         [0.5, 0.5],
+         [1.0, 0.0]),
+        (5, "n00", "n01", "pi",
+         [0.2300732061212374, 0.27668313696687835, 0.4932436569118843],
+         [0.41504631453102253, 0.06911062832315745, 0.5158430571458201]),
+        (6, "n07", "n02", "lambda",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.25254509961334165, 0.25613408045456876, 0.23646291304421682, 0.25485790688787285]),
+        (7, "n05", "n01", "pi",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.11804038994207566, 0.4504023570025188, 0.31838015488568844, 0.11317709816971706]),
+        (8, "n07", "n02", "pi",
+         [0.25, 0.25, 0.25, 0.25],
+         [0.0, 1.0, 0.0, 0.0]),
+        (9, "n03", "n02", "pi",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.5639081500783487, 0.1636642168700249, 0.2724276330516264]),
+        (10, "n07", "n02", "lambda",
+         [0.25254509961334165, 0.25613408045456876, 0.23646291304421682, 0.25485790688787285],
+         [0.2189996833178004, 0.27408889041243417, 0.25429660174980157, 0.252614824519964]),
+        (11, "n00", "n04", "pi",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.41504631453102253, 0.06911062832315745, 0.5158430571458201]),
+        (12, "n03", "n02", "lambda",
+         [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+         [0.3537604355388276, 0.3206219192433883, 0.3256176452177841]),
+    ],
+)
+
+
 class TestInitMessages:
     def test_all_messages_uniform(self):
         net, _ = random_polytree(1, max_nodes=8)
@@ -402,6 +498,22 @@ class TestPropagate:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+    @pytest.mark.parametrize(
+        "schedule, seed, expected",
+        [("synchronous", 0, SYNCHRONOUS_TRACE_41), ("fair-random", 3, FAIR_RANDOM_TRACE_41)],
+        ids=["synchronous", "fair-random"],
+    )
+    def test_relaxation_trace_is_pinned(self, schedule, seed, expected):
+        net, evidence = random_polytree(41, max_nodes=12)
+        records = []
+        _, stats = propagate(net, evidence, schedule=schedule, seed=seed, on_update=records.append)
+        got = [
+            (r.sweep, r.parent, r.child, r.direction, r.old.tolist(), r.new.tolist())
+            for r in records
+        ]
+        assert ((stats.sweeps, stats.updates), got) == expected
 
     @pytest.mark.parametrize("schedule", ["synchronous", "fair-random", "two-pass"])
     def test_root_with_80_observed_children(self, schedule):
