@@ -43,13 +43,14 @@ class Beliefs(Mapping):
     """Read-only map from each query variable to its belief vector.  The
     vectors are views of one array over all the network's states, laid out
     by `Network.state_slices`, so results mix as whole arrays.  A belief
-    sums to 1, so only the states of a variable not asked are all 0."""
+    sums to 1, so only the states of a variable not asked are all 0.  The
+    `queries` tuple, which lists each variable once, is kept as given."""
 
     __slots__ = ("_slices", "_queries", "values")
 
     def __init__(self, net: Network, queries, values: np.ndarray) -> None:
         self._slices = net.state_slices()
-        self._queries = tuple(dict.fromkeys(queries))
+        self._queries = queries
         self.values = values
         self.values.flags.writeable = False
 
@@ -130,7 +131,7 @@ def infer_conditioned(
     case's TraceRecords once the pass is done, case by case.
     """
     members = list(dict.fromkeys(cutset))
-    queries = list(queries)
+    queries = tuple(dict.fromkeys(queries))  # shared by every case's Beliefs
     for q in queries:
         net.variable(q)
     check_evidence(net, evidence)
@@ -140,7 +141,7 @@ def infer_conditioned(
 
     slices = net.state_slices()
     values = np.zeros((len(live), sum(plan.cards)))
-    for q in dict.fromkeys(queries):
+    for q in queries:
         values[:, slices[q]] = run.belief(plan.ids[q])
     runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in plan.cases.tolist()]
     for row, case in enumerate(live.tolist()):

@@ -182,15 +182,6 @@ class Network:
             self._cache["forest"] = is_forest(self.edges(), self.var_names())
         return self._cache["forest"]
 
-    def tree_walks(self) -> tuple:
-        """`forest_walks` of this network.  Raises ValueError on a graph
-        with a loop."""
-        if "walks" not in self._cache:
-            if not self.is_singly_connected():
-                raise ValueError("network is not singly connected")
-            self._cache["walks"] = forest_walks(self.var_names(), self.neighbors)
-        return self._cache["walks"]
-
     def cached(self, key, build):
         """The value cached under `key`, made by `build()` on first use; a
         build that raises caches nothing."""

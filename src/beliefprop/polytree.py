@@ -3,15 +3,18 @@
 Every directed arc parent->child carries two dynamic vectors over the
 parent's states: a causal-support message (pi) flowing down the arc and a
 diagnostic-support message (lambda) flowing up.  Every message and every
-belief comes from one sum-product rule (`_sum_product`): a node multiplies
-its CPT by what it holds from each neighbor except the recipient (the pi of
-each parent, the evidence factor times the lambda of each child) and sums
-out every axis but the recipient's, or its own for a belief.  A scheduler
-relaxes out-of-kilter messages until every one equals its recomputed value,
-and node beliefs are then read off the same rule, normalized.  The two-pass
-schedule computes each message once instead; it is compiled per network and
-loop cutset (`TwoPassPlan`) and runs the same rule over integer node ids
-with one row per cutset case (`TwoPassRun.core`).
+belief comes from one sum-product rule, `TwoPassRun.core`, under every
+schedule: a node multiplies its CPT by what it holds from each neighbor
+except the recipient (the pi of each parent, the evidence factor times the
+lambda of each child) and sums out every axis but the recipient's, or its
+own for a belief.  The rule runs on a plan compiled per network and loop
+cutset (`TwoPassPlan`), over integer node ids and message slots with one
+row per cutset case.  The two-pass schedule computes each message once.
+The relaxations recompute the out-of-kilter messages of a one-case run of
+the empty-cutset plan until every one equals its recomputed value, and
+node beliefs are then read off the same rule, normalized.  The
+per-message functions load the `MessageState` they are given into such a
+run.
 
 Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
@@ -77,17 +80,10 @@ class TraceRecord:
     new: np.ndarray
 
 
-def _normalize(vec: np.ndarray) -> np.ndarray:
-    s = vec.sum()
-    if s <= 0.0:
-        return np.zeros_like(vec)
-    return vec / s
-
-
 @functools.cache
 def _uniform(k: int) -> np.ndarray:
     """The read-only uniform vector over `k` states that every message
-    starts as; `_store` rebinds a message, never writes into it."""
+    starts as; a message is rebound, never written into."""
     vec = np.full(k, 1.0 / k)
     vec.flags.writeable = False
     return vec
@@ -106,77 +102,60 @@ def init_messages(net: Network, evidence: Evidence) -> MessageState:
     return MessageState(messages, factors)
 
 
-def _lambda_product(net: Network, state: MessageState, a: str, skip=None) -> np.ndarray:
-    """Evidence factor of `a` times the lambda message of every child but
-    `skip`."""
-    vec = np.ones(net.card(a))
-    factor = state.evidence_factor.get(a)
-    if factor is not None:
-        vec = vec * factor
-    for c in net.children(a):
-        if c != skip:
-            vec = vec * state.messages[(a, c)].lam
-    return vec
+def _load(net: Network, state: MessageState) -> TwoPassRun:
+    """A one-case run of the empty-cutset plan that holds `state`'s
+    messages and evidence factors and has sent nothing yet."""
+    run = TwoPassRun(two_pass_plan(net, []), state.evidence_factor, np.arange(1))
+    for arc, (p, c) in enumerate(net.edges()):
+        lp = state.messages[(p, c)]
+        run.msgs[2 * arc], run.msgs[2 * arc + 1] = lp.pi[None], lp.lam[None]
+    return run
 
 
-def _sum_product(
-    net: Network, state: MessageState, a: str, to: str | None = None, lam=None
-) -> np.ndarray:
-    """The one local rule behind every message and belief: `a`'s CPT times
-    the pi message of each parent and the diagnostic vector `lam`, summed
-    over every axis but the recipient's.  Whatever comes from the recipient
-    `to` is left out; the result ranges over `to`'s states when it is a
-    parent, else over `a`'s own (a pi message, or a belief when `to` is
-    None).  `lam` defaults to `_lambda_product` without `to`; it enters as
-    one operand because einsum takes at most 64."""
-    parents = net.parents(a)
-    n = len(parents)
-    if lam is None:
-        lam = _lambda_product(net, state, a, skip=to)
-    operands: list = [net.cpt_tensor(a), list(range(n + 1))]
-    for i, p in enumerate(parents):
-        if p != to:
-            operands += [state.messages[(p, a)].pi, [i]]
-    keep = parents.index(to) if to in parents else n
-    return np.einsum(*operands, lam, [n], [keep])
+def _core(net: Network, state: MessageState, a: str, to: str | None = None) -> np.ndarray:
+    """`TwoPassRun.core` of `a` towards `to` on `state`'s messages, as the
+    run's one row."""
+    run = _load(net, state)
+    ids = run.plan.ids
+    return run.core(ids[a], None if to is None else ids[to])
+
+
+def _normalized(bel: np.ndarray, what: str, variable: str) -> np.ndarray:
+    """`bel` divided by its sum; raises when `what` has zero mass."""
+    s = bel.sum()
+    if s <= 0.0:
+        raise ImpossibleEvidenceError(f"evidence is impossible: {what}", variable=variable)
+    return bel / s
 
 
 def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Predicted distribution of `a` from its parents' causal messages: the
     CPT contracted with the incoming pi vector of every parent (the prior
-    itself when `a` is a root)."""
-    return _sum_product(net, state, a, lam=np.ones(net.card(a)))
+    itself when `a` is a root).  This is `a`'s unnormalized belief with
+    every lambda message all-ones and no evidence."""
+    causal = {
+        arc: LinkParameters(lp.pi, np.ones_like(lp.lam)) for arc, lp in state.messages.items()
+    }
+    return _core(net, MessageState(causal, {}), a)[0]
 
 
 def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Product of the evidence factor (if any) and every child's lambda
     message; all-ones for an uninstantiated leaf."""
-    return _lambda_product(net, state, a)
+    run = _load(net, state)
+    return run.diagnostic(run.plan.ids[a])[0]
 
 
 def fuse_belief(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Normalized product of total causal and diagnostic support."""
-    bel = _sum_product(net, state, a)
-    s = bel.sum()
-    if s <= 0.0:
-        raise ImpossibleEvidenceError(
-            f"evidence is impossible: belief of {a} has zero mass", variable=a
-        )
-    return bel / s
+    return _normalized(_core(net, state, a)[0], f"belief of {a} has zero mass", a)
 
 
 def link_belief(state: MessageState, parent: str, child: str) -> np.ndarray:
     """Belief of the parent read from one arc alone: normalized elementwise
     product of the arc's pi and lambda."""
     lp = state.messages[(parent, child)]
-    bel = lp.pi * lp.lam
-    s = bel.sum()
-    if s <= 0.0:
-        raise ImpossibleEvidenceError(
-            f"evidence is impossible: arc {parent}->{child} carries zero mass",
-            variable=parent,
-        )
-    return bel / s
+    return _normalized(lp.pi * lp.lam, f"arc {parent}->{child} carries zero mass", parent)
 
 
 def update_lambda_to_parent(
@@ -187,7 +166,8 @@ def update_lambda_to_parent(
     other parents.  Reads nothing from arc b->a itself."""
     if b not in net.parents(a):
         raise KeyError(f"{b} is not a parent of {a}")
-    return _normalize(_sum_product(net, state, a, b))
+    message, _ = _normalize_rows(_core(net, state, a, b))
+    return message[0]
 
 
 def update_pi_to_child(
@@ -198,33 +178,29 @@ def update_pi_to_child(
     children.  Reads nothing from arc a->x itself."""
     if x not in net.children(a):
         raise KeyError(f"{x} is not a child of {a}")
-    return _normalize(_sum_product(net, state, a, x))
+    message, _ = _normalize_rows(_core(net, state, a, x))
+    return message[0]
 
 
-def _message_keys(net: Network) -> list[tuple[str, str]]:
-    """Every directed message as (sender, receiver): senders in topological
-    order, each sending to its neighbors in name order."""
-    return [(s, r) for s in net.topological_order() for r in net.neighbors(s)]
+def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int, int]]:
+    """Every directed message as (sender id, receiver id, slot): senders in
+    topological order, each sending to its neighbors in name order."""
+    ids = plan.ids
+    pairs = [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
+    return [(i, j, plan.slot(i, j)) for i, j in pairs]
 
 
 def _moved(old: np.ndarray, new: np.ndarray) -> bool:
     return float(np.max(np.abs(old - new))) > TOLERANCE
 
 
-def _store(net, state, sender, receiver, new, on_update, sweep) -> bool:
-    """Write the message `sender` sends `receiver`; when it moved by more
-    than TOLERANCE, pass it to `on_update` and return True."""
-    if receiver in net.parents(sender):
-        kind, p, c = "lambda", receiver, sender
-        lp = state.messages[(p, c)]
-        old, lp.lam = lp.lam, new
-    else:
-        kind, p, c = "pi", sender, receiver
-        lp = state.messages[(p, c)]
-        old, lp.pi = lp.pi, new
+def _store(run: TwoPassRun, slot: int, new: np.ndarray, on_update, sweep: int) -> bool:
+    """Write the message `new` into `slot` of the one-case `run`; when it
+    moved by more than TOLERANCE, pass it to `on_update` and return True."""
+    old, run.msgs[slot] = run.msgs[slot], new
     moved = _moved(old, new)
     if moved and on_update is not None:
-        on_update(TraceRecord(sweep, p, c, kind, old, new))
+        on_update(run.plan.record(sweep, slot, old[0], new[0]))
     return moved
 
 
@@ -241,33 +217,46 @@ def propagate(
     the previous sweep's snapshot, in the fixed order of `_message_keys`),
     "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
     seeded by `seed`, until none is) or "two-pass" (each message computed
-    once, see `TwoPassPlan`).  The relaxations stop once every stored
-    message matches its recomputed value within TOLERANCE (max-norm) and
-    raise ImpossibleEvidenceError on impossible evidence, which two-pass
-    reports as a None log-likelihood.  All three reach the same fixpoint.
+    once, see `TwoPassPlan`).  All three run the empty-cutset plan.  The
+    relaxations stop once every stored message matches its recomputed
+    value within TOLERANCE (max-norm) and raise ImpossibleEvidenceError on
+    impossible evidence, which two-pass reports as a None log-likelihood.
+    All three reach the same fixpoint.
     """
     state = init_messages(net, evidence)
+    plan = two_pass_plan(net, [])
     if schedule == "two-pass":
-        return state, _fill_two_pass(net, state, evidence, on_update)
-    if schedule == "synchronous":
-        stats = _run_synchronous(net, state, on_update)
+        run = plan.run(evidence)
+        records = list(run.records(0))
+        log_likelihood = run.log_weights[0] if run.possible[0] else None
+        stats = PropagationStats(sweeps=1, updates=len(records), log_likelihood=log_likelihood)
+        if on_update is not None:
+            for rec in records:
+                on_update(rec)
+    elif schedule == "synchronous":
+        run = _load(net, state)
+        stats = _run_synchronous(net, run, _message_keys(net, plan), on_update)
     elif schedule == "fair-random":
-        stats = _run_fair_random(net, state, seed, on_update)
+        run = _load(net, state)
+        stats = _run_fair_random(net, run, _message_keys(net, plan), seed, on_update)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
-    for v in net.var_names():
-        fuse_belief(net, state, v)  # raises on a zero-mass belief
+    for arc, (p, c) in enumerate(net.edges()):
+        lp = state.messages[(p, c)]
+        lp.pi, lp.lam = run.msgs[2 * arc][0], run.msgs[2 * arc + 1][0]
+    if schedule != "two-pass":
+        for v in net.var_names():
+            fuse_belief(net, state, v)  # raises on a zero-mass belief
     return state, stats
 
 
-def _run_synchronous(net, state, on_update):
-    keys = _message_keys(net)
+def _run_synchronous(net, run, keys, on_update):
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
-        new = [_normalize(_sum_product(net, state, s, r)) for s, r in keys]
+        new = [_normalize_rows(run.core(s, r))[0] for s, r, _ in keys]
         moved = sum(
-            _store(net, state, s, r, m, on_update, sweep) for (s, r), m in zip(keys, new)
+            _store(run, slot, m, on_update, sweep) for (_, _, slot), m in zip(keys, new)
         )
         updates += moved
         if not moved:
@@ -275,8 +264,10 @@ def _run_synchronous(net, state, on_update):
     raise ConvergenceError(f"no fixpoint after {max_sweeps} synchronous sweeps")
 
 
-def _run_fair_random(net, state, seed, on_update):
-    keys = _message_keys(net)
+def _run_fair_random(net, run, keys, seed, on_update):
+    sends: dict[int, list] = {}  # each sender's keys, in the order of `keys`
+    for key in keys:
+        sends.setdefault(key[0], []).append(key)
     dirty = set(keys)
     pool = list(keys)  # work list; may hold entries already cleaned
     rng = random.Random(seed)
@@ -287,34 +278,20 @@ def _run_fair_random(net, state, seed, on_update):
             return PropagationStats(sweeps=0, updates=updates)
         i = rng.randrange(len(pool))
         pool[i], pool[-1] = pool[-1], pool[i]
-        s, r = key = pool.pop()
+        key = pool.pop()
         if key not in dirty:
             continue
         dirty.remove(key)
-        new = _normalize(_sum_product(net, state, s, r))
-        if _store(net, state, s, r, new, on_update, updates + 1):
+        s, r, slot = key
+        new = _normalize_rows(run.core(s, r))[0]
+        if _store(run, slot, new, on_update, updates + 1):
             updates += 1
             # every message r sends reads this one, except the one back to s
-            for dep in ((r, m) for m in net.neighbors(r) if m != s):
-                if dep not in dirty:
+            for dep in sends[r]:
+                if dep[1] != s and dep not in dirty:
                     dirty.add(dep)
                     pool.append(dep)
     raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
-
-
-def _fill_two_pass(net, state, evidence, on_update):
-    """Run the empty-cutset plan and store its messages in `state`."""
-    run = two_pass_plan(net, []).run(evidence)
-    for arc, (p, c) in enumerate(net.edges()):
-        lp = state.messages[(p, c)]
-        lp.pi, lp.lam = run.msgs[2 * arc][0], run.msgs[2 * arc + 1][0]
-    updates = 0
-    for rec in run.records(0):
-        updates += 1
-        if on_update is not None:
-            on_update(rec)
-    log_likelihood = run.log_weights[0] if run.possible[0] else None
-    return PropagationStats(sweeps=1, updates=updates, log_likelihood=log_likelihood)
 
 
 def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
@@ -334,7 +311,8 @@ _ROW = [[_CASE, j] for j in range(_CASE)]
 
 
 def _normalize_rows(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_normalize` of each row, and the row sums."""
+    """Each row divided by its sum (a row summing to 0 stays 0), and the
+    row sums."""
     sums = core.sum(axis=1)
     return core / (sums if sums.all() else np.where(sums > 0, sums, 1.0))[:, None], sums
 
@@ -438,32 +416,54 @@ class TwoPassPlan:
 
     def run(self, evidence: Evidence, live: np.ndarray | None = None) -> TwoPassRun:
         """One pass over the cases `live` (all by default)."""
-        return TwoPassRun(self, evidence, np.arange(len(self.cases)) if live is None else live)
+        factors = {v: _eye(self.cards[self.ids[v]])[s] for v, s in evidence.items()}
+        run = TwoPassRun(self, factors, np.arange(len(self.cases)) if live is None else live)
+        run.two_pass()
+        return run
+
+    def slot(self, a: int, to: int) -> int:
+        """The slot of the message node `a` sends its neighbor `to`."""
+        if to in self.parents[a]:
+            return 2 * (self.first[a] + self.parents[a].index(to)) + 1
+        return next(2 * arc for arc in self.down[a] if self.arc_child[arc] == to)
+
+    def record(self, sweep: int, slot: int, old: np.ndarray, new: np.ndarray) -> TraceRecord:
+        """The TraceRecord of the message in `slot` moving from `old` to `new`."""
+        arc, is_lambda = divmod(slot, 2)
+        c = self.arc_child[arc]
+        p = self.parents[c][arc - self.first[c]]
+        kind = "lambda" if is_lambda else "pi"
+        return TraceRecord(sweep, self.names[p], self.names[c], kind, old, new)
 
 
 class TwoPassRun:
-    """The messages of one pass, a row per live case.  Each message is
-    `_sum_product` over the case axis, normalized per case; a case whose
-    normalizer is 0 is impossible and its row stays 0.  A stored collect
-    message is its exact unnormalized value divided by its own normalizer
-    and every normalizer below it, so all of them times the root's mass
-    give each case's P(evidence): `log_weights`, valid where `possible`."""
+    """The messages of `plan` over the cases `live`, a row per case, with
+    the evidence factor `factors[v]` (a vector over v's states) on each
+    variable v that has one.  `core` is the one sum-product rule under
+    every schedule: `two_pass` sends each message once, and the
+    relaxations recompute the slots of a one-case run until none moves.
+    Each message is `core` normalized per case; a case whose normalizer is
+    0 is impossible and its row stays 0.  After `two_pass`, a stored
+    collect message is its exact unnormalized value divided by its own
+    normalizer and every normalizer below it, so all of them times the
+    root's mass give each case's P(evidence): `log_weights`, valid where
+    `possible`."""
 
-    __slots__ = ("plan", "tensors", "factors", "ones", "msgs", "sent", "possible",
-                 "log_weights")
+    __slots__ = ("plan", "n_cases", "tensors", "factors", "ones", "msgs", "sent",
+                 "possible", "log_weights")
 
-    def __init__(self, plan: TwoPassPlan, evidence: Evidence, live: np.ndarray) -> None:
+    def __init__(self, plan: TwoPassPlan, factors, live: np.ndarray) -> None:
         self.plan = plan
-        n_cases = len(live)
+        self.n_cases = n_cases = len(live)
         self.tensors = plan.tensors
         if n_cases < len(plan.cases):  # keep the live rows of the case axes
             self.tensors = [
                 t if t.ndim == len(ps) + 1 else t[live] for t, ps in zip(plan.tensors, plan.parents)
             ]
         self.factors = [None] * len(plan.names)
-        for v, s in evidence.items():
+        for v, factor in factors.items():
             i = plan.ids[v]
-            self.factors[i] = np.broadcast_to(_eye(plan.cards[i])[s], (n_cases, plan.cards[i]))
+            self.factors[i] = np.broadcast_to(factor, (n_cases, plan.cards[i]))
         for j, m in enumerate(plan.members):
             i = plan.ids[m]
             self.factors[i] = _eye(plan.cards[i])[plan.cases[live, j]]
@@ -471,7 +471,11 @@ class TwoPassRun:
         self.msgs: list = [None] * (2 * len(plan.arc_child))
         self.sent: list[int] = []  # slots in the order they were sent
 
-        scales = [np.ones(n_cases)]  # collect normalizers, then each root's mass
+    def two_pass(self) -> None:
+        """Send every message once: collect towards each tree's root, then
+        distribute away from it."""
+        plan = self.plan
+        scales = [np.ones(self.n_cases)]  # collect normalizers, then each root's mass
         for root, nodes, towards in plan.trees:
             scales += [self._send(a, to) for a, to in zip(reversed(nodes), reversed(towards))]
             scales.append(self.core(root).sum(axis=1))
@@ -484,16 +488,25 @@ class TwoPassRun:
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
         self.log_weights = np.add.accumulate(logs)[-1].tolist()
 
-    def core(self, a: int, to: int | None = None) -> np.ndarray:
-        """`_sum_product` of node `a` towards `to` (a belief when None),
-        one row per case."""
+    def diagnostic(self, a: int, to: int | None = None) -> np.ndarray:
+        """Evidence factor of node `a` times the lambda message of every
+        child but `to`, one row per case; all-ones when there is neither."""
         plan, msgs = self.plan, self.msgs
         lam = self.factors[a]
         for arc in plan.down[a]:
             if plan.arc_child[arc] != to:
                 lam = msgs[2 * arc + 1] if lam is None else lam * msgs[2 * arc + 1]
-        if lam is None:
-            lam = self.ones[plan.cards[a]]
+        return self.ones[plan.cards[a]] if lam is None else lam
+
+    def core(self, a: int, to: int | None = None) -> np.ndarray:
+        """The local rule behind every message and belief, one row per
+        case: node `a`'s table times the pi message of each parent and its
+        `diagnostic` vector, summed over every axis but the recipient's.
+        Whatever comes from the neighbor `to` is left out; the result
+        ranges over `to`'s states when it is a parent, else over `a`'s own
+        (a pi message, or a belief when `to` is None).  The diagnostic
+        vector enters as one operand because einsum takes at most 64."""
+        plan, msgs = self.plan, self.msgs
         parents, first, tensor = plan.parents[a], plan.first[a], self.tensors[a]
         n = len(parents)
         operands = [tensor, _axes(n, tensor.ndim > n + 1)]
@@ -503,15 +516,11 @@ class TwoPassRun:
                 keep = j
             else:
                 operands += (msgs[2 * (first + j)], _ROW[j])
-        return np.einsum(*operands, lam, _ROW[n], _ROW[keep])
+        return np.einsum(*operands, self.diagnostic(a, to), _ROW[n], _ROW[keep])
 
     def _send(self, a: int, to: int) -> np.ndarray:
         """Store the message `a` sends `to`; return its normalizers."""
-        plan = self.plan
-        if to in plan.parents[a]:
-            slot = 2 * (plan.first[a] + plan.parents[a].index(to)) + 1
-        else:
-            slot = next(2 * arc for arc in plan.down[a] if plan.arc_child[arc] == to)
+        slot = self.plan.slot(a, to)
         self.msgs[slot], sums = _normalize_rows(self.core(a, to))
         self.sent.append(slot)
         return sums
@@ -524,13 +533,8 @@ class TwoPassRun:
     def records(self, case: int):
         """The TraceRecords of one case: each message that moved away from
         its uniform start, in the order sent."""
-        plan = self.plan
         for slot in self.sent:
-            arc, is_lambda = divmod(slot, 2)
-            c = plan.arc_child[arc]
-            p = plan.parents[c][arc - plan.first[c]]
             new = self.msgs[slot][case]
             old = _uniform(len(new))
             if _moved(old, new):
-                kind = "lambda" if is_lambda else "pi"
-                yield TraceRecord(1, plan.names[p], plan.names[c], kind, old, new)
+                yield self.plan.record(1, slot, old, new)

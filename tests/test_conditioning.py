@@ -88,7 +88,7 @@ class TestConditionNetwork:
         reduced, _ = condition_network(fig1_net(), ["x1"], {"x1": 0})
         monkeypatch.setattr(model, "is_forest", None)  # any further proof fails
         assert reduced.is_singly_connected()
-        assert reduced.tree_walks()
+        assert polytree.two_pass_plan(reduced, [])
 
     def test_incomplete_assignment_rejected(self):
         with pytest.raises(ValueError, match="cover"):
@@ -152,6 +152,14 @@ class TestInferConditioned:
         np.testing.assert_allclose(
             mixed.beliefs["x2"], oracle_marginal(net, evidence, "x2"), atol=1e-9
         )
+
+    def test_repeated_query_counts_once_in_one_shared_tuple(self):
+        net = fig1_net(seed=3)
+        mixed, runs = infer_conditioned(net, {"x6": 1}, ["x1"], ["x3", "x2", "x3"])
+        results = [mixed.beliefs] + [run.beliefs for run in runs]
+        assert None not in results
+        assert all(list(beliefs) == ["x3", "x2"] for beliefs in results)
+        assert len({id(beliefs._queries) for beliefs in results}) == 1
 
     @pytest.mark.parametrize("var", ["x1", "x2"])  # a cutset member, then not
     def test_out_of_range_evidence_is_a_range_error(self, var):

@@ -9,6 +9,7 @@ from beliefprop.model import (
     Network,
     Variable,
     all_assignments,
+    forest_walks,
     is_forest,
     joint_probability,
     validate,
@@ -194,7 +195,8 @@ class TestSinglyConnected:
     def test_forest_edge_count_characterization(self, seed):
         net, _ = random_polytree(seed, max_nodes=10)
         undirected = {tuple(sorted(e)) for e in net.edges()}
-        assert len(undirected) == len(net.variables) - len(net.tree_walks())
+        walks = forest_walks(net.var_names(), net.neighbors)
+        assert len(undirected) == len(net.variables) - len(walks)
 
     def test_is_forest_stops_at_the_arc_closing_a_loop(self):
         arcs = [("A", "B"), ("B", "C"), ("A", "C")]
@@ -219,18 +221,11 @@ class TestTreeWalks:
 
     def test_smallest_name_roots_each_tree_in_declaration_order(self):
         # depth-first pre-order; the stack pops the largest neighbor name first
-        assert self.forest().tree_walks() == (
+        net = self.forest()
+        assert forest_walks(net.var_names(), net.neighbors) == (
             ("C", (("T", "C"), ("R", "T"), ("S", "R"))),
             ("U", ()),
         )
-
-    def test_cached_per_root(self):
-        net = self.forest()
-        assert net.tree_walks() is net.tree_walks()
-
-    def test_loop_is_refused(self):
-        with pytest.raises(ValueError, match="singly connected"):
-            fig1_net().tree_walks()
 
 
 def test_immutable_tables():
