@@ -115,6 +115,7 @@ def _load(net: Network, state: MessageState) -> TwoPassRun:
 def _core(net: Network, state: MessageState, a: str, to: str | None = None) -> np.ndarray:
     """`TwoPassRun.core` of `a` towards `to` on `state`'s messages, as the
     run's one row."""
+    net.variable(a)  # an unknown name raises as it does everywhere else
     run = _load(net, state)
     ids = run.plan.ids
     return run.core(ids[a], None if to is None else ids[to])
@@ -142,6 +143,7 @@ def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarra
 def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Product of the evidence factor (if any) and every child's lambda
     message; all-ones for an uninstantiated leaf."""
+    net.variable(a)
     run = _load(net, state)
     return run.diagnostic(run.plan.ids[a])[0]
 
