@@ -113,8 +113,7 @@ def _load(net: Network, state: MessageState) -> TwoPassRun:
 
 
 def _core(net: Network, state: MessageState, a: str, to: str | None = None) -> np.ndarray:
-    """`TwoPassRun.core` of `a` towards `to` on `state`'s messages, as the
-    run's one row."""
+    """`TwoPassRun.core` of `a` towards `to` on `state`'s messages (one row)."""
     net.variable(a)  # an unknown name raises as it does everywhere else
     run = _load(net, state)
     ids = run.plan.ids
@@ -219,16 +218,14 @@ def propagate(
     the previous sweep's snapshot, in the fixed order of `_message_keys`),
     "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
     seeded by `seed`, until none is) or "two-pass" (each message computed
-    once, see `TwoPassPlan`).  All three run the empty-cutset plan.  The
-    relaxations stop once every stored message matches its recomputed
-    value within TOLERANCE (max-norm) and raise ImpossibleEvidenceError on
-    impossible evidence, which two-pass reports as a None log-likelihood.
-    All three reach the same fixpoint.
+    once, see `TwoPassPlan`).  The relaxations stop once every stored
+    message matches its recomputed value within TOLERANCE (max-norm) and
+    raise ImpossibleEvidenceError on impossible evidence, which two-pass
+    reports as a None log-likelihood.  All three reach the same fixpoint.
     """
     state = init_messages(net, evidence)
-    plan = two_pass_plan(net, [])
     if schedule == "two-pass":
-        run = plan.run(evidence)
+        run = two_pass_plan(net, []).run(evidence)
         records = list(run.records(0))
         log_likelihood = run.log_weights[0] if run.possible[0] else None
         stats = PropagationStats(sweeps=1, updates=len(records), log_likelihood=log_likelihood)
@@ -237,10 +234,10 @@ def propagate(
                 on_update(rec)
     elif schedule == "synchronous":
         run = _load(net, state)
-        stats = _run_synchronous(net, run, _message_keys(net, plan), on_update)
+        stats = _run_synchronous(net, run, on_update)
     elif schedule == "fair-random":
         run = _load(net, state)
-        stats = _run_fair_random(net, run, _message_keys(net, plan), seed, on_update)
+        stats = _run_fair_random(net, run, seed, on_update)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     for arc, (p, c) in enumerate(net.edges()):
@@ -252,7 +249,8 @@ def propagate(
     return state, stats
 
 
-def _run_synchronous(net, run, keys, on_update):
+def _run_synchronous(net, run, on_update):
+    keys = _message_keys(net, run.plan)
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
@@ -266,7 +264,8 @@ def _run_synchronous(net, run, keys, on_update):
     raise ConvergenceError(f"no fixpoint after {max_sweeps} synchronous sweeps")
 
 
-def _run_fair_random(net, run, keys, seed, on_update):
+def _run_fair_random(net, run, seed, on_update):
+    keys = _message_keys(net, run.plan)
     sends: dict[int, list] = {}  # each sender's keys, in the order of `keys`
     for key in keys:
         sends.setdefault(key[0], []).append(key)
