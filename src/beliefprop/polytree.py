@@ -30,6 +30,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,10 +106,12 @@ def init_messages(net: Network, evidence: Evidence) -> MessageState:
 def _load(net: Network, state: MessageState) -> TwoPassRun:
     """A one-case run of the empty-cutset plan that holds `state`'s
     messages and evidence factors and has sent nothing yet."""
-    run = TwoPassRun(two_pass_plan(net, []), state.evidence_factor, np.arange(1))
-    for arc, (p, c) in enumerate(net.edges()):
-        lp = state.messages[(p, c)]
-        run.msgs[2 * arc], run.msgs[2 * arc + 1] = lp.pi[None], lp.lam[None]
+    plan = two_pass_plan(net, [])
+    run = TwoPassRun(plan, state.evidence_factor, np.arange(1))
+    for i, j in plan.arcs:
+        lp = state.messages[plan.names[i], plan.names[j]]
+        run.msgs[plan.rules[i, j].slot] = lp.pi[None]
+        run.msgs[plan.rules[j, i].slot] = lp.lam[None]
     return run
 
 
@@ -144,7 +147,8 @@ def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.nd
     message; all-ones for an uninstantiated leaf."""
     net.variable(a)
     run = _load(net, state)
-    return run.diagnostic(run.plan.ids[a])[0]
+    i = run.plan.ids[a]
+    return run.diagnostic(i, run.plan.rules[i, None].lams)[0]
 
 
 def fuse_belief(net: Network, state: MessageState, a: str) -> np.ndarray:
@@ -183,21 +187,21 @@ def update_pi_to_child(
     return message[0]
 
 
-def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int, int]]:
-    """Every directed message as (sender id, receiver id, slot): senders in
+def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
+    """Every directed message as (sender id, receiver id): senders in
     topological order, each sending to its neighbors in name order."""
     ids = plan.ids
-    pairs = [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
-    return [(i, j, plan.slot(i, j)) for i, j in pairs]
+    return [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
 
 
 def _moved(old: np.ndarray, new: np.ndarray) -> bool:
     return float(np.max(np.abs(old - new))) > TOLERANCE
 
 
-def _store(run: TwoPassRun, slot: int, new: np.ndarray, on_update, sweep: int) -> bool:
-    """Write the message `new` into `slot` of the one-case `run`; when it
+def _store(run: TwoPassRun, key, new: np.ndarray, on_update, sweep: int) -> bool:
+    """Write `new` as the message `key` of the one-case `run`; when it
     moved by more than TOLERANCE, pass it to `on_update` and return True."""
+    slot = run.plan.rules[key].slot
     old, run.msgs[slot] = run.msgs[slot], new
     moved = _moved(old, new)
     if moved and on_update is not None:
@@ -240,9 +244,10 @@ def propagate(
         stats = _run_fair_random(net, run, seed, on_update)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
-    for arc, (p, c) in enumerate(net.edges()):
-        lp = state.messages[(p, c)]
-        lp.pi, lp.lam = run.msgs[2 * arc][0], run.msgs[2 * arc + 1][0]
+    plan = run.plan
+    for i, j in plan.arcs:
+        lp = state.messages[plan.names[i], plan.names[j]]
+        lp.pi, lp.lam = run.msgs[plan.rules[i, j].slot][0], run.msgs[plan.rules[j, i].slot][0]
     if schedule != "two-pass":
         for v in net.var_names():
             fuse_belief(net, state, v)  # raises on a zero-mass belief
@@ -254,10 +259,8 @@ def _run_synchronous(net, run, on_update):
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
-        new = [_normalize_rows(run.core(s, r))[0] for s, r, _ in keys]
-        moved = sum(
-            _store(run, slot, m, on_update, sweep) for (_, _, slot), m in zip(keys, new)
-        )
+        new = [_normalize_rows(run.core(s, r))[0] for s, r in keys]
+        moved = sum(_store(run, key, m, on_update, sweep) for key, m in zip(keys, new))
         updates += moved
         if not moved:
             return PropagationStats(sweeps=sweep, updates=updates)
@@ -283,9 +286,9 @@ def _run_fair_random(net, run, seed, on_update):
         if key not in dirty:
             continue
         dirty.remove(key)
-        s, r, slot = key
+        s, r = key
         new = _normalize_rows(run.core(s, r))[0]
-        if _store(run, slot, new, on_update, updates + 1):
+        if _store(run, key, new, on_update, updates + 1):
             updates += 1
             # every message r sends reads this one, except the one back to s
             for dep in sends[r]:
@@ -319,11 +322,6 @@ def _normalize_rows(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _axes(n_parents: int, batched: bool) -> list[int]:
-    return [_CASE] * batched + list(range(n_parents + 1))
-
-
-@functools.cache
 def _eye(k: int) -> np.ndarray:
     eye = np.eye(k)
     eye.flags.writeable = False
@@ -337,6 +335,21 @@ def two_pass_plan(net: Network, members) -> TwoPassPlan:
     return net.cached(("two-pass plan", tuple(members)), lambda: TwoPassPlan(net, members))
 
 
+class Rule(NamedTuple):
+    """How a node computes one message or its belief: the slot it writes
+    (None for a belief), the einsum sublist of its table, the (slot,
+    sublist) of each pi it reads in table order, the slots of the lambdas
+    it reads in arc order, and the sublists of its diagnostic vector and
+    of the result.  The pi of arc k lives in slot 2k, its lambda in 2k+1."""
+
+    slot: int | None
+    table: list[int]
+    pis: tuple[tuple[int, list[int]], ...]
+    lams: tuple[int, ...]
+    own: list[int]
+    out: list[int]
+
+
 class TwoPassPlan:
     """Pearl's collect/distribute schedule over the forest left by
     conditioning on a loop cutset, with integer node ids.
@@ -344,18 +357,16 @@ class TwoPassPlan:
     Every arc out of a member is cut: the member's children get a leading
     case axis on their tables, one row per joint member assignment
     (`cases`, in `itertools.product` order), and each member is pinned
-    per case.  So one einsum per message serves every case.  The arcs that
-    remain are numbered as in `Network.edges`; the pi message on arc `a`
-    lives in slot 2a and its lambda in slot 2a + 1.  Node i's parents are
-    `parents[i]`, over arcs `first[i]`, `first[i] + 1`, ...; `down[i]` are
-    the arcs to its children, and `arc_child[a]` is the child end of arc a.
-    Each of `trees` is (its root, its walk's nodes, each one's neighbor
-    towards the root), as in `forest_walks`.  With no members this is plain
-    polytree propagation with one case.
+    per case.  So one einsum per message serves every case.  `arcs` are
+    the arcs that remain, as (parent id, child id) in `Network.edges`
+    order.  `rules[a, to]` is the `Rule` of the message node `a` sends its
+    neighbor `to`, and `rules[a, None]` that of a's belief, each compiled
+    once.  Each of `trees` is (its root, its walk's nodes, each one's
+    neighbor towards the root), as in `forest_walks`.  With no members
+    this is plain polytree propagation with one case.
     """
 
-    __slots__ = ("names", "ids", "cards", "members", "cases", "parents", "first",
-                 "down", "arc_child", "tensors", "trees")
+    __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors", "trees")
 
     def __init__(self, net: Network, members) -> None:
         self.members = tuple(members)
@@ -372,25 +383,25 @@ class TwoPassPlan:
 
         self.ids = {v: i for i, v in enumerate(self.names)}
         self.cards = tuple(net.card(v) for v in self.names)
-        parents = [[] for _ in self.names]
-        down = [[] for _ in self.names]
-        first = [0] * len(self.names)
-        neighbors = {v: [] for v in self.names}
-        for arc, (p, c) in enumerate(arcs):
-            i, j = self.ids[p], self.ids[c]
-            if not parents[j]:
-                first[j] = arc
-            parents[j].append(i)
-            down[i].append(arc)
-            neighbors[p].append(c)
-            neighbors[c].append(p)
-        self.parents = tuple(map(tuple, parents))
-        self.down = tuple(map(tuple, down))
-        self.first = tuple(first)
-        self.arc_child = tuple(self.ids[c] for _, c in arcs)
+        self.arcs = tuple((self.ids[p], self.ids[c]) for p, c in arcs)
         self.tensors = tuple(self._tensor(net, v) for v in self.names)
+        slots, ups, downs = {}, [[] for _ in self.names], [[] for _ in self.names]
+        for arc, (p, c) in enumerate(self.arcs):
+            slots[p, c], slots[c, p] = 2 * arc, 2 * arc + 1  # the arc's pi and lambda
+            ups[c].append(p)
+            downs[p].append(c)
+        self.rules, neighbors = {}, {}
+        for a, tensor in enumerate(self.tensors):
+            neighbors[self.names[a]] = sorted(self.names[k] for k in (*ups[a], *downs[a]))
+            n = len(ups[a])
+            table = [_CASE] * (tensor.ndim > n + 1) + list(range(n + 1))
+            for to in (None, *ups[a], *downs[a]):
+                pis = tuple((slots[p, a], _ROW[j]) for j, p in enumerate(ups[a]) if p != to)
+                lams = tuple(slots[c, a] for c in downs[a] if c != to)
+                out = _ROW[ups[a].index(to) if to in ups[a] else n]
+                self.rules[a, to] = Rule(slots.get((a, to)), table, pis, lams, _ROW[n], out)
         self.trees = []
-        for root, walk in forest_walks(self.names, lambda v: sorted(neighbors[v])):
+        for root, walk in forest_walks(self.names, neighbors.__getitem__):
             nodes = tuple(self.ids[a] for a, _ in walk)
             towards = tuple(self.ids[b] for _, b in walk)
             self.trees.append((self.ids[root], nodes, towards))
@@ -422,17 +433,10 @@ class TwoPassPlan:
         run.two_pass()
         return run
 
-    def slot(self, a: int, to: int) -> int:
-        """The slot of the message node `a` sends its neighbor `to`."""
-        if to in self.parents[a]:
-            return 2 * (self.first[a] + self.parents[a].index(to)) + 1
-        return next(2 * arc for arc in self.down[a] if self.arc_child[arc] == to)
-
     def record(self, sweep: int, slot: int, old: np.ndarray, new: np.ndarray) -> TraceRecord:
         """The TraceRecord of the message in `slot` moving from `old` to `new`."""
         arc, is_lambda = divmod(slot, 2)
-        c = self.arc_child[arc]
-        p = self.parents[c][arc - self.first[c]]
+        p, c = self.arcs[arc]
         kind = "lambda" if is_lambda else "pi"
         return TraceRecord(sweep, self.names[p], self.names[c], kind, old, new)
 
@@ -459,7 +463,8 @@ class TwoPassRun:
         self.tensors = plan.tensors
         if n_cases < len(plan.cases):  # keep the live rows of the case axes
             self.tensors = [
-                t if t.ndim == len(ps) + 1 else t[live] for t, ps in zip(plan.tensors, plan.parents)
+                t[live] if plan.rules[a, None].table[0] == _CASE else t
+                for a, t in enumerate(plan.tensors)
             ]
         self.factors = [None] * len(plan.names)
         for v, factor in factors.items():
@@ -469,7 +474,7 @@ class TwoPassRun:
             i = plan.ids[m]
             self.factors[i] = _eye(plan.cards[i])[plan.cases[live, j]]
         self.ones = {k: np.ones((n_cases, k)) for k in set(plan.cards)}
-        self.msgs: list = [None] * (2 * len(plan.arc_child))
+        self.msgs: list = [None] * (2 * len(plan.arcs))
         self.sent: list[int] = []  # slots in the order they were sent
 
     def two_pass(self) -> None:
@@ -489,15 +494,14 @@ class TwoPassRun:
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
         self.log_weights = np.add.accumulate(logs)[-1].tolist()
 
-    def diagnostic(self, a: int, to: int | None = None) -> np.ndarray:
-        """Evidence factor of node `a` times the lambda message of every
-        child but `to`, one row per case; all-ones when there is neither."""
-        plan, msgs = self.plan, self.msgs
+    def diagnostic(self, a: int, lams) -> np.ndarray:
+        """Evidence factor of node `a` times the lambda in each slot of
+        `lams`, one row per case; all-ones when there is neither."""
+        msgs = self.msgs
         lam = self.factors[a]
-        for arc in plan.down[a]:
-            if plan.arc_child[arc] != to:
-                lam = msgs[2 * arc + 1] if lam is None else lam * msgs[2 * arc + 1]
-        return self.ones[plan.cards[a]] if lam is None else lam
+        for slot in lams:
+            lam = msgs[slot] if lam is None else lam * msgs[slot]
+        return self.ones[self.plan.cards[a]] if lam is None else lam
 
     def core(self, a: int, to: int | None = None) -> np.ndarray:
         """The local rule behind every message and belief, one row per
@@ -507,21 +511,16 @@ class TwoPassRun:
         ranges over `to`'s states when it is a parent, else over `a`'s own
         (a pi message, or a belief when `to` is None).  The diagnostic
         vector enters as one operand because einsum takes at most 64."""
-        plan, msgs = self.plan, self.msgs
-        parents, first, tensor = plan.parents[a], plan.first[a], self.tensors[a]
-        n = len(parents)
-        operands = [tensor, _axes(n, tensor.ndim > n + 1)]
-        keep = n
-        for j, p in enumerate(parents):
-            if p == to:
-                keep = j
-            else:
-                operands += (msgs[2 * (first + j)], _ROW[j])
-        return np.einsum(*operands, self.diagnostic(a, to), _ROW[n], _ROW[keep])
+        _, table, pis, lams, own, out = self.plan.rules[a, to]
+        msgs = self.msgs
+        operands = [self.tensors[a], table]
+        for slot, sub in pis:
+            operands += (msgs[slot], sub)
+        return np.einsum(*operands, self.diagnostic(a, lams), own, out)
 
     def _send(self, a: int, to: int) -> np.ndarray:
         """Store the message `a` sends `to`; return its normalizers."""
-        slot = self.plan.slot(a, to)
+        slot = self.plan.rules[a, to].slot
         self.msgs[slot], sums = _normalize_rows(self.core(a, to))
         self.sent.append(slot)
         return sums
