@@ -25,7 +25,7 @@ from .errors import ImpossibleEvidenceError
 from .model import Cpt, Evidence, Network, check_evidence
 # bench/spans.py traces these under this module's names
 from .polytree import evidence_log_likelihood, fuse_belief, propagate  # noqa: F401
-from .polytree import two_pass_plan
+from .polytree import two_pass_plan, zero_mass
 
 
 @dataclass
@@ -141,8 +141,9 @@ def infer_conditioned(
 
     slices = net.state_slices()
     values = np.zeros((len(live), sum(plan.cards)))
-    for q in queries:
-        values[:, slices[q]] = run.belief(plan.ids[q])
+    masses = np.empty((len(queries), len(live)))
+    for k, q in enumerate(queries):
+        values[:, slices[q]], masses[k], _ = run.normalized(plan.ids[q])
     runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in plan.cases.tolist()]
     for row, case in enumerate(live.tolist()):
         if on_update is not None:
@@ -158,6 +159,10 @@ def infer_conditioned(
             f"evidence {{{shown}}} is impossible under every cutset case"
             if members else "evidence has probability zero"
         )
+    empty = (masses[:, run.possible] <= 0.0).any(axis=1)
+    if empty.any():  # a belief lost every state to underflow
+        q = queries[int(empty.argmax())]
+        raise ImpossibleEvidenceError(zero_mass(q), variable=q)
     log_weights = np.array(run.log_weights)[run.possible]
     top = log_weights.max()
     raw = np.exp(log_weights - top)

@@ -9,7 +9,9 @@ except the recipient (the pi of each parent, the evidence factor times the
 lambda of each child) and sums out every axis but the recipient's, or its
 own for a belief.  The rule runs on a plan compiled per network and loop
 cutset (`TwoPassPlan`), over integer node ids and message slots with one
-row per cutset case.  The two-pass schedule computes each message once.
+row per cutset case; the plan compiles, once, which slots each message
+and belief reads and writes (`Rule`).  The two-pass schedule computes
+each message once.
 The relaxations recompute the out-of-kilter messages of a one-case run of
 the empty-cutset plan until every one equals its recomputed value, and
 node beliefs are then read off the same rule, normalized.  The
@@ -20,7 +22,10 @@ Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
 table, equivalent to a dummy instantiated parent.  Messages are stored
 normalized; an all-zero message marks a branch that is impossible under the
-evidence and is deliberately left unnormalized.
+evidence and is deliberately left unnormalized.  A product of many
+children's lambdas can fall below the float range; a message or belief
+whose mass falls below 2^-500 is recomputed with its diagnostic vector
+rescaled by a power of two, which the evidence likelihood takes back out.
 """
 
 from __future__ import annotations
@@ -115,20 +120,19 @@ def _load(net: Network, state: MessageState) -> TwoPassRun:
     return run
 
 
-def _core(net: Network, state: MessageState, a: str, to: str | None = None) -> np.ndarray:
-    """`TwoPassRun.core` of `a` towards `to` on `state`'s messages (one row)."""
+def _loaded(net: Network, state: MessageState, a: str, to: str | None = None):
+    """`state` loaded into a one-case run (see `_load`), and the ids of
+    `a` and of `to` (None stays None)."""
     net.variable(a)  # an unknown name raises as it does everywhere else
     run = _load(net, state)
     ids = run.plan.ids
-    return run.core(ids[a], None if to is None else ids[to])
+    return run, ids[a], None if to is None else ids[to]
 
 
-def _normalized(bel: np.ndarray, what: str, variable: str) -> np.ndarray:
-    """`bel` divided by its sum; raises when `what` has zero mass."""
-    s = bel.sum()
-    if s <= 0.0:
-        raise ImpossibleEvidenceError(f"evidence is impossible: {what}", variable=variable)
-    return bel / s
+def zero_mass(variable: str) -> str:
+    """The message of the ImpossibleEvidenceError raised when a belief of
+    `variable` has zero mass although its case is possible."""
+    return f"evidence is impossible: belief of {variable} has zero mass"
 
 
 def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarray:
@@ -139,28 +143,37 @@ def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarra
     causal = {
         arc: LinkParameters(lp.pi, np.ones_like(lp.lam)) for arc, lp in state.messages.items()
     }
-    return _core(net, MessageState(causal, {}), a)[0]
+    run, i, _ = _loaded(net, MessageState(causal, {}), a)
+    return run.core(i)[0]
 
 
 def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Product of the evidence factor (if any) and every child's lambda
     message; all-ones for an uninstantiated leaf."""
-    net.variable(a)
-    run = _load(net, state)
-    i = run.plan.ids[a]
+    run, i, _ = _loaded(net, state, a)
     return run.diagnostic(i, run.plan.rules[i, None].lams)[0]
 
 
 def fuse_belief(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Normalized product of total causal and diagnostic support."""
-    return _normalized(_core(net, state, a)[0], f"belief of {a} has zero mass", a)
+    run, i, _ = _loaded(net, state, a)
+    belief, mass, _ = run.normalized(i)
+    if mass[0] <= 0.0:
+        raise ImpossibleEvidenceError(zero_mass(a), variable=a)
+    return belief[0]
 
 
 def link_belief(state: MessageState, parent: str, child: str) -> np.ndarray:
     """Belief of the parent read from one arc alone: normalized elementwise
     product of the arc's pi and lambda."""
     lp = state.messages[(parent, child)]
-    return _normalized(lp.pi * lp.lam, f"arc {parent}->{child} carries zero mass", parent)
+    bel = lp.pi * lp.lam
+    s = bel.sum()
+    if s <= 0.0:
+        raise ImpossibleEvidenceError(
+            f"evidence is impossible: arc {parent}->{child} carries zero mass", variable=parent
+        )
+    return bel / s
 
 
 def update_lambda_to_parent(
@@ -171,8 +184,8 @@ def update_lambda_to_parent(
     other parents.  Reads nothing from arc b->a itself."""
     if b not in net.parents(a):
         raise KeyError(f"{b} is not a parent of {a}")
-    message, _ = _normalize_rows(_core(net, state, a, b))
-    return message[0]
+    run, i, j = _loaded(net, state, a, b)
+    return run.normalized(i, j)[0][0]
 
 
 def update_pi_to_child(
@@ -183,8 +196,8 @@ def update_pi_to_child(
     children.  Reads nothing from arc a->x itself."""
     if x not in net.children(a):
         raise KeyError(f"{x} is not a child of {a}")
-    message, _ = _normalize_rows(_core(net, state, a, x))
-    return message[0]
+    run, i, j = _loaded(net, state, a, x)
+    return run.normalized(i, j)[0][0]
 
 
 def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
@@ -259,7 +272,7 @@ def _run_synchronous(net, run, on_update):
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
-        new = [_normalize_rows(run.core(s, r))[0] for s, r in keys]
+        new = [run.normalized(s, r)[0] for s, r in keys]
         moved = sum(_store(run, key, m, on_update, sweep) for key, m in zip(keys, new))
         updates += moved
         if not moved:
@@ -287,7 +300,7 @@ def _run_fair_random(net, run, seed, on_update):
             continue
         dirty.remove(key)
         s, r = key
-        new = _normalize_rows(run.core(s, r))[0]
+        new = run.normalized(s, r)[0]
         if _store(run, key, new, on_update, updates + 1):
             updates += 1
             # every message r sends reads this one, except the one back to s
@@ -314,11 +327,8 @@ _CASE = 51
 _ROW = [[_CASE, j] for j in range(_CASE)]
 
 
-def _normalize_rows(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row divided by its sum (a row summing to 0 stays 0), and the
-    row sums."""
-    sums = core.sum(axis=1)
-    return core / (sums if sums.all() else np.where(sums > 0, sums, 1.0))[:, None], sums
+#: a row sum below this is recomputed with the diagnostic vector rescaled
+_TINY = 2.0**-500
 
 
 @functools.cache
@@ -452,7 +462,9 @@ class TwoPassRun:
     collect message is its exact unnormalized value divided by its own
     normalizer and every normalizer below it, so all of them times the
     root's mass give each case's P(evidence): `log_weights`, valid where
-    `possible`."""
+    `possible`.  A normalizer computed from a rescaled diagnostic vector
+    (see `normalized`) comes with its power of two, which `log_weights`
+    takes back out, so a product below the float range stays exact."""
 
     __slots__ = ("plan", "n_cases", "tensors", "factors", "ones", "msgs", "sent",
                  "possible", "log_weights")
@@ -481,18 +493,19 @@ class TwoPassRun:
         """Send every message once: collect towards each tree's root, then
         distribute away from it."""
         plan = self.plan
-        scales = [np.ones(self.n_cases)]  # collect normalizers, then each root's mass
+        collected = []  # (normalizers, shift) of each collect message, then of each root's mass
         for root, nodes, towards in plan.trees:
-            scales += [self._send(a, to) for a, to in zip(reversed(nodes), reversed(towards))]
-            scales.append(self.core(root).sum(axis=1))
+            collected += [self._send(a, to) for a, to in zip(reversed(nodes), reversed(towards))]
+            collected.append(self.normalized(root)[1:])
         for _, nodes, towards in plan.trees:
             for a, to in zip(nodes, towards):
                 self._send(to, a)
-        scales = np.array(scales)
+        scales = np.array([np.ones(self.n_cases)] + [sums for sums, _ in collected])
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
         self.possible = (scales > 0).all(axis=0)
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
-        self.log_weights = np.add.accumulate(logs)[-1].tolist()
+        shift = sum(shift for _, shift in collected)
+        self.log_weights = (np.add.accumulate(logs)[-1] - shift * math.log(2.0)).tolist()
 
     def diagnostic(self, a: int, lams) -> np.ndarray:
         """Evidence factor of node `a` times the lambda in each slot of
@@ -503,32 +516,60 @@ class TwoPassRun:
             lam = msgs[slot] if lam is None else lam * msgs[slot]
         return self.ones[self.plan.cards[a]] if lam is None else lam
 
-    def core(self, a: int, to: int | None = None) -> np.ndarray:
+    def _rescaled(self, a: int, lams) -> tuple[np.ndarray, np.ndarray]:
+        """`diagnostic(a, lams)` times 2**shift per row, and `shift`.  The
+        product is formed from mantissas and exponents kept apart, so no
+        entry underflows on the way; then each row is scaled by the power
+        of two that brings its largest entry to [0.5, 1).  An entry more
+        than 2^-1074 below its row's largest still ends as 0."""
+        factors = [self.diagnostic(a, ()), *(self.msgs[slot] for slot in lams)]
+        mants, pows = np.frexp(np.array(factors))
+        lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
+        for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
+            lam, e = np.frexp(lam * np.prod(mants[start:start + 512], axis=0))
+            power += e
+        top = np.where(lam > 0, power, power.min()).max(axis=1)  # moot for an all-zero row
+        return np.ldexp(lam, power - top[:, None]), -top
+
+    def core(self, a: int, to: int | None = None, lam: np.ndarray | None = None) -> np.ndarray:
         """The local rule behind every message and belief, one row per
         case: node `a`'s table times the pi message of each parent and its
         `diagnostic` vector, summed over every axis but the recipient's.
         Whatever comes from the neighbor `to` is left out; the result
         ranges over `to`'s states when it is a parent, else over `a`'s own
         (a pi message, or a belief when `to` is None).  The diagnostic
-        vector enters as one operand because einsum takes at most 64."""
+        vector enters as one operand because einsum takes at most 64;
+        `lam`, when given, stands for it."""
         _, table, pis, lams, own, out = self.plan.rules[a, to]
         msgs = self.msgs
         operands = [self.tensors[a], table]
         for slot, sub in pis:
             operands += (msgs[slot], sub)
-        return np.einsum(*operands, self.diagnostic(a, lams), own, out)
+        return np.einsum(*operands, self.diagnostic(a, lams) if lam is None else lam, own, out)
 
-    def _send(self, a: int, to: int) -> np.ndarray:
-        """Store the message `a` sends `to`; return its normalizers."""
+    def normalized(self, a: int, to: int | None = None):
+        """`core(a, to)` with each row divided by its sum (a row summing to
+        0 stays 0), the row sums, and the power of two by which each sum
+        exceeds the true one.  A row summing below 2^-500, which may have
+        underflowed, is recomputed from the `_rescaled` diagnostic vector;
+        every other row keeps its bits and a shift of 0."""
+        core = self.core(a, to)
+        sums = core.sum(axis=1)
+        if sums.min() >= _TINY:
+            return core / sums[:, None], sums, 0
+        low = sums < _TINY
+        lam, shift = self._rescaled(a, self.plan.rules[a, to].lams)
+        core[low] = self.core(a, to, lam)[low]
+        sums = core.sum(axis=1)
+        return core / np.where(sums > 0, sums, 1.0)[:, None], sums, np.where(low, shift, 0)
+
+    def _send(self, a: int, to: int):
+        """Store the message `a` sends `to`; return its normalizers and
+        their shift."""
         slot = self.plan.rules[a, to].slot
-        self.msgs[slot], sums = _normalize_rows(self.core(a, to))
+        self.msgs[slot], sums, shift = self.normalized(a, to)
         self.sent.append(slot)
-        return sums
-
-    def belief(self, a: int) -> np.ndarray:
-        """Normalized belief of node `a`, one row per case (0 where the
-        case is impossible)."""
-        return _normalize_rows(self.core(a))[0]
+        return sums, shift
 
     def records(self, case: int):
         """The TraceRecords of one case: each message that moved away from

@@ -78,6 +78,44 @@ def diamond_net(prefix: str = "", seed: int = 3) -> Network:
     )
 
 
+def binary_star(d: int, rng: random.Random):
+    """Root R with prior (0.35, 0.65) and d binary children c0, c1, ...
+    (zero-padded) with tables drawn from `rng`; returns the network, the
+    prior and the tables."""
+    prior = np.array([0.35, 0.65])
+    tables = [random_table(rng, 2, 2) for _ in range(d)]
+    children = [f"c{i:0{len(str(d - 1))}d}" for i in range(d)]
+    net = build_net(
+        [("R", ("f", "t"))] + [(c, ("f", "t")) for c in children],
+        [("R", (), [prior])] + [(c, ("R",), t) for c, t in zip(children, tables)],
+    )
+    return net, prior, tables
+
+
+def faint_evidence_net() -> Network:
+    """Root r, uniform, with children c0 ... c3 whose rows are (1, 1e-200)
+    and (1e-200, 1), mirrored for c2 and c3.  Observing every child at f
+    has probability 1e-400 and leaves r uniform."""
+    rows = [[1.0, 1e-200], [1e-200, 1.0]]
+    return build_net(
+        [(v, ("f", "t")) for v in ("r", "c0", "c1", "c2", "c3")],
+        [("r", (), [[0.5, 0.5]])]
+        + [(f"c{i}", ("r",), rows if i < 2 else rows[::-1]) for i in range(4)],
+    )
+
+
+def lost_state_net() -> Network:
+    """Root r with prior (0, 1) and children c0, c1 with rows (1, 1e-200)
+    and (1e-200, 1).  Observing both at f has probability 1e-400, all of
+    it on r=t, whose diagnostic support lies 1e-400 below r=f's: more
+    than a double can hold apart within one vector."""
+    rows = [[1.0, 1e-200], [1e-200, 1.0]]
+    return build_net(
+        [(v, ("f", "t")) for v in ("r", "c0", "c1")],
+        [("r", (), [[0.0, 1.0]]), ("c0", ("r",), rows), ("c1", ("r",), rows)],
+    )
+
+
 def random_table(rng: random.Random, rows: int, k: int, low: float = 0.05):
     t = np.array([[rng.uniform(low, 1.0) for _ in range(k)] for _ in range(rows)])
     return t / t.sum(axis=1, keepdims=True)

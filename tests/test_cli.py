@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,13 @@ from beliefprop.cli import run
 from beliefprop.conditioning import auto_infer
 from beliefprop.netformat import parse, parse_evidence, serialize
 
-from helpers import random_loopy, random_polytree
+from helpers import (
+    binary_star,
+    faint_evidence_net,
+    lost_state_net,
+    random_loopy,
+    random_polytree,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAIN = str(FIXTURES / "chain.bn")
@@ -169,6 +176,36 @@ class TestInfer:
         code, _, err = cli("infer", DETERMINISTIC, "-e", "A=f", "-e", "B=t")
         assert code == 4
         assert "impossible" in err
+
+    @pytest.mark.parametrize("method", ["auto", "polytree", "conditioning"])
+    def test_query_belief_without_mass_exit_4(self, tmp_path, method):
+        # P(e) = 1e-400 > 0, but r's belief lost every state (the oracle
+        # keeps it); this used to end in a KeyError traceback
+        path = tmp_path / "lost.bn"
+        path.write_text(serialize(lost_state_net()))
+        code, out, err = cli("infer", str(path), "-e", "c0=f", "-e", "c1=f", "--method", method)
+        assert (code, out) == (4, "")
+        assert err == "impossible evidence: evidence is impossible: belief of r has zero mass\n"
+        code, out, _ = cli("infer", str(path), "-e", "c0=f", "-e", "c1=f", "--method", "exact")
+        assert (code, out) == (0, "BEL(r) f=0.000000 t=1.000000\n")
+
+    @pytest.mark.parametrize("method", ["auto", "polytree", "conditioning"])
+    def test_evidence_of_probability_1e_400(self, tmp_path, method):
+        path = tmp_path / "faint.bn"
+        path.write_text(serialize(faint_evidence_net()))
+        evidence = ["-e", "c0=f", "-e", "c1=f", "-e", "c2=f", "-e", "c3=f"]
+        code, out, err = cli("infer", str(path), *evidence, "--likelihood", "--method", method)
+        assert (code, out, err) == (0, "BEL(r) f=0.500000 t=0.500000\nP(e) = 1e-400\n", "")
+
+    def test_star_with_1100_children_exit_0(self, tmp_path):
+        # its lambda product underflowed to "impossible evidence" (exit 4)
+        path = tmp_path / "star.bn"
+        path.write_text(serialize(binary_star(1100, random.Random(3))[0]))
+        code, out, err = cli("infer", str(path), "-q", "R", "--likelihood")
+        assert (code, err) == (0, "")
+        belief, likelihood = out.splitlines()
+        assert belief == "BEL(R) f=0.350000 t=0.650000"
+        assert float(likelihood.removeprefix("P(e) = ")) == pytest.approx(1.0, abs=1e-9)
 
     def test_non_convergence_exit_5(self, monkeypatch):
         from beliefprop import cli as cli_mod

@@ -16,11 +16,14 @@ from beliefprop.oracle import oracle_evidence_probability, oracle_marginal
 from beliefprop.polytree import evidence_log_likelihood, fuse_belief, propagate
 
 from helpers import (
+    binary_star,
     build_net,
     chain_net,
     diamond_net,
+    faint_evidence_net,
     fig1_fixed,
     fig1_net,
+    lost_state_net,
     random_loopy,
     random_polytree,
     random_table,
@@ -93,6 +96,22 @@ class TestConditionNetwork:
     def test_incomplete_assignment_rejected(self):
         with pytest.raises(ValueError, match="cover"):
             condition_network(fig1_net(), ["x1"], {})
+
+    @pytest.mark.parametrize("seed", [None, *range(8)])
+    def test_plan_tensors_are_the_sliced_tables(self, seed):
+        # each case row of a plan tensor is the table this function slices
+        # (which the reduced network's Cpt renormalizes, to within an ulp)
+        net = fig1_net(seed=5) if seed is None else random_loopy(seed)[0]
+        members = cutset.greedy_cutset(net)
+        plan = polytree.two_pass_plan(net, members)
+        for k, combo in enumerate(plan.cases.tolist()):
+            reduced, _ = condition_network(net, members, dict(zip(members, combo)))
+            for v, tensor in zip(plan.names, plan.tensors):
+                if any(p in members for p in net.parents(v)):
+                    np.testing.assert_allclose(tensor[k], reduced.cpt_tensor(v), rtol=0, atol=1e-15)
+                else:
+                    assert tensor is net.cpt_tensor(v)
+                    np.testing.assert_array_equal(tensor, reduced.cpt_tensor(v))
 
 
 class TestInferConditioned:
@@ -307,6 +326,38 @@ class TestAutoInfer:
         )
         with pytest.raises(ImpossibleEvidenceError, match="^evidence has probability zero$"):
             auto_infer(net, {"A": 0, "B": 1}, ["A"])
+
+    def test_star_with_1100_children_keeps_its_priors(self):
+        # the product of the children's lambdas is 2^-1100 at the root
+        net, prior, tables = binary_star(1100, random.Random(3))
+        mixed = auto_infer(net, {}, net.var_names())
+        assert mixed.log_likelihood == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(mixed.beliefs["R"], prior, atol=1e-9)
+        for c, table in zip(net.children("R"), tables):
+            np.testing.assert_allclose(mixed.beliefs[c], prior @ table, atol=1e-9)
+
+    def test_evidence_of_probability_1e_400_keeps_the_root_uniform(self):
+        net = faint_evidence_net()
+        evidence = {"c0": 0, "c1": 0, "c2": 0, "c3": 0}
+        mixed = auto_infer(net, evidence, ["r"])
+        np.testing.assert_allclose(mixed.beliefs["r"], [0.5, 0.5], atol=1e-9)
+        assert mixed.log_likelihood == pytest.approx(-400 * math.log(10), abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["auto", "empty cutset"])
+    def test_query_belief_without_mass_raises(self, method):
+        # a possible case whose belief of r lost every state used to be
+        # mixed as all-zero and read back as a missing query (KeyError)
+        net, evidence = lost_state_net(), {"c0": 0, "c1": 0}
+        message = "^evidence is impossible: belief of r has zero mass$"
+        with pytest.raises(ImpossibleEvidenceError, match=message) as info:
+            if method == "auto":
+                auto_infer(net, evidence, ["c1", "r"])
+            else:
+                infer_conditioned(net, evidence, [], ["r"])
+        assert info.value.variable == "r"
+        assert auto_infer(net, evidence, ["c1"]).log_likelihood == pytest.approx(
+            -400 * math.log(10), abs=1e-9
+        )
 
     def test_polytree_is_one_empty_case_of_weight_one(self):
         net, evidence = random_polytree(4, max_nodes=10)

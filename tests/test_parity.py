@@ -27,7 +27,8 @@ def _record(h, *parts) -> None:
 
 
 def _trace(h, rec) -> None:
-    _record(h, rec.sweep, rec.parent, rec.child, rec.direction, rec.old.tobytes(), rec.new.tobytes())
+    _record(h, rec.sweep, rec.parent, rec.child, rec.direction)
+    _record(h, rec.old.tobytes(), rec.new.tobytes())
 
 
 def _auto_infer(h, net, evidence) -> None:

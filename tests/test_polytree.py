@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beliefprop.cutset import greedy_cutset
 from beliefprop.errors import ConvergenceError, ImpossibleEvidenceError
 from beliefprop.model import Network, validate
 from beliefprop.oracle import oracle_evidence_probability, oracle_marginal
@@ -20,11 +21,21 @@ from beliefprop.polytree import (
     propagate,
     total_causal_support,
     total_diagnostic_support,
+    two_pass_plan,
     update_lambda_to_parent,
     update_pi_to_child,
 )
 
-from helpers import build_net, chain_net, fig1_net, random_polytree, random_table
+from helpers import (
+    binary_star,
+    build_net,
+    chain_net,
+    fig1_net,
+    lost_state_net,
+    random_loopy,
+    random_polytree,
+    random_table,
+)
 
 
 def deterministic_chain():
@@ -257,6 +268,17 @@ class TestFuseBelief:
         with pytest.raises(ImpossibleEvidenceError) as info:
             fuse_belief(net, state, "A")
         assert info.value.variable == "A"
+
+    def test_state_lost_below_double_range_is_zero_mass(self):
+        # P(e) = 1e-400, all on r=t; r's diagnostic vector cannot hold
+        # both states, so its belief has no mass left
+        net = lost_state_net()
+        state, stats = propagate(net, {"c0": 0, "c1": 0}, schedule="two-pass")
+        assert stats.log_likelihood == pytest.approx(-400 * math.log(10), abs=1e-9)
+        message = "^evidence is impossible: belief of r has zero mass$"
+        with pytest.raises(ImpossibleEvidenceError, match=message) as info:
+            fuse_belief(net, state, "r")
+        assert info.value.variable == "r"
 
 
 class TestLinkBelief:
@@ -518,23 +540,29 @@ class TestPropagate:
     @pytest.mark.parametrize("schedule", ["synchronous", "fair-random", "two-pass"])
     def test_root_with_80_observed_children(self, schedule):
         # one lambda operand per child would exceed einsum's 64 operands
-        rng = random.Random(80)
-        prior = np.array([0.35, 0.65])
-        tables = [random_table(rng, 2, 2) for _ in range(80)]
-        observed = [rng.randrange(2) for _ in range(80)]
-        children = [f"c{i:02d}" for i in range(80)]
-        net = build_net(
-            [("R", ("f", "t"))] + [(c, ("f", "t")) for c in children],
-            [("R", (), [prior])] + [(c, ("R",), t) for c, t in zip(children, tables)],
-        )
-        evidence = dict(zip(children, observed))
-        joint = prior * np.prod([t[:, s] for t, s in zip(tables, observed)], axis=0)
+        self.check_observed_star(80, schedule, checked=80)
+
+    def test_root_with_1100_observed_children(self):
+        # the product of the children's lambdas falls below 2^-1074; each
+        # fuse_belief call loads every message, so check a few children
+        self.check_observed_star(1100, "two-pass", checked=3)
+
+    @staticmethod
+    def check_observed_star(d, schedule, checked):
+        rng = random.Random(d)
+        net, prior, tables = binary_star(d, rng)
+        evidence = {c: rng.randrange(2) for c in net.children("R")}
+        # log P(R, e) and log P(e), in log space
+        observed = zip(tables, evidence.values())
+        log_joint = np.log(prior) + sum(np.log(t[:, s]) for t, s in observed)
+        top = log_joint.max()
+        log_p = top + math.log(np.exp(log_joint - top).sum())
         state, stats = propagate(net, evidence, schedule=schedule)
-        np.testing.assert_allclose(fuse_belief(net, state, "R"), joint / joint.sum(), atol=1e-9)
-        for c, s in evidence.items():
+        np.testing.assert_allclose(fuse_belief(net, state, "R"), np.exp(log_joint - log_p), atol=1e-9)
+        for c, s in list(evidence.items())[:checked]:
             np.testing.assert_allclose(fuse_belief(net, state, c), np.eye(2)[s], atol=1e-9)
         if schedule == "two-pass":
-            assert stats.log_likelihood == pytest.approx(math.log(joint.sum()), abs=1e-9)
+            assert stats.log_likelihood == pytest.approx(log_p, abs=1e-9)
 
     def test_two_pass_reports_impossible_evidence_as_none(self):
         net = deterministic_chain()
@@ -590,3 +618,30 @@ class TestEvidenceLogLikelihood:
         )
         got = evidence_log_likelihood(net, {"B": 0, "C": 1})
         assert got == pytest.approx(math.log(0.41 * 0.75), abs=1e-12)
+
+
+class TestTwoPassPlan:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_record_names_every_compiled_rule(self, seed):
+        net, _ = random_loopy(seed) if seed % 2 else random_polytree(seed)
+        members = greedy_cutset(net)
+        plan = two_pass_plan(net, members)
+        kept = [(p, c) for p, c in net.edges() if p not in members]
+        assert [(plan.names[i], plan.names[j]) for i, j in plan.arcs] == kept
+        old, new = np.zeros(2), np.ones(2)
+        slots = []
+        for (a, to), rule in plan.rules.items():
+            if to is None:
+                assert rule.slot is None
+                continue
+            sender, receiver = plan.names[a], plan.names[to]
+            if receiver in net.parents(sender):
+                expected = (receiver, sender, "lambda")
+            else:
+                expected = (sender, receiver, "pi")
+            rec = plan.record(3, rule.slot, old, new)
+            assert (rec.sweep, rec.parent, rec.child, rec.direction) == (3, *expected)
+            assert rec.old is old and rec.new is new
+            slots.append(rule.slot)
+        assert sorted(slots) == list(range(2 * len(kept)))
+        assert len(plan.rules) == len(plan.names) + 2 * len(kept)
