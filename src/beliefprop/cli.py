@@ -191,8 +191,9 @@ def _cmd_dsep(args, out) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     print("d-separated" if separated else "connected", file=out)
-    for path in dsep.list_paths(net, args.x, args.y):
-        blockers = dsep.blocking_nodes(net, path, given)
+    given = set(given)
+    for path in dsep.list_paths(net, args.x, args.y):  # simple paths: no need to check them
+        blockers = dsep._blocking_nodes(net, path, given)
         label = f"blocked at {', '.join(blockers)}" if blockers else "open"
         print(f"path {'-'.join(path.nodes)}: {label}", file=out)
     return EXIT_OK

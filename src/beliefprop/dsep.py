@@ -90,7 +90,12 @@ def _check_path(net: Network, path: UndirectedPath) -> None:
 def blocking_nodes(net: Network, path: UndirectedPath, given) -> list[str]:
     """Interior nodes that stop the path under conditioning set `given`."""
     _check_path(net, path)
-    s = set(given)
+    return _blocking_nodes(net, path, set(given))
+
+
+def _blocking_nodes(net: Network, path: UndirectedPath, s: set) -> list[str]:
+    """`blocking_nodes` of a path known to be simple in `net`, such as one
+    that `_walk_paths` produced."""
     out = []
     for node, kind in zip(path.interior(), path.kinds(net)):
         if kind == CONVERGING:
@@ -114,4 +119,4 @@ def d_separated(net: Network, x: str, y: str, given) -> bool:
         raise ValueError("the conditioning set may not contain an endpoint")
     for v in (x, y, *s):
         net.variable(v)
-    return all(is_blocked(net, p, s) for p in _walk_paths(net, x, y))
+    return all(_blocking_nodes(net, p, s) for p in _walk_paths(net, x, y))

@@ -110,47 +110,45 @@ class Network:
 
     def children(self, name: str) -> tuple[str, ...]:
         self.variable(name)
-        return self._children_map().get(name, ())
+        return self.cached("children", self._children_map).get(name, ())
 
     def edges(self) -> list[tuple[str, str]]:
         """Directed arcs parent -> child, in declaration order of the child."""
-        if "edges" not in self._cache:
-            out = []
-            for v in self.variables:
-                cpt = self.cpts.get(v.name)
-                if cpt is not None:
-                    out.extend((p, v.name) for p in cpt.parents)
-            self._cache["edges"] = out
-        return self._cache["edges"]
+        return self.cached("edges", self._edges)
+
+    def _edges(self) -> list[tuple[str, str]]:
+        out = []
+        for v in self.variables:
+            cpt = self.cpts.get(v.name)
+            if cpt is not None:
+                out.extend((p, v.name) for p in cpt.parents)
+        return out
 
     def _children_map(self) -> dict[str, tuple[str, ...]]:
-        if "children" not in self._cache:
-            acc: dict[str, list[str]] = {}
-            for p, c in self.edges():
-                acc.setdefault(p, []).append(c)
-            self._cache["children"] = {p: tuple(cs) for p, cs in acc.items()}
-        return self._cache["children"]
+        acc: dict[str, list[str]] = {}
+        for p, c in self.edges():
+            acc.setdefault(p, []).append(c)
+        return {p: tuple(cs) for p, cs in acc.items()}
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         """Adjacent variables in the underlying undirected graph, sorted."""
-        key = ("neighbors", name)
-        if key not in self._cache:
-            self._cache[key] = tuple(sorted({*self.parents(name), *self.children(name)}))
-        return self._cache[key]
+        return self.cached(
+            ("neighbors", name), lambda: tuple(sorted({*self.parents(name), *self.children(name)}))
+        )
 
     def descendants(self, name: str) -> frozenset[str]:
-        memo = self._cache.setdefault("descendants", {})
-        if name not in memo:
-            self.variable(name)
-            seen: set[str] = set()
-            stack = list(self.children(name))
-            while stack:
-                v = stack.pop()
-                if v not in seen:
-                    seen.add(v)
-                    stack.extend(self.children(v))
-            memo[name] = frozenset(seen)
-        return memo[name]
+        return self.cached(("descendants", name), lambda: self._descendants(name))
+
+    def _descendants(self, name: str) -> frozenset[str]:
+        self.variable(name)
+        seen: set[str] = set()
+        stack = list(self.children(name))
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(self.children(v))
+        return frozenset(seen)
 
     # ------------------------------------------------------------------
     # topology
@@ -159,55 +157,58 @@ class Network:
     def topological_order(self) -> list[str]:
         """Parents before children, lexicographic tie-break.  On a cyclic
         graph the result is partial (shorter than the variable count)."""
-        if "topo" not in self._cache:
-            indeg = {v.name: 0 for v in self.variables}
-            for _, c in self.edges():
-                indeg[c] += 1
-            ready = [n for n, d in indeg.items() if d == 0]
-            heapq.heapify(ready)
-            order = []
-            while ready:
-                n = heapq.heappop(ready)
-                order.append(n)
-                for c in self.children(n):
-                    indeg[c] -= 1
-                    if indeg[c] == 0:
-                        heapq.heappush(ready, c)
-            self._cache["topo"] = order
-        return self._cache["topo"]
+        return self.cached("topo", self._topological_order)
+
+    def _topological_order(self) -> list[str]:
+        indeg = {v.name: 0 for v in self.variables}
+        for _, c in self.edges():
+            indeg[c] += 1
+        ready = [n for n, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for c in self.children(n):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(ready, c)
+        return order
 
     def is_singly_connected(self) -> bool:
         """True iff the underlying undirected graph is a forest."""
-        if "forest" not in self._cache:
-            self._cache["forest"] = is_forest(self.edges(), self.var_names())
-        return self._cache["forest"]
+        return self.cached("forest", lambda: is_forest(self.edges(), self.var_names()))
 
     def cached(self, key, build):
         """The value cached under `key`, made by `build()` on first use; a
         build that raises caches nothing."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        self._cache[key] = value = build()
+        return value
 
     def underlying_diameter(self) -> int:
         """Longest shortest-path length in the underlying undirected graph,
         maximized over connected components."""
-        if "diameter" not in self._cache:
-            best = 0
-            for v in self.variables:
-                dist = {v.name: 0}
-                frontier = [v.name]
-                while frontier:
-                    nxt = []
-                    for n in frontier:
-                        for m in self.neighbors(n):
-                            if m not in dist:
-                                dist[m] = dist[n] + 1
-                                nxt.append(m)
-                    frontier = nxt
-                best = max(best, max(dist.values()))
-            self._cache["diameter"] = best
-        return self._cache["diameter"]
+        return self.cached("diameter", self._diameter)
+
+    def _diameter(self) -> int:
+        best = 0
+        for v in self.variables:
+            dist = {v.name: 0}
+            frontier = [v.name]
+            while frontier:
+                nxt = []
+                for n in frontier:
+                    for m in self.neighbors(n):
+                        if m not in dist:
+                            dist[m] = dist[n] + 1
+                            nxt.append(m)
+                frontier = nxt
+            best = max(best, max(dist.values()))
+        return best
 
     # ------------------------------------------------------------------
     # table addressing
@@ -223,22 +224,21 @@ class Network:
     def state_slices(self) -> dict[str, slice]:
         """Each variable's slice of a vector over the states of all
         variables, in declaration order."""
-        if "slices" not in self._cache:
-            stops = itertools.accumulate(v.card for v in self.variables)
-            self._cache["slices"] = {
-                v.name: slice(stop - v.card, stop) for v, stop in zip(self.variables, stops)
-            }
-        return self._cache["slices"]
+        return self.cached("slices", self._state_slices)
+
+    def _state_slices(self) -> dict[str, slice]:
+        stops = itertools.accumulate(v.card for v in self.variables)
+        return {v.name: slice(stop - v.card, stop) for v, stop in zip(self.variables, stops)}
 
     def cpt_tensor(self, name: str) -> np.ndarray:
         """CPT reshaped to one axis per parent (declared order) plus a final
         child axis."""
-        key = ("tensor", name)
-        if key not in self._cache:
-            cpt = self.cpt(name)
-            shape = tuple(self.card(p) for p in cpt.parents) + (cpt.n_states,)
-            self._cache[key] = cpt.table.reshape(shape)
-        return self._cache[key]
+        return self.cached(("tensor", name), lambda: self._cpt_tensor(name))
+
+    def _cpt_tensor(self, name: str) -> np.ndarray:
+        cpt = self.cpt(name)
+        shape = tuple(self.card(p) for p in cpt.parents) + (cpt.n_states,)
+        return cpt.table.reshape(shape)
 
 
 def forest_walks(nodes, neighbors) -> tuple:
