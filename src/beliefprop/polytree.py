@@ -241,8 +241,9 @@ def propagate(
     reports as a None log-likelihood.  All three reach the same fixpoint.
     """
     state = init_messages(net, evidence)
+    run = _load(net, state)
     if schedule == "two-pass":
-        run = two_pass_plan(net, []).run(evidence)
+        run.two_pass()
         records = list(run.records(0))
         log_likelihood = run.log_weights[0] if run.possible[0] else None
         stats = PropagationStats(sweeps=1, updates=len(records), log_likelihood=log_likelihood)
@@ -250,10 +251,8 @@ def propagate(
             for rec in records:
                 on_update(rec)
     elif schedule == "synchronous":
-        run = _load(net, state)
         stats = _run_synchronous(net, run, on_update)
     elif schedule == "fair-random":
-        run = _load(net, state)
         stats = _run_fair_random(net, run, seed, on_update)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -332,6 +331,11 @@ _TINY = 2.0**-500
 
 
 @functools.cache
+def _axes(n_parents: int, batched: bool) -> list[int]:
+    return [_CASE] * batched + list(range(n_parents + 1))
+
+
+@functools.cache
 def _eye(k: int) -> np.ndarray:
     eye = np.eye(k)
     eye.flags.writeable = False
@@ -400,16 +404,19 @@ class TwoPassPlan:
             slots[p, c], slots[c, p] = 2 * arc, 2 * arc + 1  # the arc's pi and lambda
             ups[c].append(p)
             downs[p].append(c)
-        self.rules, neighbors = {}, {}
+        self.rules = rules = {}
+        neighbors = {}
         for a, tensor in enumerate(self.tensors):
             neighbors[self.names[a]] = sorted(self.names[k] for k in (*ups[a], *downs[a]))
             n = len(ups[a])
-            table = [_CASE] * (tensor.ndim > n + 1) + list(range(n + 1))
-            for to in (None, *ups[a], *downs[a]):
-                pis = tuple((slots[p, a], _ROW[j]) for j, p in enumerate(ups[a]) if p != to)
-                lams = tuple(slots[c, a] for c in downs[a] if c != to)
-                out = _ROW[ups[a].index(to) if to in ups[a] else n]
-                self.rules[a, to] = Rule(slots.get((a, to)), table, pis, lams, _ROW[n], out)
+            table, own = _axes(n, tensor.ndim > n + 1), _ROW[n]
+            pis = tuple((slots[p, a], _ROW[j]) for j, p in enumerate(ups[a]))
+            lams = tuple(slots[c, a] for c in downs[a])
+            rules[a, None] = Rule(None, table, pis, lams, own, own)
+            for j, p in enumerate(ups[a]):  # the lambda message to parent j
+                rules[a, p] = Rule(slots[a, p], table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
+            for k, c in enumerate(downs[a]):  # the pi message to child k
+                rules[a, c] = Rule(slots[a, c], table, pis, lams[:k] + lams[k + 1:], own, own)
         self.trees = []
         for root, walk in forest_walks(self.names, neighbors.__getitem__):
             nodes = tuple(self.ids[a] for a, _ in walk)
