@@ -529,8 +529,9 @@ class TwoPassRun:
         entry underflows on the way; then each row is scaled by the power
         of two that brings its largest entry to [0.5, 1).  An entry more
         than 2^-1074 below its row's largest still ends as 0."""
-        factors = [self.diagnostic(a, ()), *(self.msgs[slot] for slot in lams)]
-        mants, pows = np.frexp(np.array(factors))
+        factors = [self.diagnostic(a, ()), *map(self.msgs.__getitem__, lams)]
+        stacked = np.concatenate(factors).reshape(len(factors), self.n_cases, -1)
+        mants, pows = np.frexp(stacked)
         lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
         for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
             lam, e = np.frexp(lam * np.prod(mants[start:start + 512], axis=0))
