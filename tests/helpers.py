@@ -164,6 +164,34 @@ def random_polytree(
     return net, evidence
 
 
+def bushy_polytree(seed: int, n: int = 40, max_card: int = 4, max_parents: int = 3):
+    """A random singly-connected network of n variables with 2..max_card
+    states, plus evidence on a tenth of them.  Each variable links to a
+    uniformly drawn earlier one, so the tree is shallow and many nodes
+    share a depth; the arc points into the earlier one while it has fewer
+    than `max_parents` parents, else out of it."""
+    rng = random.Random(seed)
+    cards = [rng.randint(2, max_card) for _ in range(n)]
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        j = rng.randrange(i)
+        if len(parents[j]) < max_parents and rng.random() < 0.5:
+            parents[j].append(i)
+        else:
+            parents[i].append(j)
+    names = [f"b{i:02d}" for i in range(n)]
+    net = build_net(
+        [(names[i], tuple(f"s{k}" for k in range(cards[i]))) for i in range(n)],
+        [
+            (names[i], tuple(names[p] for p in parents[i]),
+             random_table(rng, math.prod(cards[p] for p in parents[i]), cards[i]))
+            for i in range(n)
+        ],
+    )
+    picked = rng.sample(range(n), n // 10)
+    return net, {names[i]: rng.randrange(cards[i]) for i in picked}
+
+
 def random_loopy(
     seed: int, max_nodes: int = 12, min_nodes: int = 4, max_evidence: int = 3
 ):
