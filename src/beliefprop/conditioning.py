@@ -142,8 +142,8 @@ def infer_conditioned(
     slices = net.state_slices()
     values = np.zeros((len(live), sum(plan.cards)))
     masses = np.empty((len(queries), len(live)))
-    for k, q in enumerate(queries):
-        values[:, slices[q]], masses[k], _ = run.normalized(plan.ids[q])
+    for k, belief, mass in run.beliefs([plan.ids[q] for q in queries]):
+        values[:, slices[queries[k]]], masses[k] = belief, mass
     runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in plan.cases.tolist()]
     for row, case in enumerate(live.tolist()):
         if on_update is not None:

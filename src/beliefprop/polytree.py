@@ -8,10 +8,18 @@ schedule: a node multiplies its CPT by what it holds from each neighbor
 except the recipient (the pi of each parent, the evidence factor times the
 lambda of each child) and sums out every axis but the recipient's, or its
 own for a belief.  The rule runs on a plan compiled per network and loop
-cutset (`TwoPassPlan`), over integer node ids and message slots with one
-row per cutset case; the plan compiles, once, which slots each message
-and belief reads and writes (`Rule`).  The two-pass schedule computes
-each message once.
+cutset (`TwoPassPlan`), over integer node ids and one buffer of
+zero-padded message rows with a row per cutset case; the plan compiles,
+once, which rows each message and belief reads and writes (`Rule`).
+
+The two-pass schedule computes each message once.  The messages at one
+tree depth depend only on deeper ones (collect) or shallower ones
+(distribute), so the plan compiles the schedule into steps (`Step`), each
+one einsum over a batch of same-shaped messages of one depth with their
+tables padded and stacked; a run of single messages, such as a chain's,
+goes through the per-message rule.  Every result has the bits the
+per-message rule gives it, and log P(evidence) and the trace keep the
+order of the sequential schedule.
 The relaxations recompute the out-of-kilter messages of a one-case run of
 the empty-cutset plan until every one equals its recomputed value, and
 node beliefs are then read off the same rule, normalized.  The
@@ -33,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -115,8 +124,8 @@ def _load(net: Network, state: MessageState) -> TwoPassRun:
     run = TwoPassRun(plan, state.evidence_factor, np.arange(1))
     for i, j in plan.arcs:
         lp = state.messages[plan.names[i], plan.names[j]]
-        run.msgs[plan.rules[i, j].slot] = lp.pi[None]
-        run.msgs[plan.rules[j, i].slot] = lp.lam[None]
+        run.msg(plan.rules[i, j].slot)[...] = lp.pi
+        run.msg(plan.rules[j, i].slot)[...] = lp.lam
     return run
 
 
@@ -207,19 +216,35 @@ def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
     return [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
 
 
-def _moved(old: np.ndarray, new: np.ndarray) -> bool:
-    return float(np.max(np.abs(old - new))) > TOLERANCE
+def _residual(old: np.ndarray, new: np.ndarray) -> float:
+    return float(np.max(np.abs(old - new)))
 
 
-def _store(run: TwoPassRun, key, new: np.ndarray, on_update, sweep: int) -> bool:
-    """Write `new` as the message `key` of the one-case `run`; when it
-    moved by more than TOLERANCE, pass it to `on_update` and return True."""
+def _store(run: TwoPassRun, key, new: np.ndarray, on_update, sweep: int) -> float:
+    """Write `new` as the message `key` of the one-case `run` and return
+    how far it moved (max-norm); when that exceeds TOLERANCE, pass it to
+    `on_update`."""
     slot = run.plan.rules[key].slot
-    old, run.msgs[slot] = run.msgs[slot], new
-    moved = _moved(old, new)
-    if moved and on_update is not None:
+    held = run.msg(slot)
+    old = held.copy()
+    held[...] = new
+    residual = _residual(old, new)
+    if residual > TOLERANCE and on_update is not None:
         on_update(run.plan.record(sweep, slot, old[0], new[0]))
-    return moved
+    return residual
+
+
+def _no_fixpoint(run: TwoPassRun, what: str, key, residual: float) -> ConvergenceError:
+    """The ConvergenceError of a relaxation that ran out of budget, naming
+    the message `key` and how far it moved last."""
+    parent, child, direction = run.plan.arc(run.plan.rules[key].slot)
+    return ConvergenceError(
+        f"no fixpoint after {what}; worst message: {direction} {parent}->{child} "
+        f"moved {residual:.3g}",
+        arc=(parent, child),
+        direction=direction,
+        residual=residual,
+    )
 
 
 def propagate(
@@ -259,7 +284,7 @@ def propagate(
     plan = run.plan
     for i, j in plan.arcs:
         lp = state.messages[plan.names[i], plan.names[j]]
-        lp.pi, lp.lam = run.msgs[plan.rules[i, j].slot][0], run.msgs[plan.rules[j, i].slot][0]
+        lp.pi, lp.lam = run.msg(plan.rules[i, j].slot)[0], run.msg(plan.rules[j, i].slot)[0]
     if schedule != "two-pass":
         for v in net.var_names():
             fuse_belief(net, state, v)  # raises on a zero-mass belief
@@ -272,11 +297,13 @@ def _run_synchronous(net, run, on_update):
     updates = 0
     for sweep in range(1, max_sweeps + 1):
         new = [run.normalized(s, r)[0] for s, r in keys]
-        moved = sum(_store(run, key, m, on_update, sweep) for key, m in zip(keys, new))
+        residuals = [_store(run, key, m, on_update, sweep) for key, m in zip(keys, new)]
+        moved = sum(r > TOLERANCE for r in residuals)
         updates += moved
         if not moved:
             return PropagationStats(sweeps=sweep, updates=updates)
-    raise ConvergenceError(f"no fixpoint after {max_sweeps} synchronous sweeps")
+    worst = max(range(len(keys)), key=residuals.__getitem__)
+    raise _no_fixpoint(run, f"{max_sweeps} synchronous sweeps", keys[worst], residuals[worst])
 
 
 def _run_fair_random(net, run, seed, on_update):
@@ -300,14 +327,15 @@ def _run_fair_random(net, run, seed, on_update):
         dirty.remove(key)
         s, r = key
         new = run.normalized(s, r)[0]
-        if _store(run, key, new, on_update, updates + 1):
+        last = key, _store(run, key, new, on_update, updates + 1)
+        if last[1] > TOLERANCE:
             updates += 1
             # every message r sends reads this one, except the one back to s
             for dep in sends[r]:
                 if dep[1] != s and dep not in dirty:
                     dirty.add(dep)
                     pool.append(dep)
-    raise ConvergenceError(f"no fixpoint after {budget} fair-random relaxations")
+    raise _no_fixpoint(run, f"{budget} fair-random relaxations", *last)
 
 
 def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
@@ -320,19 +348,37 @@ def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
 # the two-pass schedule, compiled once per network and cutset
 # ----------------------------------------------------------------------
 
+
 #: einsum label of the case axis; a node's own axes are labeled from 0
 _CASE = 51
+#: einsum label of the member axis of a compiled step
+_MEMBER = 50
 #: einsum sublist of a message over node axis j, one row per case
-_ROW = [[_CASE, j] for j in range(_CASE)]
+_ROW = [[_CASE, j] for j in range(_MEMBER)]
 
 
 #: a row sum below this is recomputed with the diagnostic vector rescaled
 _TINY = 2.0**-500
 
+#: floats that the gathered diagnostic factors of one step may take; the
+#: messages of a node with many children are spread over several steps
+_STEP_FLOATS = 1 << 20
+
+#: an axis this wide is never zero-padded in a step: numpy adds 8 or more
+#: terms in another order than fewer (pairwise, or in SIMD lanes), so the
+#: padding would move the last bits of the sums
+_UNPADDED = 8
+
 
 @functools.cache
 def _axes(n_parents: int, batched: bool) -> list[int]:
     return [_CASE] * batched + list(range(n_parents + 1))
+
+
+@functools.cache
+def _batch(*sub: int) -> list[int]:
+    """The einsum sublist `sub` behind a member axis, as a step's operand."""
+    return [_MEMBER, *sub]
 
 
 @functools.cache
@@ -350,11 +396,11 @@ def two_pass_plan(net: Network, members) -> TwoPassPlan:
 
 
 class Rule(NamedTuple):
-    """How a node computes one message or its belief: the slot it writes
-    (None for a belief), the einsum sublist of its table, the (slot,
-    sublist) of each pi it reads in table order, the slots of the lambdas
+    """How a node computes one message or its belief: the buffer row it
+    writes (None for a belief), the einsum sublist of its table, the (row,
+    sublist) of each pi it reads in table order, the rows of the lambdas
     it reads in arc order, and the sublists of its diagnostic vector and
-    of the result.  The pi of arc k lives in slot 2k, its lambda in 2k+1."""
+    of the result."""
 
     slot: int | None
     table: list[int]
@@ -364,23 +410,95 @@ class Rule(NamedTuple):
     out: list[int]
 
 
+#: the leading columns of `Step.index`
+_NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
+
+
+class Step(NamedTuple):
+    """Messages or beliefs at one tree depth whose rules share one shape
+    class (see `TwoPassPlan._shape_class`) and recipient axis, computed by
+    one einsum over a leading member axis.  Row g of `index` is about
+    member g: its node, its recipient, its table's row in `stack`, the row
+    it writes and its normalizer position (-1 for no recipient, row or
+    position), then the row of each pi it reads, then its diagnostic rows
+    (its evidence row and `Rule.lams`, padded with the all-ones row).
+    `sends` tells whether the members are messages or beliefs.  `table`
+    is the tables' einsum sublist, and each of `pis` the padded width and
+    sublist of one pi operand.  The diagnostic rows multiply to the
+    operand with sublist `diag`, `own` states wide.  The result has
+    sublist `out` and is `width` states wide.  `collects` tells whether
+    its row sums are normalizers of log P(evidence)."""
+
+    index: np.ndarray
+    sends: bool
+    stack: np.ndarray
+    table: list[int]
+    pis: tuple
+    own: int
+    diag: list[int]
+    out: list[int]
+    width: int
+    collects: bool
+
+    def pick(self, members: np.ndarray) -> Step:
+        """This step restricted to the members at the indices `members`."""
+        return self._replace(index=self.index[members])
+
+
+class Sequence(NamedTuple):
+    """Messages sent one after another through `TwoPassRun.normalized`,
+    each reading the last: a run of single messages, such as a chain's.
+    For each member, its node, its recipient and the row it writes (None
+    for a root's belief), and its normalizer position (None for a
+    distribute message)."""
+
+    nodes: tuple
+    recipients: tuple
+    slots: tuple
+    positions: tuple
+
+
 class TwoPassPlan:
     """Pearl's collect/distribute schedule over the forest left by
-    conditioning on a loop cutset, with integer node ids.
+    conditioning on a loop cutset, with integer node ids, compiled into
+    steps.
 
     Every arc out of a member is cut: the member's children get a leading
     case axis on their tables, one row per joint member assignment
     (`cases`, in `itertools.product` order), and each member is pinned
-    per case.  So one einsum per message serves every case.  `arcs` are
-    the arcs that remain, as (parent id, child id) in `Network.edges`
-    order.  `rules[a, to]` is the `Rule` of the message node `a` sends its
-    neighbor `to`, and `rules[a, None]` that of a's belief, each compiled
-    once.  Each of `trees` is (its root, its walk's nodes, each one's
-    neighbor towards the root), as in `forest_walks`.  With no members
-    this is plain polytree propagation with one case.
+    per case.  So one einsum serves every case.  `arcs` are the arcs that
+    remain, as (parent id, child id) in `Network.edges` order.
+
+    A run keeps its messages in one buffer of zero-padded rows, one row
+    per case each: the pi of arc k in row 2k and its lambda in row 2k+1,
+    then the all-ones row `ones`, then each node a's evidence factor in
+    row `ones + 1 + a` (all-ones where it has none); `widths` gives each
+    row's number of states.  `rules[a, to]` is the `Rule` of the message
+    node `a` sends its neighbor `to`, and `rules[a, None]` that of a's
+    belief, each compiled once.
+
+    Each tree is rooted at its smallest name and walked as in
+    `forest_walks`.  A collect message, sent towards the root, reads only
+    messages from deeper nodes, and a distribute message only ones from
+    shallower nodes and collect messages; so each tree depth is a set of
+    independent messages.  `steps` runs the collect messages level by
+    level from the deepest, merged across trees, then the roots' beliefs,
+    whose row sums are the trees' masses, then the distribute messages
+    from the shallowest level.  `beliefs` holds the steps of every node's
+    belief, one or a few per shape class.  The tables of each shape class
+    are zero-padded to the class's largest and stacked once, in `stacks`,
+    node a in row `places[a]`.  `order` lists the message rows in the
+    sequential schedule: each tree's collect messages in reverse walk
+    order, tree by tree, then each tree's distribute messages in walk
+    order.  Trace records follow it, and the `n_normalizers` normalizer
+    positions of the steps follow it too, with each tree's root mass after
+    its collect messages and an all-ones row first.  With no members this
+    is plain polytree propagation with one case.
     """
 
-    __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors", "trees")
+    __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
+                 "ones", "widths", "classes", "stacks", "places", "order", "steps", "beliefs",
+                 "n_normalizers")
 
     def __init__(self, net: Network, members) -> None:
         self.members = tuple(members)
@@ -395,10 +513,13 @@ class TwoPassPlan:
         if not (is_forest(arcs, self.names) if cut else net.is_singly_connected()):
             raise ValueError(f"not a valid cutset: {list(self.members)}")
 
-        self.ids = {v: i for i, v in enumerate(self.names)}
+        self.ids = ids = {v: i for i, v in enumerate(self.names)}
         self.cards = tuple(net.card(v) for v in self.names)
-        self.arcs = tuple((self.ids[p], self.ids[c]) for p, c in arcs)
+        self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
         self.tensors = tuple(self._tensor(net, v) for v in self.names)
+        self.ones = 2 * len(self.arcs)
+        self.widths = tuple(self.cards[p] for p, _ in self.arcs for _ in range(2))
+        self.widths += (max(self.cards, default=1), *self.cards)
         slots, ups, downs = {}, [[] for _ in self.names], [[] for _ in self.names]
         for arc, (p, c) in enumerate(self.arcs):
             slots[p, c], slots[c, p] = 2 * arc, 2 * arc + 1  # the arc's pi and lambda
@@ -417,11 +538,44 @@ class TwoPassPlan:
                 rules[a, p] = Rule(slots[a, p], table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
             for k, c in enumerate(downs[a]):  # the pi message to child k
                 rules[a, c] = Rule(slots[a, c], table, pis, lams[:k] + lams[k + 1:], own, own)
-        self.trees = []
+
+        self.classes = [self._shape_class(a) for a in range(len(self.names))]
+        members_of: dict = {}
+        for a, shape_class in enumerate(self.classes):
+            members_of.setdefault(shape_class, []).append(a)
+        self.stacks, self.places = {}, [0] * len(self.names)
+        for shape_class, nodes in members_of.items():
+            self.stacks[shape_class] = self._stack(nodes)
+
+        # (level, node, recipient, normalizer position) of each message
+        collect, masses, distribute = [], [], []
+        position = 1  # normalizer 0 is all-ones
+        depth = [0] * len(self.names)
         for root, walk in forest_walks(self.names, neighbors.__getitem__):
-            nodes = tuple(self.ids[a] for a, _ in walk)
-            towards = tuple(self.ids[b] for _, b in walk)
-            self.trees.append((self.ids[root], nodes, towards))
+            for a, towards in walk:  # pre-order: towards comes first
+                depth[ids[a]] = depth[ids[towards]] + 1
+            for a, towards in reversed(walk):
+                collect.append((-depth[ids[a]], ids[a], ids[towards], position))
+                position += 1
+            masses.append((0, ids[root], None, position))
+            position += 1
+            distribute += ((depth[ids[a]], ids[towards], ids[a], None) for a, towards in walk)
+        self.n_normalizers = position
+        self.order = tuple(rules[a, to].slot for _, a, to, _ in collect + distribute)
+        self.steps, alone = [], []  # runs of single members are sent in sequence
+        for chunk in itertools.chain(*map(self._chunks, (collect, masses, distribute))):
+            if len(chunk) == 1:
+                alone += chunk
+                continue
+            if alone:
+                self.steps.append(self._sequence(alone))
+                alone = []
+            self.steps.append(self._step(chunk))
+        if alone:
+            self.steps.append(self._sequence(alone))
+        self.steps = tuple(self.steps)
+        beliefs = [(0, a, None, None) for a in range(len(self.names))]
+        self.beliefs = tuple(map(self._step, self._chunks(beliefs)))
 
     def _tensor(self, net: Network, v: str) -> np.ndarray:
         """v's CPT tensor; with the members among its parents moved to the
@@ -434,6 +588,84 @@ class TwoPassPlan:
         tensor = np.moveaxis(tensor, cut, range(len(cut)))[tuple(columns)]
         tensor.flags.writeable = False  # shared by every run of the plan
         return tensor
+
+    def _stack(self, nodes) -> np.ndarray:
+        """The tables of `nodes`, zero-padded to the largest and stacked in
+        that order; each node's row goes to `places`."""
+        tables = [self.tensors[a] for a in nodes]
+        stack = np.zeros((len(nodes), *np.max([t.shape for t in tables], axis=0).tolist()))
+        for g, (a, table) in enumerate(zip(nodes, tables)):
+            stack[(g, *map(slice, table.shape))] = table
+            self.places[a] = g
+        stack.flags.writeable = False  # shared by every run of the plan
+        return stack
+
+    def _shape_class(self, a: int) -> tuple:
+        """What node a's rules share with those of the nodes in its stack:
+        the table's sublist, and the width of each axis of _UNPADDED states
+        or more."""
+        wide = tuple(k if k >= _UNPADDED else 0 for k in self.tensors[a].shape)
+        return tuple(self.rules[a, None].table), wide
+
+    def _chunks(self, entries):
+        """Yield `entries`, each (level, node, recipient, normalizer
+        position), in lists
+        that one step can compute: levels in increasing order, each split
+        by shape class and recipient axis, and then, in order of the
+        number of diagnostic rows, into chunks whose gathered diagnostic
+        rows stay within _STEP_FLOATS floats."""
+        per_row = len(self.cases) * max(self.widths)
+        level_of = operator.itemgetter(0)
+        for _, level in itertools.groupby(sorted(entries, key=level_of), level_of):
+            groups: dict = {}
+            for entry in level:
+                _, a, to, _ = entry
+                groups.setdefault((self.classes[a], self.rules[a, to].out[1]), []).append(entry)
+            for members in groups.values():
+                if len(members) == 1:
+                    yield members
+                    continue
+                chunk, rows = [], 0
+                for member in sorted(members, key=lambda e: len(self.rules[e[1:3]].lams)):
+                    m = 1 + len(self.rules[member[1:3]].lams)  # with the evidence row
+                    if chunk and (len(chunk) + 1) * max(rows, m) * per_row > _STEP_FLOATS:
+                        yield chunk
+                        chunk, rows = [], 0
+                    chunk.append(member)
+                    rows = max(rows, m)
+                yield chunk
+
+    def _sequence(self, members) -> Sequence:
+        """The Sequence of `members`, entries as `_chunks` yields them."""
+        _, nodes, recipients, positions = zip(*members)
+        slots = tuple(self.rules[a, to].slot for a, to in zip(nodes, recipients))
+        return Sequence(nodes, recipients, slots, positions)
+
+    def _step(self, members) -> Step:
+        """The Step of `members`, entries as `_chunks` yields them."""
+        rules = [self.rules[a, to] for _, a, to, _ in members]
+        first = rules[0]
+        stack = self.stacks[self.classes[members[0][1]]]
+        width = dict(zip(first.table, stack.shape[1:]))  # each axis label's padded width
+        m = max(len(rule.lams) for rule in rules)
+        index = [
+            [a, -1 if to is None else to, self.places[a], -1 if rule.slot is None else rule.slot,
+             -1 if position is None else position, *(row for row, _ in rule.pis),
+             self.ones + 1 + a, *rule.lams, *[self.ones] * (m - len(rule.lams))]
+            for (_, a, to, position), rule in zip(members, rules)
+        ]
+        return Step(
+            np.array(index, dtype=np.int32),
+            first.slot is not None,
+            stack,
+            _batch(*first.table),
+            tuple((width[sub[1]], _batch(*sub)) for _, sub in first.pis),
+            width[first.own[1]],
+            _batch(*first.own),
+            _batch(*first.out),
+            width[first.out[1]],
+            members[0][3] is not None,
+        )
 
     def live_cases(self, evidence: Evidence) -> np.ndarray:
         """Indices of the cases that agree with the evidence on members."""
@@ -450,78 +682,155 @@ class TwoPassPlan:
         run.two_pass()
         return run
 
-    def record(self, sweep: int, slot: int, old: np.ndarray, new: np.ndarray) -> TraceRecord:
-        """The TraceRecord of the message in `slot` moving from `old` to `new`."""
+    def arc(self, slot: int) -> tuple[str, str, str]:
+        """The parent and child names of the arc of message `slot`, and the
+        message's direction ("pi" or "lambda")."""
         arc, is_lambda = divmod(slot, 2)
         p, c = self.arcs[arc]
-        kind = "lambda" if is_lambda else "pi"
-        return TraceRecord(sweep, self.names[p], self.names[c], kind, old, new)
+        return self.names[p], self.names[c], "lambda" if is_lambda else "pi"
+
+    def record(self, sweep: int, slot: int, old: np.ndarray, new: np.ndarray) -> TraceRecord:
+        """The TraceRecord of the message in `slot` moving from `old` to `new`."""
+        return TraceRecord(sweep, *self.arc(slot), old, new)
 
 
 class TwoPassRun:
-    """The messages of `plan` over the cases `live`, a row per case, with
-    the evidence factor `factors[v]` (a vector over v's states) on each
-    variable v that has one.  `core` is the one sum-product rule under
-    every schedule: `two_pass` sends each message once, and the
-    relaxations recompute the slots of a one-case run until none moves.
-    Each message is `core` normalized per case; a case whose normalizer is
-    0 is impossible and its row stays 0.  After `two_pass`, a stored
-    collect message is its exact unnormalized value divided by its own
-    normalizer and every normalizer below it, so all of them times the
-    root's mass give each case's P(evidence): `log_weights`, valid where
-    `possible`.  A normalizer computed from a rescaled diagnostic vector
-    (see `normalized`) comes with its power of two, which `log_weights`
-    takes back out, so a product below the float range stays exact."""
+    """The messages of `plan` over the cases `live`, in the plan's buffer
+    layout with a row per case, with the evidence factor `factors[v]` (a
+    vector over v's states) on each variable v that has one.  `core` is
+    the one sum-product rule under every schedule: `two_pass` runs the
+    plan's steps, each a batch of `core` with the per-message bits, and
+    the relaxations recompute the messages of a one-case run until none
+    moves.  Each message is `core` normalized per case; a case whose
+    normalizer is 0 is impossible and its row stays 0.  After `two_pass`,
+    a stored collect message is its exact unnormalized value divided by
+    its own normalizer and every normalizer below it, so all of them
+    times the root's mass give each case's P(evidence): `log_weights`,
+    valid where `possible`.  A normalizer computed from a rescaled
+    diagnostic vector (see `normalized`) comes with its power of two,
+    which `log_weights` takes back out, so a product below the float range
+    stays exact."""
 
-    __slots__ = ("plan", "n_cases", "tensors", "factors", "ones", "msgs", "sent",
-                 "possible", "log_weights")
+    __slots__ = ("plan", "n_cases", "live", "tensors", "buf", "possible", "log_weights")
 
     def __init__(self, plan: TwoPassPlan, factors, live: np.ndarray) -> None:
         self.plan = plan
         self.n_cases = n_cases = len(live)
+        self.live = None if n_cases == len(plan.cases) else live
         self.tensors = plan.tensors
-        if n_cases < len(plan.cases):  # keep the live rows of the case axes
+        if self.live is not None:  # keep the live rows of the case axes
             self.tensors = [
                 t[live] if plan.rules[a, None].table[0] == _CASE else t
                 for a, t in enumerate(plan.tensors)
             ]
-        self.factors = [None] * len(plan.names)
+        self.buf = np.zeros((len(plan.widths), n_cases, max(plan.widths)))
+        self.buf[plan.ones:] = 1.0
         for v, factor in factors.items():
             i = plan.ids[v]
-            self.factors[i] = np.broadcast_to(factor, (n_cases, plan.cards[i]))
+            self.buf[plan.ones + 1 + i, :, :plan.cards[i]] = factor
         for j, m in enumerate(plan.members):
             i = plan.ids[m]
-            self.factors[i] = _eye(plan.cards[i])[plan.cases[live, j]]
-        self.ones = {k: np.ones((n_cases, k)) for k in set(plan.cards)}
-        self.msgs: list = [None] * (2 * len(plan.arcs))
-        self.sent: list[int] = []  # slots in the order they were sent
+            self.buf[plan.ones + 1 + i, :, :plan.cards[i]] = _eye(plan.cards[i])[plan.cases[live, j]]
+
+    def msg(self, slot: int) -> np.ndarray:
+        """The message in row `slot`, one row per case: a view of the buffer."""
+        return self.buf[slot, :, :self.plan.widths[slot]]
 
     def two_pass(self) -> None:
-        """Send every message once: collect towards each tree's root, then
-        distribute away from it."""
+        """Run the plan's steps, which send every message once: collect
+        towards each tree's root, then distribute away from it.  The
+        normalizers go to their sequential positions before the log sum,
+        so `log_weights` adds them in the same order whatever the steps."""
         plan = self.plan
-        collected = []  # (normalizers, shift) of each collect message, then of each root's mass
-        for root, nodes, towards in plan.trees:
-            collected += [self._send(a, to) for a, to in zip(reversed(nodes), reversed(towards))]
-            collected.append(self.normalized(root)[1:])
-        for _, nodes, towards in plan.trees:
-            for a, to in zip(nodes, towards):
-                self._send(to, a)
-        scales = np.array([np.ones(self.n_cases)] + [sums for sums, _ in collected])
+        scales = np.ones((plan.n_normalizers, self.n_cases))
+        shift = 0
+        buf, widths = self.buf, plan.widths
+        for step in plan.steps:
+            if type(step) is Sequence:
+                for a, to, slot, position in zip(*step):
+                    values, sums, sent_shift = self.normalized(a, to)
+                    if slot is not None:
+                        buf[slot, :, :widths[slot]] = values
+                    if position is not None:
+                        scales[position] = sums
+                        shift = shift + sent_shift
+                continue
+            values, sums, step_shift = self._compute(step)
+            if step.sends:
+                buf[step.index[:, _SLOT], :, :step.width] = values
+            if step.collects:
+                scales[step.index[:, _POSITION]] = sums
+                shift = shift + step_shift
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
         self.possible = (scales > 0).all(axis=0)
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
-        shift = sum(shift for _, shift in collected)
         self.log_weights = (np.add.accumulate(logs)[-1] - shift * math.log(2.0)).tolist()
 
+    def _compute(self, step: Step):
+        """`normalized` for every member of `step`: the results stacked and
+        zero-padded to the step's width, their row sums, and the total
+        shift of those sums.  One einsum serves all members; a step of one
+        member, and each member with a row summing below 2^-500, run
+        `normalized` itself."""
+        if len(step.index) == 1:
+            values, sums, shift = self.normalized(*self._key(step, 0))
+            return values[None], sums[None], shift
+        buf, index = self.buf, step.index
+        tensor = step.stack[index[:, _PLACE]]
+        if self.live is not None and step.table[1] == _CASE:
+            tensor = tensor[:, self.live]
+        operands = [tensor, step.table]
+        for column, (width, sub) in enumerate(step.pis, _POSITION + 1):
+            operands += (buf[index[:, column], :, :width], sub)
+        lams = index[:, _POSITION + 1 + len(step.pis):]
+        lam = buf[lams, :, :step.own].prod(axis=1)
+        core = np.einsum(*operands, lam, step.diag, step.out)
+        sums = core.sum(axis=2)
+        if sums.min() >= _TINY:
+            return core / sums[..., None], sums, 0
+        low = (sums < _TINY).any(axis=1)
+        values = core / np.where(low[:, None], 1.0, sums)[..., None]
+        shift = 0
+        for g in np.flatnonzero(low).tolist():
+            value, sums[g], member_shift = self.normalized(*self._key(step, g))
+            values[g, :, :value.shape[1]] = value
+            shift = shift + member_shift
+        return values, sums, shift
+
+    @staticmethod
+    def _key(step: Step, g: int) -> tuple[int, int | None]:
+        """The (node, recipient) of member g of `step`."""
+        a, to = step.index[g, :_PLACE].tolist()
+        return a, None if to < 0 else to
+
+    def beliefs(self, nodes):
+        """For each node `nodes[k]`, yield k, its belief normalized per
+        case as `normalized` gives it, and the row sums; the plan's belief
+        steps restricted to `nodes` compute them."""
+        cards = self.plan.cards
+        index = np.full(len(cards), -1)
+        index[nodes] = np.arange(len(nodes))
+        for step in self.plan.beliefs:
+            ks = index[step.index[:, _NODE]]
+            picked = np.flatnonzero(ks >= 0)
+            if len(picked) == 0:
+                continue
+            if len(picked) < len(ks):
+                step = step.pick(picked)
+            values, sums, _ = self._compute(step)
+            for g, a in enumerate(step.index[:, _NODE].tolist()):
+                yield int(index[a]), values[g, :, :cards[a]], sums[g]
+
     def diagnostic(self, a: int, lams) -> np.ndarray:
-        """Evidence factor of node `a` times the lambda in each slot of
-        `lams`, one row per case; all-ones when there is neither."""
-        msgs = self.msgs
-        lam = self.factors[a]
-        for slot in lams:
-            lam = msgs[slot] if lam is None else lam * msgs[slot]
-        return self.ones[self.plan.cards[a]] if lam is None else lam
+        """Evidence factor of node `a` times the lambda in each row of
+        `lams`, multiplied left to right, one row per case."""
+        k = self.plan.cards[a]
+        if len(lams) > 3:  # one gather beats a Python loop
+            return self.buf[[self.plan.ones + 1 + a, *lams], :, :k].prod(axis=0)
+        lam = self.buf[self.plan.ones + 1 + a, :, :k]
+        for row in lams:
+            lam = lam * self.buf[row, :, :k]
+        return lam
 
     def _rescaled(self, a: int, lams) -> tuple[np.ndarray, np.ndarray]:
         """`diagnostic(a, lams)` times 2**shift per row, and `shift`.  The
@@ -529,9 +838,8 @@ class TwoPassRun:
         entry underflows on the way; then each row is scaled by the power
         of two that brings its largest entry to [0.5, 1).  An entry more
         than 2^-1074 below its row's largest still ends as 0."""
-        factors = [self.diagnostic(a, ()), *map(self.msgs.__getitem__, lams)]
-        stacked = np.concatenate(factors).reshape(len(factors), self.n_cases, -1)
-        mants, pows = np.frexp(stacked)
+        rows = [self.plan.ones + 1 + a, *lams]
+        mants, pows = np.frexp(self.buf[rows, :, :self.plan.cards[a]])
         lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
         for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
             lam, e = np.frexp(lam * np.prod(mants[start:start + 512], axis=0))
@@ -549,10 +857,10 @@ class TwoPassRun:
         vector enters as one operand because einsum takes at most 64;
         `lam`, when given, stands for it."""
         _, table, pis, lams, own, out = self.plan.rules[a, to]
-        msgs = self.msgs
+        buf, widths = self.buf, self.plan.widths
         operands = [self.tensors[a], table]
         for slot, sub in pis:
-            operands += (msgs[slot], sub)
+            operands += (buf[slot, :, :widths[slot]], sub)
         return np.einsum(*operands, self.diagnostic(a, lams) if lam is None else lam, own, out)
 
     def normalized(self, a: int, to: int | None = None):
@@ -571,19 +879,11 @@ class TwoPassRun:
         sums = core.sum(axis=1)
         return core / np.where(sums > 0, sums, 1.0)[:, None], sums, np.where(low, shift, 0)
 
-    def _send(self, a: int, to: int):
-        """Store the message `a` sends `to`; return its normalizers and
-        their shift."""
-        slot = self.plan.rules[a, to].slot
-        self.msgs[slot], sums, shift = self.normalized(a, to)
-        self.sent.append(slot)
-        return sums, shift
-
     def records(self, case: int):
         """The TraceRecords of one case: each message that moved away from
-        its uniform start, in the order sent."""
-        for slot in self.sent:
-            new = self.msgs[slot][case]
+        its uniform start, in the plan's sequential `order`."""
+        for slot in self.plan.order:
+            new = self.msg(slot)[case]
             old = _uniform(len(new))
-            if _moved(old, new):
+            if _residual(old, new) > TOLERANCE:
                 yield self.plan.record(1, slot, old, new)

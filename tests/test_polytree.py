@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beliefprop import polytree
 from beliefprop.cutset import greedy_cutset
 from beliefprop.errors import ConvergenceError, ImpossibleEvidenceError
 from beliefprop.model import Network, validate
@@ -29,6 +30,7 @@ from beliefprop.polytree import (
 from helpers import (
     binary_star,
     build_net,
+    bushy_polytree,
     chain_net,
     fig1_net,
     lost_state_net,
@@ -645,3 +647,119 @@ class TestTwoPassPlan:
             slots.append(rule.slot)
         assert sorted(slots) == list(range(2 * len(kept)))
         assert len(plan.rules) == len(plan.names) + 2 * len(kept)
+
+
+def star_and_small_tree():
+    """A forest: the 1,100-child binary star of `binary_star` rooted at R,
+    and a tree a0 -> a1, a0 -> a2, a1 -> a3, whose messages share tree
+    depths and rule shapes with the star's."""
+    star, _, _ = binary_star(1100, random.Random(3))
+    rng = random.Random(4)
+    small = [("a0", ()), ("a1", ("a0",)), ("a2", ("a0",)), ("a3", ("a1",))]
+    return build_net(
+        [(v.name, v.states) for v in star.variables] + [(v, ("f", "t")) for v, _ in small],
+        [(c, star.parents(c), star.cpt_tensor(c).reshape(-1, 2)) for c in star.var_names()]
+        + [(v, ps, random_table(rng, 2 ** len(ps), 2)) for v, ps in small],
+    )
+
+
+def assert_steps_match_messages(plan, run):
+    """Every message and belief that `run`'s steps computed is bit for bit
+    what `normalized` gives for it alone, on the same buffer."""
+    for (a, to), rule in plan.rules.items():
+        if to is not None:
+            assert run.msg(rule.slot).tobytes() == run.normalized(a, to)[0].tobytes()
+    for k, belief, mass in run.beliefs(list(range(len(plan.names)))):
+        expected, sums, _ = run.normalized(k)
+        assert (belief.tobytes(), mass.tobytes()) == (expected.tobytes(), sums.tobytes())
+
+
+class TestCompiledSteps:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_polytree_steps_match_messages(self, seed):
+        net, evidence = (random_polytree if seed % 2 else bushy_polytree)(seed)
+        plan = two_pass_plan(net, [])
+        assert_steps_match_messages(plan, plan.run(evidence))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_variables_with_8_states_or_more_match_messages(self, seed):
+        # numpy sums 8 or more terms in another order, so those are not padded
+        net, evidence = bushy_polytree(seed, n=30, max_card=12)
+        plan = two_pass_plan(net, [])
+        assert_steps_match_messages(plan, plan.run(evidence))
+
+    def test_bushy_levels_batch_many_messages(self):
+        plan = two_pass_plan(bushy_polytree(0)[0], [])
+        batches = [step for step in plan.steps if isinstance(step, polytree.Step)]
+        assert max(len(step.index) for step in batches) >= 5
+        assert len(plan.steps) < 2 / 3 * len(plan.order)
+        assert len(plan.beliefs) == 4  # one per number of parents, 0 to 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_live_cases_and_case_axes_match_messages(self, seed):
+        net, evidence = random_loopy(seed)
+        members = greedy_cutset(net)
+        plan = two_pass_plan(net, members)
+        evidence = {**evidence, members[0]: seed % 2}
+        live = plan.live_cases(evidence)
+        assert len(live) < len(plan.cases)
+        batches = [step for step in plan.steps + plan.beliefs if isinstance(step, polytree.Step)]
+        assert any(step.table[1] == polytree._CASE for step in batches)
+        assert_steps_match_messages(plan, plan.run(evidence, live))
+
+    def test_only_underflowing_members_take_the_rescaled_path(self, monkeypatch):
+        net = star_and_small_tree()
+        plan = two_pass_plan(net, [])
+        ids = plan.ids
+        mixed = [step for step in plan.steps + plan.beliefs
+                 if isinstance(step, polytree.Step)
+                 and {ids["R"], ids["a0"]} <= set(step.index[:, polytree._NODE].tolist())]
+        assert mixed  # the roots' masses and the roots' pi messages share steps
+        rescaled = []
+        original = polytree.TwoPassRun._rescaled
+
+        def spy(run, a, lams):
+            rescaled.append(a)
+            return original(run, a, lams)
+
+        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", spy)
+        run = plan.run({"a3": 1})
+        assert set(rescaled) == {ids["R"]}
+        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", original)
+        assert_steps_match_messages(plan, run)
+
+    def test_records_follow_the_sequential_order(self):
+        net, evidence = bushy_polytree(3)
+        plan = two_pass_plan(net, [])
+        records = list(plan.run(evidence).records(0))
+        slots = [plan.order.index(plan.rules[plan.ids[r.parent], plan.ids[r.child]].slot
+                                  if r.direction == "pi" else
+                                  plan.rules[plan.ids[r.child], plan.ids[r.parent]].slot)
+                 for r in records]
+        assert slots == sorted(slots) and len(records) > len(plan.steps)
+
+    def test_convergence_error_names_the_worst_message(self, monkeypatch):
+        monkeypatch.setattr(polytree, "TOLERANCE", -1.0)  # every message keeps moving
+        with pytest.raises(ConvergenceError) as info:
+            propagate(star_net(), {"S": 0}, schedule="synchronous")
+        exc = info.value
+        assert exc.arc in (("R", "S"), ("R", "T"))
+        assert exc.direction in ("pi", "lambda") and 0.0 <= exc.residual <= 1.0
+        parent, child = exc.arc
+        assert str(exc).startswith("no fixpoint after 32 synchronous sweeps; worst message: ")
+        assert str(exc).endswith(f"{exc.direction} {parent}->{child} moved {exc.residual:.3g}")
+
+    def test_convergence_error_names_the_last_fair_random_pick(self, monkeypatch):
+        # on a tree fair-random always settles, so cut its budget to 1,000 picks
+        names = [f"v{i:03d}" for i in range(600)]
+        net = build_net(
+            [(v, ("f", "t")) for v in names],
+            [(names[0], (), [[0.5, 0.5]])]
+            + [(v, (u,), [[0.9, 0.1], [0.2, 0.8]]) for u, v in zip(names, names[1:])],
+        )
+        monkeypatch.setattr(net, "underlying_diameter", lambda: -2)
+        with pytest.raises(ConvergenceError, match="^no fixpoint after 1000 fair-random") as info:
+            propagate(net, {names[-1]: 0}, schedule="fair-random")
+        exc = info.value
+        assert exc.arc in list(net.edges()) and exc.direction in ("pi", "lambda")
+        assert exc.residual >= 0.0
