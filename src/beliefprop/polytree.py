@@ -440,10 +440,6 @@ class Step(NamedTuple):
     width: int
     collects: bool
 
-    def pick(self, members: np.ndarray) -> Step:
-        """This step restricted to the members at the indices `members`."""
-        return self._replace(index=self.index[members])
-
 
 class Sequence(NamedTuple):
     """Messages sent one after another through `TwoPassRun.normalized`,
@@ -539,13 +535,14 @@ class TwoPassPlan:
             for k, c in enumerate(downs[a]):  # the pi message to child k
                 rules[a, c] = Rule(slots[a, c], table, pis, lams[:k] + lams[k + 1:], own, own)
 
-        self.classes = [self._shape_class(a) for a in range(len(self.names))]
-        members_of: dict = {}
-        for a, shape_class in enumerate(self.classes):
-            members_of.setdefault(shape_class, []).append(a)
-        self.stacks, self.places = {}, [0] * len(self.names)
-        for shape_class, nodes in members_of.items():
+        classes: dict = {}
+        for a in range(len(self.names)):
+            classes.setdefault(self._shape_class(a), []).append(a)
+        self.stacks, self.places, self.classes = {}, [0] * len(self.names), [None] * len(self.names)
+        for shape_class, nodes in classes.items():
             self.stacks[shape_class] = self._stack(nodes)
+            for a in nodes:
+                self.classes[a] = shape_class  # one tuple per class, shared
 
         # (level, node, recipient, normalizer position) of each message
         collect, masses, distribute = [], [], []
@@ -816,7 +813,7 @@ class TwoPassRun:
             if len(picked) == 0:
                 continue
             if len(picked) < len(ks):
-                step = step.pick(picked)
+                step = step._replace(index=step.index[picked])
             values, sums, _ = self._compute(step)
             for g, a in enumerate(step.index[:, _NODE].tolist()):
                 yield int(index[a]), values[g, :, :cards[a]], sums[g]
