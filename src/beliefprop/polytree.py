@@ -348,7 +348,6 @@ def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
 # the two-pass schedule, compiled once per network and cutset
 # ----------------------------------------------------------------------
 
-
 #: einsum label of the case axis; a node's own axes are labeled from 0
 _CASE = 51
 #: einsum label of the member axis of a compiled step
@@ -360,7 +359,7 @@ _ROW = [[_CASE, j] for j in range(_MEMBER)]
 #: a row sum below this is recomputed with the diagnostic vector rescaled
 _TINY = 2.0**-500
 
-#: floats that the gathered diagnostic factors of one step may take; the
+#: floats of tables and diagnostic rows that one step may gather; the
 #: messages of a node with many children are spread over several steps
 _STEP_FLOATS = 1 << 20
 
@@ -482,14 +481,15 @@ class TwoPassPlan:
     whose row sums are the trees' masses, then the distribute messages
     from the shallowest level.  `beliefs` holds the steps of every node's
     belief, one or a few per shape class.  The tables of each shape class
-    are zero-padded to the class's largest and stacked once, in `stacks`,
-    node a in row `places[a]`.  `order` lists the message rows in the
-    sequential schedule: each tree's collect messages in reverse walk
-    order, tree by tree, then each tree's distribute messages in walk
-    order.  Trace records follow it, and the `n_normalizers` normalizer
-    positions of the steps follow it too, with each tree's root mass after
-    its collect messages and an all-ones row first.  With no members this
-    is plain polytree propagation with one case.
+    (`classes[a]` is node a's) are zero-padded to the class's largest and
+    stacked once, in `stacks`, node a in row `places[a]`.  `order` lists
+    the message rows in the sequential schedule: each tree's collect
+    messages in reverse walk order, tree by tree, then each tree's
+    distribute messages in walk order.  Trace records follow it, and so do
+    the `n_normalizers` normalizer positions of the steps, with an
+    all-ones row first and each tree's root mass after its collect
+    messages.  With no members this is plain polytree propagation with
+    one case.
     """
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
@@ -557,8 +557,9 @@ class TwoPassPlan:
             masses.append((0, ids[root], None, position))
             position += 1
             distribute += ((depth[ids[a]], ids[towards], ids[a], None) for a, towards in walk)
+        del neighbors  # freed before the steps are built, to lower the peak
         self.n_normalizers = position
-        self.order = tuple(rules[a, to].slot for _, a, to, _ in collect + distribute)
+        self.order = tuple(rules[a, to].slot for _, a, to, _ in (*collect, *distribute))
         self.steps, alone = [], []  # runs of single members are sent in sequence
         for chunk in itertools.chain(*map(self._chunks, (collect, masses, distribute))):
             if len(chunk) == 1:
@@ -571,6 +572,7 @@ class TwoPassPlan:
         if alone:
             self.steps.append(self._sequence(alone))
         self.steps = tuple(self.steps)
+        del collect, masses, distribute, alone
         beliefs = [(0, a, None, None) for a in range(len(self.names))]
         self.beliefs = tuple(map(self._step, self._chunks(beliefs)))
 
@@ -606,11 +608,10 @@ class TwoPassPlan:
 
     def _chunks(self, entries):
         """Yield `entries`, each (level, node, recipient, normalizer
-        position), in lists
-        that one step can compute: levels in increasing order, each split
-        by shape class and recipient axis, and then, in order of the
-        number of diagnostic rows, into chunks whose gathered diagnostic
-        rows stay within _STEP_FLOATS floats."""
+        position), in lists that one step can compute: levels in
+        increasing order, each split by shape class and recipient axis,
+        and then, in order of the number of diagnostic rows, into chunks
+        that gather at most _STEP_FLOATS floats of tables and rows."""
         per_row = len(self.cases) * max(self.widths)
         level_of = operator.itemgetter(0)
         for _, level in itertools.groupby(sorted(entries, key=level_of), level_of):
@@ -618,14 +619,15 @@ class TwoPassPlan:
             for entry in level:
                 _, a, to, _ = entry
                 groups.setdefault((self.classes[a], self.rules[a, to].out[1]), []).append(entry)
-            for members in groups.values():
+            for (shape_class, _), members in groups.items():
                 if len(members) == 1:
                     yield members
                     continue
+                table = self.stacks[shape_class][0].size
                 chunk, rows = [], 0
                 for member in sorted(members, key=lambda e: len(self.rules[e[1:3]].lams)):
                     m = 1 + len(self.rules[member[1:3]].lams)  # with the evidence row
-                    if chunk and (len(chunk) + 1) * max(rows, m) * per_row > _STEP_FLOATS:
+                    if chunk and (len(chunk) + 1) * (table + max(rows, m) * per_row) > _STEP_FLOATS:
                         yield chunk
                         chunk, rows = [], 0
                     chunk.append(member)
@@ -644,15 +646,15 @@ class TwoPassPlan:
         first = rules[0]
         stack = self.stacks[self.classes[members[0][1]]]
         width = dict(zip(first.table, stack.shape[1:]))  # each axis label's padded width
-        m = max(len(rule.lams) for rule in rules)
-        index = [
-            [a, -1 if to is None else to, self.places[a], -1 if rule.slot is None else rule.slot,
-             -1 if position is None else position, *(row for row, _ in rule.pis),
-             self.ones + 1 + a, *rule.lams, *[self.ones] * (m - len(rule.lams))]
-            for (_, a, to, position), rule in zip(members, rules)
-        ]
+        columns = _POSITION + 2 + len(first.pis) + max(len(rule.lams) for rule in rules)
+        index = np.full((len(members), columns), self.ones, dtype=np.int32)
+        for g, ((_, a, to, position), rule) in enumerate(zip(members, rules)):
+            row = (a, -1 if to is None else to, self.places[a], -1 if rule.slot is None else rule.slot,
+                   -1 if position is None else position, *(slot for slot, _ in rule.pis),
+                   self.ones + 1 + a, *rule.lams)
+            index[g, :len(row)] = row
         return Step(
-            np.array(index, dtype=np.int32),
+            index,
             first.slot is not None,
             stack,
             _batch(*first.table),
