@@ -10,7 +10,8 @@ lambda of each child) and sums out every axis but the recipient's, or its
 own for a belief.  The rule runs on a plan compiled per network and loop
 cutset (`TwoPassPlan`), over integer node ids and one buffer of
 zero-padded message rows with a row per cutset case; the plan compiles,
-once, which rows each message and belief reads and writes (`Rule`).
+once, which rows each message and belief reads and writes (`Rule`), a
+message's rule only when it is first sent alone.
 
 The two-pass schedule computes each message once.  The messages at one
 tree depth depend only on deeper ones (collect) or shallower ones
@@ -409,6 +410,41 @@ class Rule(NamedTuple):
     out: list[int]
 
 
+class _Rules(dict):
+    """`TwoPassPlan.rules`: each node's belief rule, compiled with the
+    plan, and each message's rule, made from its sender's belief rule when
+    first asked for.  The steps read none of them, so only the messages
+    sent one at a time keep a rule."""
+
+    __slots__ = ("arcs",)
+
+    def __init__(self, arcs) -> None:
+        super().__init__()
+        self.arcs = arcs
+
+    def __missing__(self, key):
+        if key[1] is None:
+            raise KeyError(key)
+        rule = self[key] = self.derive(*key)
+        return rule
+
+    def derive(self, a: int, to: int | None) -> Rule:
+        """The rule of the message node `a` sends its neighbor `to`, or of
+        a's belief when `to` is None, without keeping it.  The pi of arc k
+        is in row 2k and its lambda in row 2k+1."""
+        belief = self[a, None]
+        if to is None:
+            return belief
+        _, table, pis, lams, own, _ = belief
+        for j, (slot, _) in enumerate(pis):  # the lambda message to parent j
+            if self.arcs[slot // 2][0] == to:
+                return Rule(slot + 1, table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
+        for k, slot in enumerate(lams):  # the pi message to child k
+            if self.arcs[slot // 2][1] == to:
+                return Rule(slot - 1, table, pis, lams[:k] + lams[k + 1:], own, own)
+        raise KeyError((a, to))
+
+
 #: the leading columns of `Step.index`
 _NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
 
@@ -470,7 +506,7 @@ class TwoPassPlan:
     row `ones + 1 + a` (all-ones where it has none); `widths` gives each
     row's number of states.  `rules[a, to]` is the `Rule` of the message
     node `a` sends its neighbor `to`, and `rules[a, None]` that of a's
-    belief, each compiled once.
+    belief, each compiled once (see `_Rules`).
 
     Each tree is rooted at its smallest name and walked as in
     `forest_walks`.  A collect message, sent towards the root, reads only
@@ -521,7 +557,7 @@ class TwoPassPlan:
             slots[p, c], slots[c, p] = 2 * arc, 2 * arc + 1  # the arc's pi and lambda
             ups[c].append(p)
             downs[p].append(c)
-        self.rules = rules = {}
+        self.rules = rules = _Rules(self.arcs)
         neighbors = {}
         for a, tensor in enumerate(self.tensors):
             neighbors[self.names[a]] = sorted(self.names[k] for k in (*ups[a], *downs[a]))
@@ -530,10 +566,6 @@ class TwoPassPlan:
             pis = tuple((slots[p, a], _ROW[j]) for j, p in enumerate(ups[a]))
             lams = tuple(slots[c, a] for c in downs[a])
             rules[a, None] = Rule(None, table, pis, lams, own, own)
-            for j, p in enumerate(ups[a]):  # the lambda message to parent j
-                rules[a, p] = Rule(slots[a, p], table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
-            for k, c in enumerate(downs[a]):  # the pi message to child k
-                rules[a, c] = Rule(slots[a, c], table, pis, lams[:k] + lams[k + 1:], own, own)
 
         classes: dict = {}
         for a in range(len(self.names)):
@@ -559,7 +591,7 @@ class TwoPassPlan:
             distribute += ((depth[ids[a]], ids[towards], ids[a], None) for a, towards in walk)
         del neighbors  # freed before the steps are built, to lower the peak
         self.n_normalizers = position
-        self.order = tuple(rules[a, to].slot for _, a, to, _ in (*collect, *distribute))
+        self.order = tuple(slots[a, to] for _, a, to, _ in (*collect, *distribute))
         self.steps, alone = [], []  # runs of single members are sent in sequence
         for chunk in itertools.chain(*map(self._chunks, (collect, masses, distribute))):
             if len(chunk) == 1:
@@ -608,25 +640,26 @@ class TwoPassPlan:
 
     def _chunks(self, entries):
         """Yield `entries`, each (level, node, recipient, normalizer
-        position), in lists that one step can compute: levels in
-        increasing order, each split by shape class and recipient axis,
-        and then, in order of the number of diagnostic rows, into chunks
-        that gather at most _STEP_FLOATS floats of tables and rows."""
+        position), as lists of (rule, entry) that one step can compute:
+        levels in increasing order, each split by shape class and
+        recipient axis, and then, in order of the number of diagnostic
+        rows, into chunks that gather at most _STEP_FLOATS floats of tables
+        and rows."""
         per_row = len(self.cases) * max(self.widths)
         level_of = operator.itemgetter(0)
         for _, level in itertools.groupby(sorted(entries, key=level_of), level_of):
             groups: dict = {}
             for entry in level:
-                _, a, to, _ = entry
-                groups.setdefault((self.classes[a], self.rules[a, to].out[1]), []).append(entry)
+                rule = self.rules.derive(*entry[1:3])
+                groups.setdefault((self.classes[entry[1]], rule.out[1]), []).append((rule, entry))
             for (shape_class, _), members in groups.items():
                 if len(members) == 1:
                     yield members
                     continue
                 table = self.stacks[shape_class][0].size
                 chunk, rows = [], 0
-                for member in sorted(members, key=lambda e: len(self.rules[e[1:3]].lams)):
-                    m = 1 + len(self.rules[member[1:3]].lams)  # with the evidence row
+                for member in sorted(members, key=lambda member: len(member[0].lams)):
+                    m = 1 + len(member[0].lams)  # with the evidence row
                     if chunk and (len(chunk) + 1) * (table + max(rows, m) * per_row) > _STEP_FLOATS:
                         yield chunk
                         chunk, rows = [], 0
@@ -635,14 +668,17 @@ class TwoPassPlan:
                 yield chunk
 
     def _sequence(self, members) -> Sequence:
-        """The Sequence of `members`, entries as `_chunks` yields them."""
-        _, nodes, recipients, positions = zip(*members)
-        slots = tuple(self.rules[a, to].slot for a, to in zip(nodes, recipients))
-        return Sequence(nodes, recipients, slots, positions)
+        """The Sequence of `members`, as `_chunks` yields them; their rules
+        are kept, for `TwoPassRun.normalized` reads them."""
+        rules, entries = zip(*members)
+        _, nodes, recipients, positions = zip(*entries)
+        for rule, a, to in zip(rules, nodes, recipients):
+            self.rules[a, to] = rule
+        return Sequence(nodes, recipients, tuple(rule.slot for rule in rules), positions)
 
     def _step(self, members) -> Step:
-        """The Step of `members`, entries as `_chunks` yields them."""
-        rules = [self.rules[a, to] for _, a, to, _ in members]
+        """The Step of `members`, as `_chunks` yields them."""
+        rules, members = zip(*members)
         first = rules[0]
         stack = self.stacks[self.classes[members[0][1]]]
         width = dict(zip(first.table, stack.shape[1:]))  # each axis label's padded width

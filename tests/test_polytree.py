@@ -631,6 +631,8 @@ class TestTwoPassPlan:
         kept = [(p, c) for p, c in net.edges() if p not in members]
         assert [(plan.names[i], plan.names[j]) for i, j in plan.arcs] == kept
         old, new = np.zeros(2), np.ones(2)
+        for i, j in plan.arcs:  # a message's rule is compiled when first asked for
+            plan.rules[i, j], plan.rules[j, i]
         slots = []
         for (a, to), rule in plan.rules.items():
             if to is None:
@@ -666,9 +668,10 @@ def star_and_small_tree():
 def assert_steps_match_messages(plan, run):
     """Every message and belief that `run`'s steps computed is bit for bit
     what `normalized` gives for it alone, on the same buffer."""
-    for (a, to), rule in plan.rules.items():
-        if to is not None:
-            assert run.msg(rule.slot).tobytes() == run.normalized(a, to)[0].tobytes()
+    for i, j in plan.arcs:
+        for a, to in ((i, j), (j, i)):
+            slot = plan.rules[a, to].slot
+            assert run.msg(slot).tobytes() == run.normalized(a, to)[0].tobytes()
     for k, belief, mass in run.beliefs(list(range(len(plan.names)))):
         expected, sums, _ = run.normalized(k)
         assert (belief.tobytes(), mass.tobytes()) == (expected.tobytes(), sums.tobytes())
