@@ -9,9 +9,10 @@ except the recipient (the pi of each parent, the evidence factor times the
 lambda of each child) and sums out every axis but the recipient's, or its
 own for a belief.  The rule runs on a plan compiled per network and loop
 cutset (`TwoPassPlan`), over integer node ids and one buffer of
-zero-padded message rows with a row per cutset case; the plan compiles,
-once, which rows each message and belief reads and writes (`Rule`), a
-message's rule only when it is first sent alone.
+zero-padded message rows with a row per cutset case.  The plan compiles,
+once, which rows each node's belief reads (`Rule`); the rule of a message
+is derived from its sender's when needed, and the plan is never written
+after it is built.
 
 The two-pass schedule computes each message once.  The messages at one
 tree depth depend only on deeper ones (collect) or shallower ones
@@ -34,7 +35,8 @@ normalized; an all-zero message marks a branch that is impossible under the
 evidence and is deliberately left unnormalized.  A product of many
 children's lambdas can fall below the float range; a message or belief
 whose mass falls below 2^-500 is recomputed with its diagnostic vector
-rescaled by a power of two, which the evidence likelihood takes back out.
+rescaled by a power of two, which the evidence likelihood takes back out,
+unless a message or factor it reads is all zero, which makes it exactly 0.
 """
 
 from __future__ import annotations
@@ -123,20 +125,19 @@ def _load(net: Network, state: MessageState) -> TwoPassRun:
     messages and evidence factors and has sent nothing yet."""
     plan = two_pass_plan(net, [])
     run = TwoPassRun(plan, state.evidence_factor, np.arange(1))
-    for i, j in plan.arcs:
-        lp = state.messages[plan.names[i], plan.names[j]]
-        run.msg(plan.rules[i, j].slot)[...] = lp.pi
-        run.msg(plan.rules[j, i].slot)[...] = lp.lam
+    for slot in range(0, plan.ones, 2):  # each arc's pi, then its lambda
+        lp = state.messages[plan.arc(slot)[:2]]
+        run.msg(slot)[...], run.msg(slot + 1)[...] = lp.pi, lp.lam
     return run
 
 
 def _loaded(net: Network, state: MessageState, a: str, to: str | None = None):
-    """`state` loaded into a one-case run (see `_load`), and the ids of
-    `a` and of `to` (None stays None)."""
+    """`state` loaded into a one-case run (see `_load`), and the rule of
+    the message `a` sends `to`, or of a's belief when `to` is None."""
     net.variable(a)  # an unknown name raises as it does everywhere else
     run = _load(net, state)
     ids = run.plan.ids
-    return run, ids[a], None if to is None else ids[to]
+    return run, run.plan.rule(ids[a], None if to is None else ids[to])
 
 
 def zero_mass(variable: str) -> str:
@@ -153,21 +154,21 @@ def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarra
     causal = {
         arc: LinkParameters(lp.pi, np.ones_like(lp.lam)) for arc, lp in state.messages.items()
     }
-    run, i, _ = _loaded(net, MessageState(causal, {}), a)
-    return run.core(i)[0]
+    run, rule = _loaded(net, MessageState(causal, {}), a)
+    return run.core(rule)[0]
 
 
 def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Product of the evidence factor (if any) and every child's lambda
     message; all-ones for an uninstantiated leaf."""
-    run, i, _ = _loaded(net, state, a)
-    return run.diagnostic(i, run.plan.rules[i, None].lams)[0]
+    run, rule = _loaded(net, state, a)
+    return run.diagnostic(rule)[0]
 
 
 def fuse_belief(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Normalized product of total causal and diagnostic support."""
-    run, i, _ = _loaded(net, state, a)
-    belief, mass, _ = run.normalized(i)
+    run, rule = _loaded(net, state, a)
+    belief, mass, _ = run.normalized(rule)
     if mass[0] <= 0.0:
         raise ImpossibleEvidenceError(zero_mass(a), variable=a)
     return belief[0]
@@ -194,8 +195,8 @@ def update_lambda_to_parent(
     other parents.  Reads nothing from arc b->a itself."""
     if b not in net.parents(a):
         raise KeyError(f"{b} is not a parent of {a}")
-    run, i, j = _loaded(net, state, a, b)
-    return run.normalized(i, j)[0][0]
+    run, rule = _loaded(net, state, a, b)
+    return run.normalized(rule)[0][0]
 
 
 def update_pi_to_child(
@@ -206,26 +207,27 @@ def update_pi_to_child(
     children.  Reads nothing from arc a->x itself."""
     if x not in net.children(a):
         raise KeyError(f"{x} is not a child of {a}")
-    run, i, j = _loaded(net, state, a, x)
-    return run.normalized(i, j)[0][0]
+    run, rule = _loaded(net, state, a, x)
+    return run.normalized(rule)[0][0]
 
 
-def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
-    """Every directed message as (sender id, receiver id): senders in
-    topological order, each sending to its neighbors in name order."""
+def _message_rules(net: Network, plan: TwoPassPlan) -> dict[tuple[int, int], Rule]:
+    """The rule of every directed message, keyed (sender id, receiver id):
+    senders in topological order, each sending to its neighbors in name
+    order."""
     ids = plan.ids
-    return [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
+    keys = [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
+    return {key: plan.rule(*key) for key in keys}
 
 
 def _residual(old: np.ndarray, new: np.ndarray) -> float:
     return float(np.max(np.abs(old - new)))
 
 
-def _store(run: TwoPassRun, key, new: np.ndarray, on_update, sweep: int) -> float:
-    """Write `new` as the message `key` of the one-case `run` and return
-    how far it moved (max-norm); when that exceeds TOLERANCE, pass it to
-    `on_update`."""
-    slot = run.plan.rules[key].slot
+def _store(run: TwoPassRun, slot: int, new: np.ndarray, on_update, sweep: int) -> float:
+    """Write `new` as the message in row `slot` of the one-case `run` and
+    return how far it moved (max-norm); when that exceeds TOLERANCE, pass
+    it to `on_update`."""
     held = run.msg(slot)
     old = held.copy()
     held[...] = new
@@ -235,10 +237,10 @@ def _store(run: TwoPassRun, key, new: np.ndarray, on_update, sweep: int) -> floa
     return residual
 
 
-def _no_fixpoint(run: TwoPassRun, what: str, key, residual: float) -> ConvergenceError:
+def _no_fixpoint(run: TwoPassRun, what: str, slot: int, residual: float) -> ConvergenceError:
     """The ConvergenceError of a relaxation that ran out of budget, naming
-    the message `key` and how far it moved last."""
-    parent, child, direction = run.plan.arc(run.plan.rules[key].slot)
+    the message in row `slot` and how far it moved last."""
+    parent, child, direction = run.plan.arc(slot)
     return ConvergenceError(
         f"no fixpoint after {what}; worst message: {direction} {parent}->{child} "
         f"moved {residual:.3g}",
@@ -258,7 +260,7 @@ def propagate(
     """Bring all messages to the fixpoint.
 
     `schedule` is "synchronous" (full sweeps, every message recomputed from
-    the previous sweep's snapshot, in the fixed order of `_message_keys`),
+    the previous sweep's snapshot, in the fixed order of `_message_rules`),
     "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
     seeded by `seed`, until none is) or "two-pass" (each message computed
     once, see `TwoPassPlan`).  The relaxations stop once every stored
@@ -283,32 +285,35 @@ def propagate(
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     plan = run.plan
-    for i, j in plan.arcs:
-        lp = state.messages[plan.names[i], plan.names[j]]
-        lp.pi, lp.lam = run.msg(plan.rules[i, j].slot)[0], run.msg(plan.rules[j, i].slot)[0]
+    for slot in range(0, plan.ones, 2):
+        lp = state.messages[plan.arc(slot)[:2]]
+        lp.pi, lp.lam = run.msg(slot)[0], run.msg(slot + 1)[0]
     if schedule != "two-pass":
-        for v in net.var_names():
-            fuse_belief(net, state, v)  # raises on a zero-mass belief
+        for a, rule in enumerate(plan.rules):
+            if run.normalized(rule)[1][0] <= 0.0:
+                v = plan.names[a]
+                raise ImpossibleEvidenceError(zero_mass(v), variable=v)
     return state, stats
 
 
 def _run_synchronous(net, run, on_update):
-    keys = _message_keys(net, run.plan)
+    rules = list(_message_rules(net, run.plan).values())
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
-        new = [run.normalized(s, r)[0] for s, r in keys]
-        residuals = [_store(run, key, m, on_update, sweep) for key, m in zip(keys, new)]
+        new = [run.normalized(rule)[0] for rule in rules]
+        residuals = [_store(run, rule.slot, m, on_update, sweep) for rule, m in zip(rules, new)]
         moved = sum(r > TOLERANCE for r in residuals)
         updates += moved
         if not moved:
             return PropagationStats(sweeps=sweep, updates=updates)
-    worst = max(range(len(keys)), key=residuals.__getitem__)
-    raise _no_fixpoint(run, f"{max_sweeps} synchronous sweeps", keys[worst], residuals[worst])
+    worst = max(range(len(rules)), key=residuals.__getitem__)
+    raise _no_fixpoint(run, f"{max_sweeps} synchronous sweeps", rules[worst].slot, residuals[worst])
 
 
 def _run_fair_random(net, run, seed, on_update):
-    keys = _message_keys(net, run.plan)
+    rules = _message_rules(net, run.plan)
+    keys = list(rules)
     sends: dict[int, list] = {}  # each sender's keys, in the order of `keys`
     for key in keys:
         sends.setdefault(key[0], []).append(key)
@@ -327,8 +332,8 @@ def _run_fair_random(net, run, seed, on_update):
             continue
         dirty.remove(key)
         s, r = key
-        new = run.normalized(s, r)[0]
-        last = key, _store(run, key, new, on_update, updates + 1)
+        rule = rules[key]
+        last = rule.slot, _store(run, rule.slot, run.normalized(rule)[0], on_update, updates + 1)
         if last[1] > TOLERANCE:
             updates += 1
             # every message r sends reads this one, except the one back to s
@@ -396,53 +401,19 @@ def two_pass_plan(net: Network, members) -> TwoPassPlan:
 
 
 class Rule(NamedTuple):
-    """How a node computes one message or its belief: the buffer row it
-    writes (None for a belief), the einsum sublist of its table, the (row,
-    sublist) of each pi it reads in table order, the rows of the lambdas
-    it reads in arc order, and the sublists of its diagnostic vector and
-    of the result."""
+    """How node `node` computes one message or its belief: the buffer row
+    it writes (None for a belief), the einsum sublist of its table, the
+    (row, sublist) of each pi it reads in table order, the rows of the
+    lambdas it reads in arc order, and the sublists of its diagnostic
+    vector and of the result."""
 
+    node: int
     slot: int | None
     table: list[int]
     pis: tuple[tuple[int, list[int]], ...]
     lams: tuple[int, ...]
     own: list[int]
     out: list[int]
-
-
-class _Rules(dict):
-    """`TwoPassPlan.rules`: each node's belief rule, compiled with the
-    plan, and each message's rule, made from its sender's belief rule when
-    first asked for.  The steps read none of them, so only the messages
-    sent one at a time keep a rule."""
-
-    __slots__ = ("arcs",)
-
-    def __init__(self, arcs) -> None:
-        super().__init__()
-        self.arcs = arcs
-
-    def __missing__(self, key):
-        if key[1] is None:
-            raise KeyError(key)
-        rule = self[key] = self.derive(*key)
-        return rule
-
-    def derive(self, a: int, to: int | None) -> Rule:
-        """The rule of the message node `a` sends its neighbor `to`, or of
-        a's belief when `to` is None, without keeping it.  The pi of arc k
-        is in row 2k and its lambda in row 2k+1."""
-        belief = self[a, None]
-        if to is None:
-            return belief
-        _, table, pis, lams, own, _ = belief
-        for j, (slot, _) in enumerate(pis):  # the lambda message to parent j
-            if self.arcs[slot // 2][0] == to:
-                return Rule(slot + 1, table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
-        for k, slot in enumerate(lams):  # the pi message to child k
-            if self.arcs[slot // 2][1] == to:
-                return Rule(slot - 1, table, pis, lams[:k] + lams[k + 1:], own, own)
-        raise KeyError((a, to))
 
 
 #: the leading columns of `Step.index`
@@ -479,13 +450,10 @@ class Step(NamedTuple):
 class Sequence(NamedTuple):
     """Messages sent one after another through `TwoPassRun.normalized`,
     each reading the last: a run of single messages, such as a chain's.
-    For each member, its node, its recipient and the row it writes (None
-    for a root's belief), and its normalizer position (None for a
-    distribute message)."""
+    For each member, its `Rule` (a root's belief rule for its mass) and
+    its normalizer position (None for a distribute message)."""
 
-    nodes: tuple
-    recipients: tuple
-    slots: tuple
+    rules: tuple
     positions: tuple
 
 
@@ -504,9 +472,10 @@ class TwoPassPlan:
     per case each: the pi of arc k in row 2k and its lambda in row 2k+1,
     then the all-ones row `ones`, then each node a's evidence factor in
     row `ones + 1 + a` (all-ones where it has none); `widths` gives each
-    row's number of states.  `rules[a, to]` is the `Rule` of the message
-    node `a` sends its neighbor `to`, and `rules[a, None]` that of a's
-    belief, each compiled once (see `_Rules`).
+    row's number of states.  `rules[a]` is the `Rule` of node a's belief,
+    and `rule(a, to)` derives that of the message a sends its neighbor
+    `to`.  Nothing in a plan changes after it is built, so every run and
+    relaxation of the same network shares it.
 
     Each tree is rooted at its smallest name and walked as in
     `forest_walks`.  A collect message, sent towards the root, reads only
@@ -557,15 +526,15 @@ class TwoPassPlan:
             slots[p, c], slots[c, p] = 2 * arc, 2 * arc + 1  # the arc's pi and lambda
             ups[c].append(p)
             downs[p].append(c)
-        self.rules = rules = _Rules(self.arcs)
-        neighbors = {}
+        rules, neighbors = [], {}
         for a, tensor in enumerate(self.tensors):
             neighbors[self.names[a]] = sorted(self.names[k] for k in (*ups[a], *downs[a]))
             n = len(ups[a])
             table, own = _axes(n, tensor.ndim > n + 1), _ROW[n]
             pis = tuple((slots[p, a], _ROW[j]) for j, p in enumerate(ups[a]))
             lams = tuple(slots[c, a] for c in downs[a])
-            rules[a, None] = Rule(None, table, pis, lams, own, own)
+            rules.append(Rule(a, None, table, pis, lams, own, own))
+        self.rules = tuple(rules)
 
         classes: dict = {}
         for a in range(len(self.names)):
@@ -636,7 +605,7 @@ class TwoPassPlan:
         the table's sublist, and the width of each axis of _UNPADDED states
         or more."""
         wide = tuple(k if k >= _UNPADDED else 0 for k in self.tensors[a].shape)
-        return tuple(self.rules[a, None].table), wide
+        return tuple(self.rules[a].table), wide
 
     def _chunks(self, entries):
         """Yield `entries`, each (level, node, recipient, normalizer
@@ -650,7 +619,7 @@ class TwoPassPlan:
         for _, level in itertools.groupby(sorted(entries, key=level_of), level_of):
             groups: dict = {}
             for entry in level:
-                rule = self.rules.derive(*entry[1:3])
+                rule = self.rule(*entry[1:3])
                 groups.setdefault((self.classes[entry[1]], rule.out[1]), []).append((rule, entry))
             for (shape_class, _), members in groups.items():
                 if len(members) == 1:
@@ -667,14 +636,11 @@ class TwoPassPlan:
                     rows = max(rows, m)
                 yield chunk
 
-    def _sequence(self, members) -> Sequence:
-        """The Sequence of `members`, as `_chunks` yields them; their rules
-        are kept, for `TwoPassRun.normalized` reads them."""
+    @staticmethod
+    def _sequence(members) -> Sequence:
+        """The Sequence of `members`, as `_chunks` yields them."""
         rules, entries = zip(*members)
-        _, nodes, recipients, positions = zip(*entries)
-        for rule, a, to in zip(rules, nodes, recipients):
-            self.rules[a, to] = rule
-        return Sequence(nodes, recipients, tuple(rule.slot for rule in rules), positions)
+        return Sequence(rules, tuple(entry[3] for entry in entries))
 
     def _step(self, members) -> Step:
         """The Step of `members`, as `_chunks` yields them."""
@@ -701,6 +667,24 @@ class TwoPassPlan:
             width[first.out[1]],
             members[0][3] is not None,
         )
+
+    def rule(self, a: int, to: int | None) -> Rule:
+        """The rule of the message node `a` sends its neighbor `to`, or of
+        a's belief when `to` is None, derived from a's belief rule.  The pi
+        of arc k is in row 2k and its lambda in row 2k+1; the arc to a
+        child is found among the child's parents."""
+        belief = self.rules[a]
+        if to is None:
+            return belief
+        _, _, table, pis, lams, own, _ = belief
+        for j, (slot, _) in enumerate(pis):  # the lambda message to parent j
+            if self.arcs[slot // 2][0] == to:
+                return Rule(a, slot + 1, table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
+        for slot, _ in self.rules[to].pis:  # the pi message to child `to`
+            if self.arcs[slot // 2][0] == a:
+                k = lams.index(slot + 1)
+                return Rule(a, slot, table, pis, lams[:k] + lams[k + 1:], own, own)
+        raise KeyError((a, to))
 
     def live_cases(self, evidence: Evidence) -> np.ndarray:
         """Indices of the cases that agree with the evidence on members."""
@@ -736,7 +720,9 @@ class TwoPassRun:
     the one sum-product rule under every schedule: `two_pass` runs the
     plan's steps, each a batch of `core` with the per-message bits, and
     the relaxations recompute the messages of a one-case run until none
-    moves.  Each message is `core` normalized per case; a case whose
+    moves.  A run writes only its own buffer: it reads the plan's tables
+    in place, cut to the live cases where a table has a case axis, and
+    the rules from the plan.  Each message is `core` normalized per case; a case whose
     normalizer is 0 is impossible and its row stays 0.  After `two_pass`,
     a stored collect message is its exact unnormalized value divided by
     its own normalizer and every normalizer below it, so all of them
@@ -746,18 +732,12 @@ class TwoPassRun:
     which `log_weights` takes back out, so a product below the float range
     stays exact."""
 
-    __slots__ = ("plan", "n_cases", "live", "tensors", "buf", "possible", "log_weights")
+    __slots__ = ("plan", "n_cases", "live", "buf", "possible", "log_weights")
 
     def __init__(self, plan: TwoPassPlan, factors, live: np.ndarray) -> None:
         self.plan = plan
         self.n_cases = n_cases = len(live)
         self.live = None if n_cases == len(plan.cases) else live
-        self.tensors = plan.tensors
-        if self.live is not None:  # keep the live rows of the case axes
-            self.tensors = [
-                t[live] if plan.rules[a, None].table[0] == _CASE else t
-                for a, t in enumerate(plan.tensors)
-            ]
         self.buf = np.zeros((len(plan.widths), n_cases, max(plan.widths)))
         self.buf[plan.ones:] = 1.0
         for v, factor in factors.items():
@@ -782,10 +762,10 @@ class TwoPassRun:
         buf, widths = self.buf, plan.widths
         for step in plan.steps:
             if type(step) is Sequence:
-                for a, to, slot, position in zip(*step):
-                    values, sums, sent_shift = self.normalized(a, to)
-                    if slot is not None:
-                        buf[slot, :, :widths[slot]] = values
+                for rule, position in zip(*step):
+                    values, sums, sent_shift = self.normalized(rule)
+                    if rule.slot is not None:
+                        buf[rule.slot, :, :widths[rule.slot]] = values
                     if position is not None:
                         scales[position] = sums
                         shift = shift + sent_shift
@@ -804,12 +784,9 @@ class TwoPassRun:
     def _compute(self, step: Step):
         """`normalized` for every member of `step`: the results stacked and
         zero-padded to the step's width, their row sums, and the total
-        shift of those sums.  One einsum serves all members; a step of one
-        member, and each member with a row summing below 2^-500, run
-        `normalized` itself."""
-        if len(step.index) == 1:
-            values, sums, shift = self.normalized(*self._key(step, 0))
-            return values[None], sums[None], shift
+        shift of those sums.  One einsum serves all members; the rows
+        that may have underflowed (see `_underflowed`) are recomputed
+        member by member, as `normalized` recomputes them."""
         buf, index = self.buf, step.index
         tensor = step.stack[index[:, _PLACE]]
         if self.live is not None and step.table[1] == _CASE:
@@ -817,26 +794,31 @@ class TwoPassRun:
         operands = [tensor, step.table]
         for column, (width, sub) in enumerate(step.pis, _POSITION + 1):
             operands += (buf[index[:, column], :, :width], sub)
-        lams = index[:, _POSITION + 1 + len(step.pis):]
-        lam = buf[lams, :, :step.own].prod(axis=1)
-        core = np.einsum(*operands, lam, step.diag, step.out)
+        rows = buf[index[:, _POSITION + 1 + len(step.pis):], :, :step.own]
+        core = np.einsum(*operands, rows.prod(axis=1), step.diag, step.out)
         sums = core.sum(axis=2)
         if sums.min() >= _TINY:
             return core / sums[..., None], sums, 0
-        low = (sums < _TINY).any(axis=1)
-        values = core / np.where(low[:, None], 1.0, sums)[..., None]
+        low = self._underflowed(sums, rows, operands[2::2])
+        values = core / np.where(sums > 0, sums, 1.0)[..., None]
         shift = 0
-        for g in np.flatnonzero(low).tolist():
-            value, sums[g], member_shift = self.normalized(*self._key(step, g))
-            values[g, :, :value.shape[1]] = value
+        for g in np.flatnonzero(low.any(axis=1)).tolist():
+            a, to = index[g, :_PLACE].tolist()
+            rule = self.plan.rule(a, None if to < 0 else to)
+            values[g], sums[g], member_shift = self._rescale_rows(rule, core[g], low[g])
             shift = shift + member_shift
         return values, sums, shift
 
     @staticmethod
-    def _key(step: Step, g: int) -> tuple[int, int | None]:
-        """The (node, recipient) of member g of `step`."""
-        a, to = step.index[g, :_PLACE].tolist()
-        return a, None if to < 0 else to
+    def _underflowed(sums: np.ndarray, rows: np.ndarray, pis) -> np.ndarray:
+        """Where a row sum in `sums` is below 2^-500 and may have
+        underflowed.  Not where one of the rows it was computed from is all
+        zero in that case, a pi in `pis` or a diagnostic row stacked along
+        axis -3 of `rows`, for then the sum is exactly 0."""
+        read = rows.any(axis=-1).all(axis=-2)
+        for pi in pis:
+            read &= pi.any(axis=-1)
+        return (sums < _TINY) & read
 
     def beliefs(self, nodes):
         """For each node `nodes[k]`, yield k, its belief normalized per
@@ -856,9 +838,10 @@ class TwoPassRun:
             for g, a in enumerate(step.index[:, _NODE].tolist()):
                 yield int(index[a]), values[g, :, :cards[a]], sums[g]
 
-    def diagnostic(self, a: int, lams) -> np.ndarray:
-        """Evidence factor of node `a` times the lambda in each row of
-        `lams`, multiplied left to right, one row per case."""
+    def diagnostic(self, rule: Rule) -> np.ndarray:
+        """Evidence factor of the rule's node times the lambda in each row
+        of `rule.lams`, multiplied left to right, one row per case."""
+        a, lams = rule.node, rule.lams
         k = self.plan.cards[a]
         if len(lams) > 3:  # one gather beats a Python loop
             return self.buf[[self.plan.ones + 1 + a, *lams], :, :k].prod(axis=0)
@@ -867,14 +850,14 @@ class TwoPassRun:
             lam = lam * self.buf[row, :, :k]
         return lam
 
-    def _rescaled(self, a: int, lams) -> tuple[np.ndarray, np.ndarray]:
-        """`diagnostic(a, lams)` times 2**shift per row, and `shift`.  The
+    def _rescaled(self, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
+        """`diagnostic(rule)` times 2**shift per row, and `shift`.  The
         product is formed from mantissas and exponents kept apart, so no
         entry underflows on the way; then each row is scaled by the power
         of two that brings its largest entry to [0.5, 1).  An entry more
         than 2^-1074 below its row's largest still ends as 0."""
-        rows = [self.plan.ones + 1 + a, *lams]
-        mants, pows = np.frexp(self.buf[rows, :, :self.plan.cards[a]])
+        rows = [self.plan.ones + 1 + rule.node, *rule.lams]
+        mants, pows = np.frexp(self.buf[rows, :, :self.plan.cards[rule.node]])
         lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
         for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
             lam, e = np.frexp(lam * np.prod(mants[start:start + 512], axis=0))
@@ -882,37 +865,52 @@ class TwoPassRun:
         top = np.where(lam > 0, power, power.min()).max(axis=1)  # moot for an all-zero row
         return np.ldexp(lam, power - top[:, None]), -top
 
-    def core(self, a: int, to: int | None = None, lam: np.ndarray | None = None) -> np.ndarray:
+    def core(self, rule: Rule, lam: np.ndarray | None = None) -> np.ndarray:
         """The local rule behind every message and belief, one row per
-        case: node `a`'s table times the pi message of each parent and its
-        `diagnostic` vector, summed over every axis but the recipient's.
-        Whatever comes from the neighbor `to` is left out; the result
-        ranges over `to`'s states when it is a parent, else over `a`'s own
-        (a pi message, or a belief when `to` is None).  The diagnostic
-        vector enters as one operand because einsum takes at most 64;
-        `lam`, when given, stands for it."""
-        _, table, pis, lams, own, out = self.plan.rules[a, to]
+        case: the table of the rule's node times the pi message of each
+        parent and its `diagnostic` vector, summed over every axis but the
+        recipient's.  Whatever comes from the recipient is left out; the
+        result ranges over its states when it is a parent, else over the
+        node's own (a pi message, or a belief).  The diagnostic vector
+        enters as one operand because einsum takes at most 64; `lam`, when
+        given, stands for it."""
+        a, _, table, pis, _, own, out = rule
         buf, widths = self.buf, self.plan.widths
-        operands = [self.tensors[a], table]
+        tensor = self.plan.tensors[a]
+        if self.live is not None and table[0] == _CASE:  # the live rows of the case axis
+            tensor = tensor[self.live]
+        operands = [tensor, table]
         for slot, sub in pis:
             operands += (buf[slot, :, :widths[slot]], sub)
-        return np.einsum(*operands, self.diagnostic(a, lams) if lam is None else lam, own, out)
+        return np.einsum(*operands, self.diagnostic(rule) if lam is None else lam, own, out)
 
-    def normalized(self, a: int, to: int | None = None):
-        """`core(a, to)` with each row divided by its sum (a row summing to
+    def normalized(self, rule: Rule):
+        """`core(rule)` with each row divided by its sum (a row summing to
         0 stays 0), the row sums, and the power of two by which each sum
-        exceeds the true one.  A row summing below 2^-500, which may have
-        underflowed, is recomputed from the `_rescaled` diagnostic vector;
-        every other row keeps its bits and a shift of 0."""
-        core = self.core(a, to)
+        exceeds the true one.  A row that may have underflowed (see
+        `_underflowed`) is recomputed from the `_rescaled` diagnostic
+        vector; every other row keeps its bits and a shift of 0."""
+        core = self.core(rule)
         sums = core.sum(axis=1)
         if sums.min() >= _TINY:
             return core / sums[:, None], sums, 0
-        low = sums < _TINY
-        lam, shift = self._rescaled(a, self.plan.rules[a, to].lams)
-        core[low] = self.core(a, to, lam)[low]
+        plan, buf = self.plan, self.buf
+        rows = buf[[plan.ones + 1 + rule.node, *rule.lams], :, :plan.cards[rule.node]]
+        pis = [buf[slot, :, :plan.widths[slot]] for slot, _ in rule.pis]
+        return self._rescale_rows(rule, core, self._underflowed(sums, rows, pis))
+
+    def _rescale_rows(self, rule: Rule, core: np.ndarray, low: np.ndarray):
+        """`core(rule)`, zero-padded or not, with the rows `low` recomputed
+        from the `_rescaled` diagnostic vector, then normalized as
+        `normalized` returns it."""
+        shift = 0
+        if low.any():
+            lam, top = self._rescaled(rule)
+            fixed = self.core(rule, lam)
+            core[low, :fixed.shape[1]] = fixed[low]
+            shift = np.where(low, top, 0)
         sums = core.sum(axis=1)
-        return core / np.where(sums > 0, sums, 1.0)[:, None], sums, np.where(low, shift, 0)
+        return core / np.where(sums > 0, sums, 1.0)[:, None], sums, shift
 
     def records(self, case: int):
         """The TraceRecords of one case: each message that moved away from

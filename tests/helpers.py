@@ -131,13 +131,14 @@ def random_polytree(
     """A random singly-connected network plus a random evidence set.
 
     The underlying graph is a uniformly attached random tree with each edge
-    oriented by a fair coin; joint sizes are capped so the enumeration
+    oriented by a fair coin.  Cards fall to 2, largest first, while the
+    joint has more than 2^20 states, so up to 20 variables the enumeration
     oracle stays applicable.
     """
     rng = random.Random(seed)
     n = rng.randint(min_nodes, max_nodes)
     cards = [rng.randint(2, max_card) for _ in range(n)]
-    while math.prod(cards) > 1 << 20:
+    while math.prod(cards) > 1 << 20 and max(cards) > 2:
         cards[cards.index(max(cards))] = 2
     names = [f"n{i:02d}" for i in range(n)]
     parents: dict[int, list[int]] = {i: [] for i in range(n)}

@@ -1,14 +1,17 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beliefprop import polytree
+from beliefprop.conditioning import auto_infer, infer_conditioned
 from beliefprop.cutset import greedy_cutset
 from beliefprop.errors import ConvergenceError, ImpossibleEvidenceError
 from beliefprop.model import Network, validate
@@ -457,9 +460,19 @@ class TestPropagate:
                     )
 
     def test_impossible_evidence_reports_variable(self):
-        with pytest.raises(ImpossibleEvidenceError) as info:
-            propagate(deterministic_chain(), {"A": 0, "B": 1})
-        assert info.value.variable is not None
+        for schedule in ("synchronous", "fair-random"):
+            with pytest.raises(ImpossibleEvidenceError) as info:
+                propagate(deterministic_chain(), {"A": 0, "B": 1}, schedule)
+            assert str(info.value) == "evidence is impossible: belief of A has zero mass"
+            assert info.value.variable == "A"
+
+    @pytest.mark.parametrize("schedule", ["two-pass", "synchronous", "fair-random"])
+    def test_loads_the_message_state_once(self, schedule, monkeypatch):
+        loads = []
+        original = polytree._load
+        monkeypatch.setattr(polytree, "_load", lambda *args: loads.append(args) or original(*args))
+        propagate(*random_polytree(7), schedule)
+        assert len(loads) == 1
 
     def test_rejects_multiply_connected(self):
         with pytest.raises(ValueError, match="singly connected"):
@@ -631,10 +644,11 @@ class TestTwoPassPlan:
         kept = [(p, c) for p, c in net.edges() if p not in members]
         assert [(plan.names[i], plan.names[j]) for i, j in plan.arcs] == kept
         old, new = np.zeros(2), np.ones(2)
-        for i, j in plan.arcs:  # a message's rule is compiled when first asked for
-            plan.rules[i, j], plan.rules[j, i]
+        rules = {(a, None): rule for a, rule in enumerate(plan.rules)}
+        for i, j in plan.arcs:  # a message's rule is derived when asked for
+            rules[i, j], rules[j, i] = plan.rule(i, j), plan.rule(j, i)
         slots = []
-        for (a, to), rule in plan.rules.items():
+        for (a, to), rule in rules.items():
             if to is None:
                 assert rule.slot is None
                 continue
@@ -648,7 +662,7 @@ class TestTwoPassPlan:
             assert rec.old is old and rec.new is new
             slots.append(rule.slot)
         assert sorted(slots) == list(range(2 * len(kept)))
-        assert len(plan.rules) == len(plan.names) + 2 * len(kept)
+        assert len(plan.rules) == len(plan.names)
 
 
 def star_and_small_tree():
@@ -665,15 +679,30 @@ def star_and_small_tree():
     )
 
 
+def hub_net():
+    """A hub h with children c and w, c also a parent of w, and 200 more
+    nodes below w; P(c=1 | h=1) = 0, so with cutset [h] and evidence c=1
+    the case h=1 is impossible."""
+    rng = random.Random(7)
+    defs = [("h", ()), ("c", ("h",)), ("w", ("h", "c"))]
+    for i in range(200):
+        defs.append((f"b{i:03d}", (rng.choice(["w"] + [v for v, _ in defs[3:]]),)))
+    tables = {"h": [[0.5, 0.5]], "c": [[0.6, 0.4], [1.0, 0.0]]}
+    return build_net(
+        [(v, ("f", "t")) for v, _ in defs],
+        [(v, ps, tables.get(v) or random_table(rng, 2 ** len(ps), 2)) for v, ps in defs],
+    )
+
+
 def assert_steps_match_messages(plan, run):
     """Every message and belief that `run`'s steps computed is bit for bit
     what `normalized` gives for it alone, on the same buffer."""
     for i, j in plan.arcs:
         for a, to in ((i, j), (j, i)):
-            slot = plan.rules[a, to].slot
-            assert run.msg(slot).tobytes() == run.normalized(a, to)[0].tobytes()
+            slot = plan.rule(a, to).slot
+            assert run.msg(slot).tobytes() == run.normalized(plan.rule(a, to))[0].tobytes()
     for k, belief, mass in run.beliefs(list(range(len(plan.names)))):
-        expected, sums, _ = run.normalized(k)
+        expected, sums, _ = run.normalized(plan.rules[k])
         assert (belief.tobytes(), mass.tobytes()) == (expected.tobytes(), sums.tobytes())
 
 
@@ -721,9 +750,9 @@ class TestCompiledSteps:
         rescaled = []
         original = polytree.TwoPassRun._rescaled
 
-        def spy(run, a, lams):
-            rescaled.append(a)
-            return original(run, a, lams)
+        def spy(run, rule):
+            rescaled.append(rule.node)
+            return original(run, rule)
 
         monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", spy)
         run = plan.run({"a3": 1})
@@ -731,13 +760,33 @@ class TestCompiledSteps:
         monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", original)
         assert_steps_match_messages(plan, run)
 
+    def test_impossible_case_recomputes_only_its_own_zeros(self, monkeypatch):
+        # in case h=1, c's table and evidence give 0; every message that
+        # reads that 0 is exactly 0 and is not recomputed rescaled
+        net = hub_net()
+        plan = two_pass_plan(net, ["h"])
+        rescaled = []
+        original = polytree.TwoPassRun._rescaled
+
+        def spy(run, rule):
+            rescaled.append(plan.names[rule.node])
+            return original(run, rule)
+
+        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", spy)
+        mixed, runs = infer_conditioned(net, {"c": 1}, ["h"], net.var_names())
+        assert rescaled == ["c", "c"]  # its message to w and its belief
+        assert [run.log_weight for run in runs] == [mixed.log_likelihood, None]
+        assert mixed.log_likelihood == pytest.approx(math.log(0.5 * 0.4), abs=1e-12)
+        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", original)
+        assert_steps_match_messages(plan, plan.run({"c": 1}))
+
     def test_records_follow_the_sequential_order(self):
         net, evidence = bushy_polytree(3)
         plan = two_pass_plan(net, [])
         records = list(plan.run(evidence).records(0))
-        slots = [plan.order.index(plan.rules[plan.ids[r.parent], plan.ids[r.child]].slot
+        slots = [plan.order.index(plan.rule(plan.ids[r.parent], plan.ids[r.child]).slot
                                   if r.direction == "pi" else
-                                  plan.rules[plan.ids[r.child], plan.ids[r.parent]].slot)
+                                  plan.rule(plan.ids[r.child], plan.ids[r.parent]).slot)
                  for r in records]
         assert slots == sorted(slots) and len(records) > len(plan.steps)
 
@@ -766,3 +815,36 @@ class TestCompiledSteps:
         exc = info.value
         assert exc.arc in list(net.edges()) and exc.direction in ("pi", "lambda")
         assert exc.residual >= 0.0
+
+
+def test_plan_is_not_written_by_runs_or_relaxations():
+    net, _, _ = binary_star(1100, random.Random(3))
+    state = init_messages(net, {})
+    net.underlying_diameter()  # the relaxations' budget, cached on the network
+    gc.collect()
+    tracemalloc.start()
+    try:
+        auto_infer(net, {}, net.var_names())
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0]
+        plan = two_pass_plan(net, [])
+        rules, steps = plan.rules, plan.steps
+        for schedule in ("synchronous", "fair-random"):
+            propagate(net, {}, schedule)
+        fuse_belief(net, state, "R")
+        update_pi_to_child(net, state, "R", "c0000")
+        update_lambda_to_parent(net, state, "c0000", "R")
+        auto_infer(net, {}, net.var_names())
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert two_pass_plan(net, []) is plan
+    assert plan.rules is rules and plan.steps is steps and len(rules) == len(plan.names)
+    # a kept rule per message to a child would hold 1,099 rows each, 9 MiB
+    assert built < 8 << 20 and grown < 1 << 20
+
+
+def test_random_polytree_above_20_nodes():
+    net, _ = random_polytree(0, max_nodes=30, min_nodes=25)
+    assert 25 <= len(net.var_names()) <= 30 and net.is_singly_connected()
