@@ -132,26 +132,32 @@ def infer_conditioned(
     """
     members = list(dict.fromkeys(cutset))
     queries = tuple(dict.fromkeys(queries))  # shared by every case's Beliefs
+    mixed, run, live, values = _mix(net, evidence, members, queries, on_update)
+    runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in run.plan.cases.tolist()]
+    for row, case in enumerate(live.tolist()):
+        if run.possible[row]:
+            runs[case].log_weight = run.log_weights[row]
+            runs[case].beliefs = Beliefs(net, queries, values[row])
+    return mixed, runs
+
+
+def _mix(net: Network, evidence: Evidence, members: list, queries: tuple, on_update):
+    """`infer_conditioned` for distinct `members` and `queries`, without
+    its per-case results: the mixed belief, the run of the live cases,
+    their indices, and their query beliefs, a row per live case laid out
+    by `Network.state_slices`."""
     for q in queries:
         net.variable(q)
     check_evidence(net, evidence)
     plan = two_pass_plan(net, members)
     live = plan.live_cases(evidence)
     run = plan.run(evidence, live)
-
-    slices = net.state_slices()
-    values = np.zeros((len(live), sum(plan.cards)))
-    masses = np.empty((len(queries), len(live)))
-    for k, belief, mass in run.beliefs([plan.ids[q] for q in queries]):
-        values[:, slices[queries[k]]], masses[k] = belief, mass
-    runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in plan.cases.tolist()]
-    for row, case in enumerate(live.tolist()):
-        if on_update is not None:
+    values, masses = run.beliefs([plan.ids[q] for q in queries])  # in state_slices order
+    if on_update is not None:
+        for row, case in enumerate(live.tolist()):
+            assignment = dict(zip(members, plan.cases[case].tolist()))
             for rec in run.records(row):
-                on_update(runs[case].assignment, rec)
-        if run.possible[row]:
-            runs[case].log_weight = run.log_weights[row]
-            runs[case].beliefs = Beliefs(net, queries, values[row])
+                on_update(assignment, rec)
 
     if not run.possible.any():
         shown = ", ".join(f"{v}={s}" for v, s in sorted(evidence.items()))
@@ -168,11 +174,12 @@ def infer_conditioned(
     raw = np.exp(log_weights - top)
     total = raw.sum()
     mixed = (raw / total) @ values[run.possible]
-    return MixedBelief(Beliefs(net, queries, mixed), float(top + math.log(total))), runs
+    return MixedBelief(Beliefs(net, queries, mixed), float(top + math.log(total))), run, live, values
 
 
 def auto_infer(
     net: Network, evidence: Evidence, queries, on_update=None
 ) -> MixedBelief:
-    """Greedy cutset conditioning; on a polytree the cutset is empty."""
-    return infer_conditioned(net, evidence, greedy_cutset(net), queries, on_update)[0]
+    """Greedy cutset conditioning; on a polytree the cutset is empty.  No
+    per-case result is built."""
+    return _mix(net, evidence, greedy_cutset(net), tuple(dict.fromkeys(queries)), on_update)[0]

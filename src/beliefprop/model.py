@@ -195,20 +195,30 @@ class Network:
         return self.cached("diameter", self._diameter)
 
     def _diameter(self) -> int:
-        best = 0
-        for v in self.variables:
-            dist = {v.name: 0}
-            frontier = [v.name]
-            while frontier:
-                nxt = []
-                for n in frontier:
-                    for m in self.neighbors(n):
-                        if m not in dist:
-                            dist[m] = dist[n] + 1
-                            nxt.append(m)
-                frontier = nxt
-            best = max(best, max(dist.values()))
+        if not self.is_singly_connected():  # a breadth-first search from every node
+            return max((max(self._distances(v).values()) for v in self.var_names()), default=0)
+        # in a tree, the node farthest from any node ends a longest path
+        best, seen = 0, set()
+        for v in self.var_names():
+            if v not in seen:
+                dist = self._distances(v)
+                seen.update(dist)
+                best = max(best, max(self._distances(max(dist, key=dist.get)).values()))
         return best
+
+    def _distances(self, source: str) -> dict[str, int]:
+        """Each node of `source`'s component and its distance from it."""
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for n in frontier:
+                for m in self.neighbors(n):
+                    if m not in dist:
+                        dist[m] = dist[n] + 1
+                        nxt.append(m)
+            frontier = nxt
+        return dist
 
     # ------------------------------------------------------------------
     # table addressing

@@ -18,10 +18,12 @@ The two-pass schedule computes each message once.  The messages at one
 tree depth depend only on deeper ones (collect) or shallower ones
 (distribute), so the plan compiles the schedule into steps (`Step`), each
 one einsum over a batch of same-shaped messages of one depth with their
-tables padded and stacked; a run of single messages, such as a chain's,
-goes through the per-message rule.  Every result has the bits the
-per-message rule gives it, and log P(evidence) and the trace keep the
-order of the sequential schedule.
+tables padded and stacked.  A run of single messages, such as a chain's
+(`Sequence`), has one bitwise fixpoint under recomputation, the in-order
+result; a long run is relaxed towards it in batched rounds, each message
+recomputed when a message it reads changes, and finished in order.
+Every result has the bits the per-message rule gives it in the
+sequential schedule, and log P(evidence) and the trace keep that order.
 The relaxations recompute the out-of-kilter messages of a one-case run of
 the empty-cutset plan until every one equals its recomputed value, and
 node beliefs are then read off the same rule, normalized.  The
@@ -374,6 +376,14 @@ _STEP_FLOATS = 1 << 20
 #: padding would move the last bits of the sums
 _UNPADDED = 8
 
+#: a run of single messages this long or longer is relaxed in batched
+#: rounds before it is finished in order; a shorter one is sent in order
+_RELAX_MIN = 16
+
+#: the rounds of a run stop before they would compute more than this many
+#: members per member of the run
+_RELAX_BUDGET = 8
+
 
 @functools.cache
 def _axes(n_parents: int, batched: bool) -> list[int]:
@@ -448,13 +458,26 @@ class Step(NamedTuple):
 
 
 class Sequence(NamedTuple):
-    """Messages sent one after another through `TwoPassRun.normalized`,
-    each reading the last: a run of single messages, such as a chain's.
-    For each member, its `Rule` (a root's belief rule for its mass) and
-    its normalizer position (None for a distribute message)."""
+    """A run of single messages, such as a chain's: the members of
+    consecutive levels that hold one message or mass each, in schedule
+    order.  A member reads only earlier members and rows that are final
+    before the run starts.  For each member: its `Rule` (a root's belief
+    rule for its mass), its normalizer position (None for a distribute
+    message) and the members that read the row it writes (`readers`).  A
+    run of _RELAX_MIN members or more also holds its members as `steps`,
+    grouped by shape class, recipient axis and normalizer kind; row g of
+    `steps[i].index` is member `numbers[i][g]`, `fanout` lists each
+    member's readers padded with the number of members, and each of
+    `starts` is the rows of one width that the members write, as (rows,
+    width)."""
 
     rules: tuple
     positions: tuple
+    readers: tuple
+    steps: tuple = ()
+    numbers: tuple = ()
+    fanout: np.ndarray | None = None
+    starts: tuple = ()
 
 
 class TwoPassPlan:
@@ -484,10 +507,15 @@ class TwoPassPlan:
     independent messages.  `steps` runs the collect messages level by
     level from the deepest, merged across trees, then the roots' beliefs,
     whose row sums are the trees' masses, then the distribute messages
-    from the shallowest level.  `beliefs` holds the steps of every node's
+    from the shallowest level; consecutive levels of one message or mass
+    each form one `Sequence`, with its readers and, when it is long, its
+    own steps for the rounds.  `beliefs` holds the steps of every node's
     belief, one or a few per shape class.  The tables of each shape class
     (`classes[a]` is node a's) are zero-padded to the class's largest and
-    stacked once, in `stacks`, node a in row `places[a]`.  `order` lists
+    stacked once, in `stacks`, node a in row `places[a]`.  Row g of
+    `columns[i]` gives, for each state of the member g of `beliefs[i]`, its
+    column in a vector over the states of every node in id order (-1 past
+    the node's states).  `order` lists
     the message rows in the sequential schedule: each tree's collect
     messages in reverse walk order, tree by tree, then each tree's
     distribute messages in walk order.  Trace records follow it, and so do
@@ -499,7 +527,7 @@ class TwoPassPlan:
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
                  "ones", "widths", "classes", "stacks", "places", "order", "steps", "beliefs",
-                 "n_normalizers")
+                 "columns", "n_normalizers")
 
     def __init__(self, net: Network, members) -> None:
         self.members = tuple(members)
@@ -576,6 +604,13 @@ class TwoPassPlan:
         del collect, masses, distribute, alone
         beliefs = [(0, a, None, None) for a in range(len(self.names))]
         self.beliefs = tuple(map(self._step, self._chunks(beliefs)))
+        cards, starts = np.array(self.cards), np.cumsum((0, *self.cards[:-1]))
+        self.columns = []
+        for step in self.beliefs:
+            nodes, states = step.index[:, _NODE], np.arange(step.width)
+            columns = np.where(states < cards[nodes, None], starts[nodes, None] + states, -1)
+            self.columns.append(columns)
+        self.columns = tuple(self.columns)
 
     def _tensor(self, net: Network, v: str) -> np.ndarray:
         """v's CPT tensor; with the members among its parents moved to the
@@ -611,36 +646,71 @@ class TwoPassPlan:
         """Yield `entries`, each (level, node, recipient, normalizer
         position), as lists of (rule, entry) that one step can compute:
         levels in increasing order, each split by shape class and
-        recipient axis, and then, in order of the number of diagnostic
-        rows, into chunks that gather at most _STEP_FLOATS floats of tables
-        and rows."""
-        per_row = len(self.cases) * max(self.widths)
+        recipient axis and then by `_split`."""
         level_of = operator.itemgetter(0)
         for _, level in itertools.groupby(sorted(entries, key=level_of), level_of):
             groups: dict = {}
             for entry in level:
                 rule = self.rule(*entry[1:3])
                 groups.setdefault((self.classes[entry[1]], rule.out[1]), []).append((rule, entry))
-            for (shape_class, _), members in groups.items():
-                if len(members) == 1:
-                    yield members
-                    continue
-                table = self.stacks[shape_class][0].size
-                chunk, rows = [], 0
-                for member in sorted(members, key=lambda member: len(member[0].lams)):
-                    m = 1 + len(member[0].lams)  # with the evidence row
-                    if chunk and (len(chunk) + 1) * (table + max(rows, m) * per_row) > _STEP_FLOATS:
-                        yield chunk
-                        chunk, rows = [], 0
-                    chunk.append(member)
-                    rows = max(rows, m)
-                yield chunk
+            for members in groups.values():
+                yield from self._split(members)
 
-    @staticmethod
-    def _sequence(members) -> Sequence:
-        """The Sequence of `members`, as `_chunks` yields them."""
+    def _split(self, members):
+        """Yield `members`, (rule, entry) pairs of one shape class and
+        recipient axis, in order of the number of diagnostic rows, as
+        chunks that gather at most _STEP_FLOATS floats of tables and rows;
+        a single member as it is."""
+        if len(members) == 1:
+            yield members
+            return
+        per_row = len(self.cases) * max(self.widths)
+        table = self.stacks[self.classes[members[0][0].node]][0].size
+        chunk, rows = [], 0
+        for member in sorted(members, key=lambda member: len(member[0].lams)):
+            m = 1 + len(member[0].lams)  # with the evidence row
+            if chunk and (len(chunk) + 1) * (table + max(rows, m) * per_row) > _STEP_FLOATS:
+                yield chunk
+                chunk, rows = [], 0
+            chunk.append(member)
+            rows = max(rows, m)
+        yield chunk
+
+    def _sequence(self, members) -> Sequence:
+        """The Sequence of `members`, as `_chunks` yields them, in schedule
+        order."""
         rules, entries = zip(*members)
-        return Sequence(rules, tuple(entry[3] for entry in entries))
+        positions = tuple(entry[3] for entry in entries)
+        number = {rule.slot: i for i, rule in enumerate(rules) if rule.slot is not None}
+        readers = [[] for _ in rules]
+        for j, rule in enumerate(rules):
+            for slot in (*(slot for slot, _ in rule.pis), *rule.lams):
+                if slot in number:
+                    readers[number[slot]].append(j)
+        readers = tuple(map(tuple, readers))
+        if len(rules) < _RELAX_MIN:
+            return Sequence(rules, positions, readers)
+        groups: dict = {}
+        for i, (rule, entry) in enumerate(members):  # the level is now the member number
+            key = self.classes[rule.node], rule.out[1], rule.slot is None, entry[3] is None
+            groups.setdefault(key, []).append((rule, (i, *entry[1:])))
+        chunks = [chunk for group in groups.values() for chunk in self._split(group)]
+        fanout = np.full((len(rules), max(map(len, readers))), len(rules), dtype=np.intp)
+        for i, row in enumerate(readers):
+            fanout[i, :len(row)] = row
+        starts: dict = {}
+        for rule in rules:
+            if rule.slot is not None:
+                starts.setdefault(self.widths[rule.slot], []).append(rule.slot)
+        return Sequence(
+            rules,
+            positions,
+            readers,
+            tuple(map(self._step, chunks)),
+            tuple(np.array([entry[0] for _, entry in chunk]) for chunk in chunks),
+            fanout,
+            tuple((np.array(slots), width) for width, slots in starts.items()),
+        )
 
     def _step(self, members) -> Step:
         """The Step of `members`, as `_chunks` yields them."""
@@ -719,8 +789,9 @@ class TwoPassRun:
     vector over v's states) on each variable v that has one.  `core` is
     the one sum-product rule under every schedule: `two_pass` runs the
     plan's steps, each a batch of `core` with the per-message bits, and
-    the relaxations recompute the messages of a one-case run until none
-    moves.  A run writes only its own buffer: it reads the plan's tables
+    sends each run of single messages (`_send`: batched rounds to its
+    bitwise fixpoint when it is long, then in order), and the relaxations
+    recompute the messages of a one-case run until none moves.  A run writes only its own buffer: it reads the plan's tables
     in place, cut to the live cases where a table has a case axis, and
     the rules from the plan.  Each message is `core` normalized per case; a case whose
     normalizer is 0 is impossible and its row stays 0.  After `two_pass`,
@@ -754,39 +825,93 @@ class TwoPassRun:
     def two_pass(self) -> None:
         """Run the plan's steps, which send every message once: collect
         towards each tree's root, then distribute away from it.  The
-        normalizers go to their sequential positions before the log sum,
-        so `log_weights` adds them in the same order whatever the steps."""
+        normalizers and their powers of two go to their sequential
+        positions before the log sum, so `log_weights` adds them in the
+        same order whatever the steps."""
         plan = self.plan
         scales = np.ones((plan.n_normalizers, self.n_cases))
-        shift = 0
-        buf, widths = self.buf, plan.widths
+        shifts = np.zeros(scales.shape, dtype=np.int64)
         for step in plan.steps:
             if type(step) is Sequence:
-                for rule, position in zip(*step):
-                    values, sums, sent_shift = self.normalized(rule)
-                    if rule.slot is not None:
-                        buf[rule.slot, :, :widths[rule.slot]] = values
-                    if position is not None:
-                        scales[position] = sums
-                        shift = shift + sent_shift
+                self._send(step, scales, shifts)
                 continue
-            values, sums, step_shift = self._compute(step)
+            values, sums, step_shifts = self._compute(step)
             if step.sends:
-                buf[step.index[:, _SLOT], :, :step.width] = values
+                self.buf[step.index[:, _SLOT], :, :step.width] = values
             if step.collects:
                 scales[step.index[:, _POSITION]] = sums
-                shift = shift + step_shift
+                shifts[step.index[:, _POSITION]] = step_shifts
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
         self.possible = (scales > 0).all(axis=0)
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
-        self.log_weights = (np.add.accumulate(logs)[-1] - shift * math.log(2.0)).tolist()
+        self.log_weights = (np.add.accumulate(logs)[-1] - shifts.sum(axis=0) * math.log(2.0)).tolist()
+
+    def _send(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
+        """Send the members of `run`, writing their normalizers and shifts
+        into `scales` and `shifts` by position.  Recomputing every member
+        from the current rows has one bitwise fixpoint, the in-order
+        result, since a member reads only earlier members and rows final
+        before the run.  A long run is first relaxed towards it in batched
+        rounds (`_relax`); the members it leaves dirty, every member in a
+        shorter run, are then computed in order through `normalized`, and
+        one whose row changes in any bit makes its readers dirty."""
+        buf, widths = self.buf, self.plan.widths
+        dirty = self._relax(run, scales, shifts) if run.steps else [True] * len(run.rules)
+        for i, rule in enumerate(run.rules):
+            if not dirty[i]:
+                continue
+            values, sums, shift = self.normalized(rule)
+            if rule.slot is not None:
+                row, readers = buf[rule.slot, :, :widths[rule.slot]], run.readers[i]
+                if not all(dirty[r] for r in readers) and row.tobytes() != values.tobytes():
+                    for r in readers:
+                        dirty[r] = True
+                row[...] = values
+            if run.positions[i] is not None:
+                scales[run.positions[i]], shifts[run.positions[i]] = sums, shift
+
+    def _relax(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> list[bool]:
+        """Relax the long `run` in rounds and return which members are
+        left dirty.  Every member starts dirty, with its row all ones.  A
+        round computes the dirty members of each of the run's steps in one
+        batch, with the per-message bits (see `_compute`), and a member
+        whose row changed in any bit makes its readers dirty.  The rounds
+        stop when fewer than _RELAX_MIN members are dirty, or before they
+        would compute more than _RELAX_BUDGET members per member."""
+        buf = self.buf
+        for slots, width in run.starts:
+            buf[slots, :, :width] = 1.0
+        dirty = np.ones(len(run.rules) + 1, dtype=bool)  # the last entry pads `fanout`
+        todo, spent = len(run.rules), 0
+        while _RELAX_MIN <= todo and spent + todo <= _RELAX_BUDGET * len(run.rules):
+            spent += todo
+            for step, numbers in zip(run.steps, run.numbers):
+                picked = np.flatnonzero(dirty[numbers])
+                if len(picked) == 0:
+                    continue
+                if len(picked) < len(numbers):
+                    step, numbers = step._replace(index=step.index[picked]), numbers[picked]
+                dirty[numbers] = False
+                values, sums, step_shifts = self._compute(step)
+                if step.collects:
+                    scales[step.index[:, _POSITION]] = sums
+                    shifts[step.index[:, _POSITION]] = step_shifts
+                if step.sends:
+                    slots = step.index[:, _SLOT]
+                    old = buf[slots, :, :step.width]
+                    moved = (old.view(np.int64) != values.view(np.int64)).any(axis=(1, 2))
+                    buf[slots, :, :step.width] = values
+                    dirty[run.fanout[numbers[moved]]] = True
+            todo = int(dirty[:-1].sum())
+        return dirty.tolist()
 
     def _compute(self, step: Step):
         """`normalized` for every member of `step`: the results stacked and
-        zero-padded to the step's width, their row sums, and the total
-        shift of those sums.  One einsum serves all members; the rows
-        that may have underflowed (see `_underflowed`) are recomputed
-        member by member, as `normalized` recomputes them."""
+        zero-padded to the step's width, their row sums, and the shifts of
+        those sums, one row per member (0 when none has one).  One einsum
+        serves all members; the rows that may have underflowed (see
+        `_underflowed`) are recomputed member by member, as `normalized`
+        recomputes them."""
         buf, index = self.buf, step.index
         tensor = step.stack[index[:, _PLACE]]
         if self.live is not None and step.table[1] == _CASE:
@@ -801,13 +926,12 @@ class TwoPassRun:
             return core / sums[..., None], sums, 0
         low = self._underflowed(sums, rows, operands[2::2])
         values = core / np.where(sums > 0, sums, 1.0)[..., None]
-        shift = 0
+        shifts = np.zeros(sums.shape, dtype=np.int64)
         for g in np.flatnonzero(low.any(axis=1)).tolist():
             a, to = index[g, :_PLACE].tolist()
             rule = self.plan.rule(a, None if to < 0 else to)
-            values[g], sums[g], member_shift = self._rescale_rows(rule, core[g], low[g])
-            shift = shift + member_shift
-        return values, sums, shift
+            values[g], sums[g], shifts[g] = self._rescale_rows(rule, core[g], low[g])
+        return values, sums, shifts
 
     @staticmethod
     def _underflowed(sums: np.ndarray, rows: np.ndarray, pis) -> np.ndarray:
@@ -821,22 +945,29 @@ class TwoPassRun:
         return (sums < _TINY) & read
 
     def beliefs(self, nodes):
-        """For each node `nodes[k]`, yield k, its belief normalized per
-        case as `normalized` gives it, and the row sums; the plan's belief
-        steps restricted to `nodes` compute them."""
-        cards = self.plan.cards
-        index = np.full(len(cards), -1)
+        """The beliefs of `nodes`, each normalized per case as `normalized`
+        gives it, in one array with a row per case over the states of
+        every node in id order (zero where a node is not in `nodes`), and
+        their row sums, row k for `nodes[k]`.  The plan's belief steps
+        restricted to `nodes` compute them, and each step's rows go in
+        with one assignment through its column index (`columns`)."""
+        plan = self.plan
+        index = np.full(len(plan.cards), -1)
         index[nodes] = np.arange(len(nodes))
-        for step in self.plan.beliefs:
+        values = np.zeros((self.n_cases, sum(plan.cards)))
+        masses = np.empty((len(nodes), self.n_cases))
+        for step, columns in zip(plan.beliefs, plan.columns):
             ks = index[step.index[:, _NODE]]
             picked = np.flatnonzero(ks >= 0)
             if len(picked) == 0:
                 continue
             if len(picked) < len(ks):
-                step = step._replace(index=step.index[picked])
-            values, sums, _ = self._compute(step)
-            for g, a in enumerate(step.index[:, _NODE].tolist()):
-                yield int(index[a]), values[g, :, :cards[a]], sums[g]
+                step, columns = step._replace(index=step.index[picked]), columns[picked]
+            beliefs, sums, _ = self._compute(step)
+            states = columns >= 0
+            values[:, columns[states]] = beliefs.transpose(1, 0, 2)[:, states]
+            masses[ks[picked]] = sums
+        return values, masses
 
     def diagnostic(self, rule: Rule) -> np.ndarray:
         """Evidence factor of the rule's node times the lambda in each row

@@ -29,13 +29,15 @@ if str(BENCH) not in sys.path:
 
 import netgen  # noqa: E402
 
-DIGEST = "4a168a6be1c4b2875b28353338c70deb55c46d12e10d32820006b4efa10d052b"
+DIGEST = "bc5c01be92a2026f4981d22a4b0dd558c97a953d2bf25fa600668fd8febc6f09"
 
 
-def slow_chain(n: int = 1100):
-    """A binary chain that stays in its state with probability 0.99: its
-    pi messages keep changing in their last bits for hundreds of arcs."""
-    return markov_chain(n, [0.9, 0.1], [[0.99, 0.01], [0.01, 0.99]])
+def slow_chain(n: int = 1100, leave=(0.01, 0.02)):
+    """A binary chain that leaves state 0 with probability leave[0] and
+    state 1 with leave[1]: its pi messages keep changing in their last
+    bits for hundreds of arcs.  From rows of ones, the rounds of the
+    default chain change every pi message until their budget runs out."""
+    return markov_chain(n, [0.9, 0.1], [[1 - leave[0], leave[0]], [leave[1], 1 - leave[1]]])
 
 
 def deterministic_chain(n: int = 400):
@@ -91,6 +93,7 @@ def cases():
             yield f"chain{n}/{seed}", net, [], {}
             yield f"chain{n}/{seed}/evidence", net, [], netgen.chain_evidence(rng, net, 0.1)
     yield "slow", slow_chain(), [], {}
+    yield "slow/symmetric", slow_chain(leave=(0.01, 0.01)), [], {}
     yield "deterministic", deterministic_chain(), [], {}
     loop = chain_behind_loop()
     for evidence in ({}, {"h": 0}, {"h": 2}, {"t799": 1}, {"h": 1, "t400": 0},

@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ from helpers import (
     random_polytree,
     random_table,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import netgen  # noqa: E402
 
 
 class TestConditionNetwork:
@@ -328,6 +336,30 @@ class TestAutoInfer:
         )
         with pytest.raises(ImpossibleEvidenceError, match="^evidence has probability zero$"):
             auto_infer(net, {"A": 0, "B": 1}, ["A"])
+
+    def test_builds_no_per_case_results(self, monkeypatch):
+        net = netgen.hubbed_loopy(random.Random(1), 80, 2, 12)  # 4,096 cases
+        evidence = {net.var_names()[5]: 1}
+        queries = net.var_names()
+        expected = infer_conditioned(net, evidence, cutset.greedy_cutset(net), queries)[0]
+        built = []
+        run_type, beliefs_init = conditioning.ConditionedRun, conditioning.Beliefs.__init__
+
+        def counted_run(*args):
+            built.append("run")
+            return run_type(*args)
+
+        def counted_beliefs(self, *args):
+            built.append("beliefs")
+            beliefs_init(self, *args)
+
+        monkeypatch.setattr(conditioning, "ConditionedRun", counted_run)
+        monkeypatch.setattr(conditioning.Beliefs, "__init__", counted_beliefs)
+        mixed = auto_infer(net, evidence, queries)
+        assert built == ["beliefs"]  # the mixed belief's alone
+        assert mixed.beliefs.values.tobytes() == expected.beliefs.values.tobytes()
+        assert list(mixed.beliefs) == list(expected.beliefs)
+        assert repr(mixed.log_likelihood) == repr(expected.log_likelihood)
 
     def test_star_with_1100_children_keeps_its_priors(self):
         # the product of the children's lambdas is 2^-1100 at the root

@@ -166,3 +166,31 @@ def test_above_the_guard_matches_elimination(loops, member_observed):
     assert mixed.log_likelihood == pytest.approx(log_p, abs=1e-9)
     for q in queries:
         np.testing.assert_allclose(mixed.beliefs[q], truth[q], rtol=0, atol=1e-9)
+
+
+@st.composite
+def long_chains(draw):
+    """(network, evidence, queries): a benchmark chain of 400 to 1,100
+    variables with 2 to 4 states, every tenth variable observed or none,
+    and a few unobserved queries, the last variable among them."""
+    n = draw(st.integers(400, 1100))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net = netgen.chain(rng, n, max_card=draw(st.integers(2, 4)))
+    evidence = netgen.chain_evidence(rng, net, 0.1) if draw(st.booleans()) else {}
+    free = [v for v in net.var_names() if v not in evidence]
+    picked = draw(st.lists(st.integers(0, len(free) - 1), min_size=1, max_size=6, unique=True))
+    return net, evidence, sorted({free[i] for i in picked} | {free[-1]})
+
+
+@settings(DIFFERENTIAL, max_examples=10)
+@given(case=long_chains())
+def test_long_chains_match_elimination(case):
+    """Chains far above the oracle's guard, whose single-message runs are
+    relaxed in rounds, against variable elimination to 1e-9."""
+    net, evidence, queries = case
+    assert math.prod(v.card for v in net.variables) > STATE_SPACE_GUARD
+    mixed = auto_infer(net, evidence, net.var_names())
+    truth, log_p = refinfer.Reference(net).answer(evidence, queries)
+    assert mixed.log_likelihood == pytest.approx(log_p, abs=1e-9)
+    for q in queries:
+        np.testing.assert_allclose(mixed.beliefs[q], truth[q], rtol=0, atol=1e-9)

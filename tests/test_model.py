@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,45 @@ from beliefprop.model import (
     validate,
 )
 
-from helpers import build_net, chain_net, diamond_net, fig1_net, random_loopy, random_polytree
+from helpers import (
+    binary_star,
+    build_net,
+    bushy_polytree,
+    chain_net,
+    diamond_net,
+    fig1_net,
+    markov_chain,
+    random_loopy,
+    random_polytree,
+)
+
+
+def all_sources_diameter(net) -> int:
+    """The diameter by a breadth-first search from every node."""
+    best = 0
+    for v in net.var_names():
+        dist, frontier = {v: 0}, [v]
+        while frontier:
+            reached = []
+            for n in frontier:
+                for m in net.neighbors(n):
+                    if m not in dist:
+                        dist[m] = dist[n] + 1
+                        reached.append(m)
+            frontier = reached
+        best = max(best, max(dist.values()))
+    return best
+
+
+def forest_of_chains(*lengths):
+    """Disjoint binary chains of the given numbers of variables."""
+    var_defs, cpt_defs = [], []
+    for k, n in enumerate(lengths):
+        names = [f"t{k}v{i}" for i in range(n)]
+        var_defs += [(v, ("f", "t")) for v in names]
+        cpt_defs += [(names[0], (), [[0.5, 0.5]])]
+        cpt_defs += [(v, (u,), [[0.5, 0.5], [0.5, 0.5]]) for u, v in zip(names, names[1:])]
+    return build_net(var_defs, cpt_defs)
 
 
 def single_var_net():
@@ -161,6 +200,20 @@ class TestTopology:
 
     def test_fig1_diameter(self):
         assert fig1_net().underlying_diameter() == 3
+
+    @pytest.mark.parametrize("make", [
+        *(lambda seed=seed: random_polytree(seed, max_nodes=20)[0] for seed in range(10)),
+        *(lambda seed=seed: bushy_polytree(seed, n=60)[0] for seed in range(4)),
+        *(lambda seed=seed: random_loopy(seed)[0] for seed in range(10)),
+        lambda: markov_chain(40, [0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]]),
+        lambda: binary_star(200, random.Random(1))[0],
+        lambda: forest_of_chains(3, 7, 1),
+        fig1_net,
+        diamond_net,
+    ])
+    def test_diameter_is_the_all_sources_search(self, make):
+        net = make()
+        assert net.underlying_diameter() == all_sources_diameter(net)
 
     def test_edges_match_parent_lists(self):
         net = fig1_net()

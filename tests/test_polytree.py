@@ -701,9 +701,12 @@ def assert_steps_match_messages(plan, run):
         for a, to in ((i, j), (j, i)):
             slot = plan.rule(a, to).slot
             assert run.msg(slot).tobytes() == run.normalized(plan.rule(a, to))[0].tobytes()
-    for k, belief, mass in run.beliefs(list(range(len(plan.names)))):
-        expected, sums, _ = run.normalized(plan.rules[k])
-        assert (belief.tobytes(), mass.tobytes()) == (expected.tobytes(), sums.tobytes())
+    values, masses = run.beliefs(list(range(len(plan.names))))
+    stops = np.cumsum(plan.cards)
+    for a, rule in enumerate(plan.rules):
+        expected, sums, _ = run.normalized(rule)
+        belief = values[:, stops[a] - plan.cards[a]:stops[a]]
+        assert (belief.tobytes(), masses[a].tobytes()) == (expected.tobytes(), sums.tobytes())
 
 
 class TestCompiledSteps:
