@@ -191,7 +191,8 @@ class Network:
 
     def underlying_diameter(self) -> int:
         """Longest shortest-path length in the underlying undirected graph,
-        maximized over connected components."""
+        maximized over connected components: two breadth-first searches per
+        tree on a forest, O(n), and one from every node otherwise."""
         return self.cached("diameter", self._diameter)
 
     def _diameter(self) -> int:

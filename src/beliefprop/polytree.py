@@ -462,18 +462,16 @@ class Sequence(NamedTuple):
     consecutive levels that hold one message or mass each, in schedule
     order.  A member reads only earlier members and rows that are final
     before the run starts.  For each member: its `Rule` (a root's belief
-    rule for its mass), its normalizer position (None for a distribute
-    message) and the members that read the row it writes (`readers`).  A
-    run of _RELAX_MIN members or more also holds its members as `steps`,
-    grouped by shape class, recipient axis and normalizer kind; row g of
-    `steps[i].index` is member `numbers[i][g]`, `fanout` lists each
-    member's readers padded with the number of members, and each of
-    `starts` is the rows of one width that the members write, as (rows,
-    width)."""
+    rule for its mass) and its normalizer position (None for a distribute
+    message).  A run of _RELAX_MIN members or more also holds its members
+    as `steps`, grouped by shape class, recipient axis and normalizer
+    kind, where row g of `steps[i].index` is member `numbers[i][g]`; its
+    reader table `fanout`, whose row i lists the members that read the
+    row member i writes, padded with the number of members; and, in
+    `starts`, the rows the members write, as (rows, width) per width."""
 
     rules: tuple
     positions: tuple
-    readers: tuple
     steps: tuple = ()
     numbers: tuple = ()
     fanout: np.ndarray | None = None
@@ -508,8 +506,8 @@ class TwoPassPlan:
     level from the deepest, merged across trees, then the roots' beliefs,
     whose row sums are the trees' masses, then the distribute messages
     from the shallowest level; consecutive levels of one message or mass
-    each form one `Sequence`, with its readers and, when it is long, its
-    own steps for the rounds.  `beliefs` holds the steps of every node's
+    each form one `Sequence`, which, when it is long, holds its reader
+    table and its own steps for the rounds.  `beliefs` holds the steps of every node's
     belief, one or a few per shape class.  The tables of each shape class
     (`classes[a]` is node a's) are zero-padded to the class's largest and
     stacked once, in `stacks`, node a in row `places[a]`.  Row g of
@@ -604,11 +602,11 @@ class TwoPassPlan:
         del collect, masses, distribute, alone
         beliefs = [(0, a, None, None) for a in range(len(self.names))]
         self.beliefs = tuple(map(self._step, self._chunks(beliefs)))
-        cards, starts = np.array(self.cards), np.cumsum((0, *self.cards[:-1]))
+        cards, offsets = np.array(self.cards), np.cumsum((0, *self.cards[:-1]))
         self.columns = []
         for step in self.beliefs:
             nodes, states = step.index[:, _NODE], np.arange(step.width)
-            columns = np.where(states < cards[nodes, None], starts[nodes, None] + states, -1)
+            columns = np.where(states < cards[nodes, None], offsets[nodes, None] + states, -1)
             self.columns.append(columns)
         self.columns = tuple(self.columns)
 
@@ -681,15 +679,14 @@ class TwoPassPlan:
         order."""
         rules, entries = zip(*members)
         positions = tuple(entry[3] for entry in entries)
+        if len(rules) < _RELAX_MIN:
+            return Sequence(rules, positions)
         number = {rule.slot: i for i, rule in enumerate(rules) if rule.slot is not None}
         readers = [[] for _ in rules]
         for j, rule in enumerate(rules):
             for slot in (*(slot for slot, _ in rule.pis), *rule.lams):
                 if slot in number:
                     readers[number[slot]].append(j)
-        readers = tuple(map(tuple, readers))
-        if len(rules) < _RELAX_MIN:
-            return Sequence(rules, positions, readers)
         groups: dict = {}
         for i, (rule, entry) in enumerate(members):  # the level is now the member number
             key = self.classes[rule.node], rule.out[1], rule.slot is None, entry[3] is None
@@ -705,7 +702,6 @@ class TwoPassPlan:
         return Sequence(
             rules,
             positions,
-            readers,
             tuple(map(self._step, chunks)),
             tuple(np.array([entry[0] for _, entry in chunk]) for chunk in chunks),
             fanout,
@@ -852,19 +848,20 @@ class TwoPassRun:
         from the current rows has one bitwise fixpoint, the in-order
         result, since a member reads only earlier members and rows final
         before the run.  A long run is first relaxed towards it in batched
-        rounds (`_relax`); the members it leaves dirty, every member in a
-        shorter run, are then computed in order through `normalized`, and
-        one whose row changes in any bit makes its readers dirty."""
+        rounds (`_relax`); the members it leaves dirty are then computed
+        in order through `normalized`, and one whose row changes in any bit
+        makes its readers dirty.  A shorter run computes every member once,
+        in order."""
         buf, widths = self.buf, self.plan.widths
-        dirty = self._relax(run, scales, shifts) if run.steps else [True] * len(run.rules)
+        dirty = self._relax(run, scales, shifts) if run.steps else None
         for i, rule in enumerate(run.rules):
-            if not dirty[i]:
+            if dirty is not None and not dirty[i]:
                 continue
             values, sums, shift = self.normalized(rule)
             if rule.slot is not None:
-                row, readers = buf[rule.slot, :, :widths[rule.slot]], run.readers[i]
-                if not all(dirty[r] for r in readers) and row.tobytes() != values.tobytes():
-                    for r in readers:
+                row = buf[rule.slot, :, :widths[rule.slot]]
+                if dirty is not None and row.tobytes() != values.tobytes():
+                    for r in run.fanout[i].tolist():
                         dirty[r] = True
                 row[...] = values
             if run.positions[i] is not None:
@@ -872,12 +869,13 @@ class TwoPassRun:
 
     def _relax(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> list[bool]:
         """Relax the long `run` in rounds and return which members are
-        left dirty.  Every member starts dirty, with its row all ones.  A
-        round computes the dirty members of each of the run's steps in one
-        batch, with the per-message bits (see `_compute`), and a member
-        whose row changed in any bit makes its readers dirty.  The rounds
-        stop when fewer than _RELAX_MIN members are dirty, or before they
-        would compute more than _RELAX_BUDGET members per member."""
+        left dirty, and one more entry that `fanout`'s padding marks.
+        Every member starts dirty, with its row all ones.  A round
+        computes the dirty members of each of the run's steps in one batch,
+        with the per-message bits (see `_compute`), and a member whose row
+        changed in any bit makes its readers dirty.  The rounds stop when
+        fewer than _RELAX_MIN members are dirty, or before they would
+        compute more than _RELAX_BUDGET members per member."""
         buf = self.buf
         for slots, width in run.starts:
             buf[slots, :, :width] = 1.0

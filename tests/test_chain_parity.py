@@ -13,6 +13,7 @@ pins every bit of the relaxed runs to the sequential schedule.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -54,15 +55,9 @@ def chain_behind_loop(n: int = 800):
     parents.update({f"t{i:03d}": (f"t{i - 1:03d}",) for i in range(1, n)})
     return build_net(
         [(v, tuple(f"s{k}" for k in range(k))) for v, k in cards.items()],
-        [(v, ps, random_table(rng, _rows(cards, ps), cards[v])) for v, ps in parents.items()],
+        [(v, ps, random_table(rng, math.prod(cards[p] for p in ps), cards[v]))
+         for v, ps in parents.items()],
     )
-
-
-def _rows(cards, parents) -> int:
-    rows = 1
-    for p in parents:
-        rows *= cards[p]
-    return rows
 
 
 def faint_chain(n: int = 600):
