@@ -377,7 +377,12 @@ _STEP_FLOATS = 1 << 20
 _UNPADDED = 8
 
 #: a run of single messages this long or longer is relaxed in batched
-#: rounds before it is finished in order; a shorter one is sent in order
+#: rounds before it is finished in order; a shorter one is sent in order,
+#: which is as fast or faster: each round costs about as much as a few
+#: messages sent alone, whatever its size
+_RELAX_RUN = 128
+
+#: the rounds of a run stop when fewer members than this are dirty
 _RELAX_MIN = 16
 
 #: the rounds of a run stop before they would compute more than this many
@@ -463,7 +468,7 @@ class Sequence(NamedTuple):
     order.  A member reads only earlier members and rows that are final
     before the run starts.  For each member: its `Rule` (a root's belief
     rule for its mass) and its normalizer position (None for a distribute
-    message).  A run of _RELAX_MIN members or more also holds its members
+    message).  A run of _RELAX_RUN members or more also holds its members
     as `steps`, grouped by shape class, recipient axis and normalizer
     kind, where row g of `steps[i].index` is member `numbers[i][g]`; its
     reader table `fanout`, whose row i lists the members that read the
@@ -679,7 +684,7 @@ class TwoPassPlan:
         order."""
         rules, entries = zip(*members)
         positions = tuple(entry[3] for entry in entries)
-        if len(rules) < _RELAX_MIN:
+        if len(rules) < _RELAX_RUN:
             return Sequence(rules, positions)
         number = {rule.slot: i for i, rule in enumerate(rules) if rule.slot is not None}
         readers = [[] for _ in rules]

@@ -150,14 +150,13 @@ def test_slow_mixing_chain_stays_within_the_work_budget(monkeypatch):
     assert members_computed(monkeypatch, lambda: plan.run({})) <= 9 * n
 
 
-@pytest.mark.parametrize("length", [8, 9])
+@pytest.mark.parametrize("length", [8, 64, 65])
 def test_runs_below_the_threshold_are_sent_in_order(monkeypatch, length):
-    # a chain of 8 variables is a run of 15 members, one of 9 a run of 17
+    # a chain of n variables is one run of 2n - 1 members: 15, 127 and 129
     plan = two_pass_plan(markov_chain(length, [0.5, 0.5], [[0.9, 0.1], [0.3, 0.7]]), [])
-    n = 2 * length - 1
     batched = []
     compute = polytree.TwoPassRun._compute
     monkeypatch.setattr(polytree.TwoPassRun, "_compute",
                         lambda run, step: batched.append(len(step.index)) or compute(run, step))
     plan.run({f"m{length - 1:04d}": 1})
-    assert (not batched) == (n < 16)
+    assert (not batched) == (2 * length - 1 < polytree._RELAX_RUN)
