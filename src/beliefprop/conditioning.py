@@ -174,7 +174,8 @@ def _mix(net: Network, evidence: Evidence, members: list, queries: tuple, on_upd
     raw = np.exp(log_weights - top)
     total = raw.sum()
     mixed = (raw / total) @ values[run.possible]
-    return MixedBelief(Beliefs(net, queries, mixed), float(top + math.log(total))), run, live, values
+    mixed = MixedBelief(Beliefs(net, queries, mixed), float(top + math.log(total)))
+    return mixed, run, live, values
 
 
 def auto_infer(

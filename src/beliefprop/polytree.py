@@ -512,20 +512,19 @@ class TwoPassPlan:
     whose row sums are the trees' masses, then the distribute messages
     from the shallowest level; consecutive levels of one message or mass
     each form one `Sequence`, which, when it is long, holds its reader
-    table and its own steps for the rounds.  `beliefs` holds the steps of every node's
-    belief, one or a few per shape class.  The tables of each shape class
-    (`classes[a]` is node a's) are zero-padded to the class's largest and
-    stacked once, in `stacks`, node a in row `places[a]`.  Row g of
-    `columns[i]` gives, for each state of the member g of `beliefs[i]`, its
-    column in a vector over the states of every node in id order (-1 past
-    the node's states).  `order` lists
-    the message rows in the sequential schedule: each tree's collect
-    messages in reverse walk order, tree by tree, then each tree's
-    distribute messages in walk order.  Trace records follow it, and so do
-    the `n_normalizers` normalizer positions of the steps, with an
-    all-ones row first and each tree's root mass after its collect
-    messages.  With no members this is plain polytree propagation with
-    one case.
+    table and its own steps for the rounds.  `beliefs` holds the steps of
+    every node's belief, one or a few per shape class.  The tables of each
+    shape class (`classes[a]` is node a's) are zero-padded to the class's
+    largest and stacked once, in `stacks`, node a in row `places[a]`.  Row
+    g of `columns[i]` gives, for each state of the member g of
+    `beliefs[i]`, its column in a vector over the states of every node in
+    id order (-1 past the node's states).  `order` lists the message rows
+    in the sequential schedule: each tree's collect messages in reverse
+    walk order, tree by tree, then each tree's distribute messages in walk
+    order.  Trace records follow it, and so do the `n_normalizers`
+    normalizer positions of the steps, with an all-ones row first and each
+    tree's root mass after its collect messages.  With no members this is
+    plain polytree propagation with one case.
     """
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
@@ -792,16 +791,17 @@ class TwoPassRun:
     plan's steps, each a batch of `core` with the per-message bits, and
     sends each run of single messages (`_send`: batched rounds to its
     bitwise fixpoint when it is long, then in order), and the relaxations
-    recompute the messages of a one-case run until none moves.  A run writes only its own buffer: it reads the plan's tables
-    in place, cut to the live cases where a table has a case axis, and
-    the rules from the plan.  Each message is `core` normalized per case; a case whose
+    recompute the messages of a one-case run until none moves.  A run
+    writes only its own buffer: it reads the plan's tables in place, cut
+    to the live cases where a table has a case axis, and the rules from
+    the plan.  Each message is `core` normalized per case; a case whose
     normalizer is 0 is impossible and its row stays 0.  After `two_pass`,
     a stored collect message is its exact unnormalized value divided by
-    its own normalizer and every normalizer below it, so all of them
-    times the root's mass give each case's P(evidence): `log_weights`,
-    valid where `possible`.  A normalizer computed from a rescaled
-    diagnostic vector (see `normalized`) comes with its power of two,
-    which `log_weights` takes back out, so a product below the float range
+    its own normalizer and every normalizer below it, so all of them times
+    the root's mass give each case's P(evidence): `log_weights`, valid
+    where `possible`.  A normalizer computed from a rescaled diagnostic
+    vector (see `normalized`) comes with its power of two, which
+    `log_weights` takes back out, so a product below the float range
     stays exact."""
 
     __slots__ = ("plan", "n_cases", "live", "buf", "possible", "log_weights")
@@ -845,7 +845,8 @@ class TwoPassRun:
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
         self.possible = (scales > 0).all(axis=0)
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
-        self.log_weights = (np.add.accumulate(logs)[-1] - shifts.sum(axis=0) * math.log(2.0)).tolist()
+        shift = shifts.sum(axis=0) * math.log(2.0)
+        self.log_weights = (np.add.accumulate(logs)[-1] - shift).tolist()
 
     def _send(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
         """Send the members of `run`, writing their normalizers and shifts

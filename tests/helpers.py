@@ -230,10 +230,10 @@ def enum_marginal(net: Network, evidence, q: str):
     return acc / total
 
 
-def markov_chain(n: int, prior, rows, prefix: str = "m") -> Network:
+def markov_chain(n: int, prior, rows) -> Network:
     """m0000 -> m0001 -> ... of n variables: `prior` on the first and the
     same table `rows` on every arc."""
-    names = [f"{prefix}{i:04d}" for i in range(n)]
+    names = [f"m{i:04d}" for i in range(n)]
     states = tuple(f"s{k}" for k in range(len(prior)))
     return build_net(
         [(v, states) for v in names],

@@ -37,6 +37,7 @@ from helpers import (
     chain_net,
     fig1_net,
     lost_state_net,
+    markov_chain,
     random_loopy,
     random_polytree,
     random_table,
@@ -722,6 +723,15 @@ class TestCompiledSteps:
         net, evidence = bushy_polytree(seed, n=30, max_card=12)
         plan = two_pass_plan(net, [])
         assert_steps_match_messages(plan, plan.run(evidence))
+
+    @pytest.mark.parametrize("leave", [0.02, 0.3])
+    def test_relaxed_runs_reach_the_fixpoint(self, leave):
+        # every message of the chain's one run, relaxed in rounds, is what
+        # `normalized` gives it from the final messages it reads
+        net = markov_chain(300, [0.9, 0.1], [[0.99, 0.01], [leave, 1 - leave]])
+        plan = two_pass_plan(net, [])
+        assert len(plan.steps) == 1 and plan.steps[0].fanout is not None
+        assert_steps_match_messages(plan, plan.run({"m0150": 1, "m0299": 0}))
 
     def test_bushy_levels_batch_many_messages(self):
         plan = two_pass_plan(bushy_polytree(0)[0], [])
