@@ -55,11 +55,16 @@ class Cpt:
         arr = np.array(table, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        sums = arr.sum(axis=1)
-        fixable = (np.abs(sums - 1.0) <= ROW_SUM_RENORM_TOL) & (sums > 0)
-        arr[fixable] /= sums[fixable, None]
+        _renormalize(arr)
         arr.flags.writeable = False
         self.table = arr
+
+    @classmethod
+    def _of(cls, child: str, parents, table: np.ndarray) -> Cpt:
+        """A Cpt over `table` as it is: renormalized and read-only already."""
+        cpt = cls.__new__(cls)
+        cpt.child, cpt.parents, cpt.table = child, tuple(parents), table
+        return cpt
 
     @property
     def n_states(self) -> int:
@@ -68,6 +73,36 @@ class Cpt:
     @property
     def n_rows(self) -> int:
         return self.table.shape[0]
+
+
+def _renormalize(arr: np.ndarray) -> None:
+    """Rescale in place each row of `arr` whose sum is positive and within
+    ROW_SUM_RENORM_TOL of 1 (dividing the others by 1.0 keeps their bits)."""
+    sums = arr.sum(axis=1)
+    fixable = (np.abs(sums - 1.0) <= ROW_SUM_RENORM_TOL) & (sums > 0)
+    arr /= np.where(fixable, sums, 1.0)[:, None]
+
+
+def stacked_cpts(specs) -> list[Cpt]:
+    """`[Cpt(child, parents, rows) for child, parents, rows in specs]`, bit
+    for bit, with one array and one renormalization per row width instead
+    of one per table.  Every table needs at least one row.  numpy sums
+    each row of a C-contiguous array on its own, so a row's sum does not
+    depend on the rows stacked with it; each table is a read-only view of
+    its rows."""
+    groups: dict[int, list[int]] = {}
+    for i, (_, _, rows) in enumerate(specs):
+        groups.setdefault(len(rows[0]), []).append(i)
+    tables: list = [None] * len(specs)
+    for members in groups.values():
+        arr = np.array([row for i in members for row in specs[i][2]], dtype=float)
+        _renormalize(arr)
+        arr.flags.writeable = False
+        start = 0
+        for i in members:
+            stop = start + len(specs[i][2])
+            tables[i], start = arr[start:stop], stop
+    return [Cpt._of(child, parents, table) for (child, parents, _), table in zip(specs, tables)]
 
 
 class Network:
@@ -343,6 +378,8 @@ def validate(net: Network) -> list[str]:
                 f"{tag}: rows have {cpt.n_states} entries, expected {net.card(cpt.child)}"
             )
             continue
+        if _rows_pass(cpt.table):
+            continue
         for i, row in enumerate(cpt.table):
             if np.any(row < 0) or not np.all(np.isfinite(row)):
                 problems.append(f"{tag}: row {i} has a negative or non-finite entry")
@@ -358,6 +395,17 @@ def validate(net: Network) -> list[str]:
         problems.append(f"graph has a directed cycle involving {', '.join(on_cycle)}")
 
     return problems
+
+
+def _rows_pass(table: np.ndarray) -> bool:
+    """Whether every row of `table` certainly passes `validate`'s row
+    checks: no entry is negative and every row sums to 1 within half the
+    tolerance, since the row-by-row sum may round differently.  NaN and
+    inf fail both tests, so a table that fails is walked row by row."""
+    return bool(
+        (table >= 0.0).all()
+        and (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_CHECK_TOL / 2).all()
+    )
 
 
 def check_evidence(net: Network, evidence: Evidence) -> None:

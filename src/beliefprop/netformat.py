@@ -13,6 +13,12 @@ The format:
 `#` starts a comment; blank lines are ignored; statements start in column 1
 and CPT rows are indented.  Variable names are identifiers (letter or
 underscore first); state labels may also be bare digits.
+
+The parser splits each line once with `str.split` and checks its words as
+plain strings; numbers are Python floats.  A word's `line:column` span is
+worked out only when a ParseError is raised, by finding that word again in
+its line, so valid input builds no per-word object.  Parsed tables are
+built with one array per row width (`model.stacked_cpts`).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Cpt, Evidence, Network, Variable
+from .model import Evidence, Network, Variable, stacked_cpts
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -44,62 +50,49 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column)
+class _WordError(Exception):
+    """A bad word of the line being parsed: (its index, the message).  The
+    parse loop turns it into a ParseError with the word's span."""
 
 
-def _fail(where: _Token | SourceSpan, message: str) -> ParseError:
-    span = where.span if isinstance(where, _Token) else where
-    return ParseError(span, message)
+def _span(raw: str, lineno: int, i: int) -> SourceSpan:
+    """Where the i-th word of line `raw` starts.  Words are what
+    `str.split` finds before any `#`; `TOKEN_RE` matches the same runs, so
+    this is worked out only when an error is raised."""
+    body = raw.split("#", 1)[0]
+    match = next(itertools.islice(TOKEN_RE.finditer(body), i, None))
+    return SourceSpan(lineno, match.start() + 1)
 
 
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    body = line.split("#", 1)[0]
-    return [
-        _Token(m.group(), lineno, m.start() + 1) for m in TOKEN_RE.finditer(body)
-    ]
-
-
-def _parse_prob(tok: _Token) -> float:
+def _parse_prob(text: str, i: int) -> float:
     try:
-        p = float(tok.text)
+        p = float(text)
     except ValueError:
-        raise _fail(tok, f"malformed number {tok.text!r}") from None
+        raise _WordError(i, f"malformed number {text!r}") from None
     if not math.isfinite(p):
-        raise _fail(tok, f"malformed number {tok.text!r}")
+        raise _WordError(i, f"malformed number {text!r}")
     if p < 0.0 or p > 1.0:
-        raise _fail(tok, f"probability {tok.text} outside [0, 1]")
+        raise _WordError(i, f"probability {text} outside [0, 1]")
     return p
 
 
 class _CptBlock:
     """An open `cpt` statement waiting for its configuration rows."""
 
-    def __init__(self, header: _Token, child: Variable, parents: list[Variable]):
-        self.header = header
+    def __init__(self, header: tuple[str, int], child: Variable, parents: list[Variable]):
+        self.header = header  # (line, line number) of the statement
         self.child = child
         self.parents = parents
-        self.configs = list(
-            itertools.product(*(range(p.card) for p in parents))
-        )
+        # each row's parent states, in row-major order of the parent list
+        self.labels = list(map(list, itertools.product(*(p.states for p in parents))))
         self.rows: list[list[float]] = []
 
     @property
     def complete(self) -> bool:
-        return len(self.rows) == len(self.configs)
+        return len(self.rows) == len(self.labels)
 
     def describe_config(self, idx: int) -> str:
-        labels = [
-            p.states[s] for p, s in zip(self.parents, self.configs[idx])
-        ]
-        return " ".join(labels) if labels else "(root)"
+        return " ".join(self.labels[idx]) if self.parents else "(root)"
 
 
 def parse(text: str) -> Network:
@@ -107,8 +100,8 @@ def parse(text: str) -> Network:
     name: str | None = None
     variables: list[Variable] = []
     by_name: dict[str, Variable] = {}
-    cpts: dict[str, Cpt] = {}
-    order: list[str] = []
+    cpts: list[tuple] = []  # (child, parents, rows) in declaration order
+    tabled: set[str] = set()  # children with a cpt
     block: _CptBlock | None = None
     saw_statement = False
 
@@ -117,139 +110,145 @@ def parse(text: str) -> Network:
         if block is None:
             return
         if not block.complete:
-            raise _fail(
-                block.header,
+            raise ParseError(
+                _span(*block.header, 1),
                 f"missing configuration row for {block.child.name} "
                 f"(expected {block.describe_config(len(block.rows))!r} next)",
             )
-        cpts[block.child.name] = Cpt(
-            block.child.name, tuple(p.name for p in block.parents), block.rows
-        )
-        order.append(block.child.name)
+        cpts.append((block.child.name, [p.name for p in block.parents], block.rows))
+        tabled.add(block.child.name)
         block = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno)
-        if not toks:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        indented = raw[: toks[0].column - 1].strip() == "" and toks[0].column > 1
+        try:
+            if raw[0].isspace():  # an indented row
+                if block is None:
+                    raise _WordError(0, "row outside of a cpt statement")
+                if block.complete:
+                    raise _WordError(0, f"too many rows for cpt {block.child.name}")
+                block.rows.append(_parse_row(block, words))
+                continue
 
-        if indented:
-            if block is None:
-                raise _fail(toks[0], "row outside of a cpt statement")
-            if block.complete:
-                raise _fail(toks[0], f"too many rows for cpt {block.child.name}")
-            block.rows.append(_parse_row(block, toks))
-            continue
-
-        close_block()
-        keyword = toks[0]
-        if keyword.text == "net":
-            if saw_statement:
-                raise _fail(keyword, "net header must come first")
-            if len(toks) != 2 or not IDENT_RE.match(toks[1].text):
-                raise _fail(keyword, "expected: net <identifier>")
-            name = toks[1].text
-        elif keyword.text == "var":
-            v = _parse_var(toks, by_name)
-            variables.append(v)
-            by_name[v.name] = v
-        elif keyword.text == "cpt":
-            block = _open_cpt(toks, by_name, cpts)
-        else:
-            raise _fail(keyword, f"unknown statement {keyword.text!r}")
-        saw_statement = True
+            close_block()
+            keyword = words[0]
+            if keyword == "net":
+                if saw_statement:
+                    raise _WordError(0, "net header must come first")
+                if len(words) != 2 or not IDENT_RE.match(words[1]):
+                    raise _WordError(0, "expected: net <identifier>")
+                name = words[1]
+            elif keyword == "var":
+                v = _parse_var(words, by_name)
+                variables.append(v)
+                by_name[v.name] = v
+            elif keyword == "cpt":
+                block = _open_cpt(words, (raw, lineno), by_name, tabled)
+            else:
+                raise _WordError(0, f"unknown statement {keyword!r}")
+            saw_statement = True
+        except _WordError as e:
+            i, message = e.args
+            raise ParseError(_span(raw, lineno, i), message) from None
 
     close_block()
-    return Network(variables, [cpts[n] for n in order], name=name)
+    return Network(variables, stacked_cpts(cpts), name=name)
 
 
-def _parse_var(toks: list[_Token], by_name: dict[str, Variable]) -> Variable:
-    if len(toks) < 2 or not IDENT_RE.match(toks[1].text):
-        raise _fail(toks[0], "expected: var <name> : <state> <state> ...")
-    name_tok = toks[1]
-    if name_tok.text in by_name:
-        raise _fail(name_tok, f"duplicate variable {name_tok.text!r}")
-    if len(toks) < 3 or toks[2].text != ":":
-        raise _fail(name_tok, "expected ':' after variable name")
-    states = toks[3:]
+def _parse_var(words: list[str], by_name: dict[str, Variable]) -> Variable:
+    if len(words) < 2 or not IDENT_RE.match(words[1]):
+        raise _WordError(0, "expected: var <name> : <state> <state> ...")
+    name = words[1]
+    if name in by_name:
+        raise _WordError(1, f"duplicate variable {name!r}")
+    if len(words) < 3 or words[2] != ":":
+        raise _WordError(1, "expected ':' after variable name")
+    states = words[3:]
     if len(states) < 2:
-        raise _fail(name_tok, "a variable needs at least 2 states")
+        raise _WordError(1, "a variable needs at least 2 states")
     seen: set[str] = set()
-    for s in states:
-        if not LABEL_RE.match(s.text):
-            raise _fail(s, f"bad state label {s.text!r}")
-        if s.text in seen:
-            raise _fail(s, f"duplicate state label {s.text!r}")
-        seen.add(s.text)
-    return Variable(name_tok.text, tuple(s.text for s in states))
+    for i, s in enumerate(states, start=3):
+        if not LABEL_RE.match(s):
+            raise _WordError(i, f"bad state label {s!r}")
+        if s in seen:
+            raise _WordError(i, f"duplicate state label {s!r}")
+        seen.add(s)
+    return Variable(name, tuple(states))
 
 
 def _open_cpt(
-    toks: list[_Token], by_name: dict[str, Variable], cpts: dict[str, Cpt]
+    words: list[str], header: tuple[str, int], by_name: dict[str, Variable], tabled: set[str]
 ) -> _CptBlock:
-    if len(toks) < 2:
-        raise _fail(toks[0], "expected: cpt <child> [| <parents>] :")
-    child_tok = toks[1]
-    if child_tok.text not in by_name:
-        raise _fail(child_tok, f"unknown variable {child_tok.text!r}")
-    if child_tok.text in cpts:
-        raise _fail(child_tok, f"duplicate cpt for {child_tok.text!r}")
-    if toks[-1].text != ":":
-        raise _fail(toks[-1], "cpt statement must end with ':'")
-    middle = toks[2:-1]
+    if len(words) < 2:
+        raise _WordError(0, "expected: cpt <child> [| <parents>] :")
+    child = words[1]
+    if child not in by_name:
+        raise _WordError(1, f"unknown variable {child!r}")
+    if child in tabled:
+        raise _WordError(1, f"duplicate cpt for {child!r}")
+    if words[-1] != ":":
+        raise _WordError(len(words) - 1, "cpt statement must end with ':'")
+    middle = words[2:-1]
     parents: list[Variable] = []
     if middle:
-        if middle[0].text != "|":
-            raise _fail(middle[0], "expected '|' before parent list")
+        if middle[0] != "|":
+            raise _WordError(2, "expected '|' before parent list")
         seen: set[str] = set()
-        for t in middle[1:]:
-            if t.text not in by_name:
-                raise _fail(t, f"unknown variable {t.text!r}")
-            if t.text in seen:
-                raise _fail(t, f"duplicate parent {t.text!r}")
-            seen.add(t.text)
-            parents.append(by_name[t.text])
+        for i, t in enumerate(middle[1:], start=3):
+            if t not in by_name:
+                raise _WordError(i, f"unknown variable {t!r}")
+            if t in seen:
+                raise _WordError(i, f"duplicate parent {t!r}")
+            seen.add(t)
+            parents.append(by_name[t])
         if not parents:
-            raise _fail(middle[0], "parent list after '|' is empty")
-    return _CptBlock(child_tok, by_name[child_tok.text], parents)
+            raise _WordError(2, "parent list after '|' is empty")
+    return _CptBlock(header, by_name[child], parents)
 
 
-def _parse_row(block: _CptBlock, toks: list[_Token]) -> list[float]:
+def _parse_row(block: _CptBlock, words: list[str]) -> list[float]:
+    """A row's probabilities.  The common case is screened with whole-row
+    tests; any row that fails them is walked word by word, in the order of
+    the checks, so that the walk alone picks the message."""
     k = block.child.card
-    if block.parents:
-        texts = [t.text for t in toks]
-        if ":" not in texts:
-            raise _fail(toks[0], "expected '<parent states> : <probabilities>'")
-        sep = texts.index(":")
-        label_toks, prob_toks = toks[:sep], toks[sep + 1 :]
-        if len(label_toks) != len(block.parents):
-            raise _fail(
-                toks[0],
-                f"expected {len(block.parents)} parent states before ':'",
-            )
-        config = []
-        for parent, t in zip(block.parents, label_toks):
-            if t.text not in parent.states:
-                raise _fail(t, f"unknown state {t.text!r} of {parent.name}")
-            config.append(parent.states.index(t.text))
-        expected = block.configs[len(block.rows)]
-        if tuple(config) != expected:
-            raise _fail(
-                toks[0],
-                f"configuration out of order: expected "
-                f"{block.describe_config(len(block.rows))!r}",
-            )
-    else:
-        prob_toks = toks
-
-    if len(prob_toks) != k:
-        raise _fail(toks[0], f"expected {k} probabilities, got {len(prob_toks)}")
-    row = [_parse_prob(t) for t in prob_toks]
+    n = len(block.parents)
+    if n and (len(words) <= n or words[n] != ":" or words[:n] != block.labels[len(block.rows)]):
+        _check_config(block, words)
+    probs = words[n + 1 :] if n else words
+    if len(probs) != k:
+        raise _WordError(0, f"expected {k} probabilities, got {len(probs)}")
+    try:
+        row = [float(t) for t in probs]
+    except ValueError:
+        row = []
     total = sum(row)
-    if abs(total - 1.0) > 1e-6:
-        raise _fail(toks[0], f"row sum is {total:.9g}, not 1")
+    # NaN and inf fail the sum test, so a row that passes all three is finite
+    if not (row and min(row) >= 0.0 and max(row) <= 1.0 and abs(total - 1.0) <= 1e-6):
+        for i, t in enumerate(probs, start=len(words) - k):
+            _parse_prob(t, i)
+        raise _WordError(0, f"row sum is {total:.9g}, not 1")
     return row
+
+
+def _check_config(block: _CptBlock, words: list[str]) -> None:
+    """Raise the error of a row whose parent states are not the next
+    configuration's labels followed by ':'."""
+    if ":" not in words:
+        raise _WordError(0, "expected '<parent states> : <probabilities>'")
+    sep = words.index(":")
+    if sep != len(block.parents):
+        raise _WordError(0, f"expected {len(block.parents)} parent states before ':'")
+    for i, (parent, t) in enumerate(zip(block.parents, words)):
+        if t not in parent.states:
+            raise _WordError(i, f"unknown state {t!r} of {parent.name}")
+    if words[:sep] != block.labels[len(block.rows)]:  # state labels are distinct
+        raise _WordError(
+            0,
+            f"configuration out of order: expected "
+            f"{block.describe_config(len(block.rows))!r}",
+        )
 
 
 def _fmt(p: float) -> str:

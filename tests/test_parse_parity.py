@@ -14,6 +14,10 @@ zero entries, wrong row and entry counts).  The digest was captured
 before the parser stopped building a token object per word; messages and
 spans must not move, so it is never updated to follow a change in the
 parser or the validator.
+
+The counting tests guard the gain itself: a valid file is parsed
+without working out a single span, and a valid network is validated
+without walking the rows of any table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import random
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from beliefprop import model, netformat
 from beliefprop.model import Cpt, Network, validate
 from beliefprop.netformat import ParseError, parse, serialize
 
@@ -185,3 +191,56 @@ def parse_digest() -> str:
 
 def test_parse_and_validate_are_unchanged():
     assert parse_digest() == DIGEST
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace `module.name` by a wrapper that records each result."""
+    results, real = [], getattr(module, name)
+
+    def wrapper(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def test_valid_input_builds_no_span(monkeypatch):
+    text = serialize(bushy_polytree(0, 300)[0])
+    spans = _counting(monkeypatch, netformat, "_span")
+    built = _counting(monkeypatch, netformat, "SourceSpan")
+    net = parse(text)
+    assert len(net.variables) == 300 and not spans and not built
+    with pytest.raises(ParseError) as bad:
+        parse(text.replace(" : ", " ; ", 1))
+    assert spans == [bad.value.span] and built == spans
+
+
+def test_valid_network_walks_no_rows(monkeypatch):
+    net = bushy_polytree(0, 300)[0]
+    screened = _counting(monkeypatch, model, "_rows_pass")
+    assert validate(net) == []
+    assert screened == [True] * 300
+    screened.clear()
+    cpts = [Cpt(c.child, c.parents, -c.table) if c.child == "b07" else c for c in net.cpt_list]
+    assert len(validate(Network(net.variables, cpts))) == cpts[7].n_rows
+    assert screened.count(False) == 1
+
+
+def test_stacked_tables_are_the_tables_built_one_by_one():
+    rng = np.random.default_rng(5)
+    specs = []
+    for i in range(400):
+        rows, width = int(rng.integers(1, 30)), int(rng.integers(1, 21))
+        table = rng.random((rows, width)) ** 3
+        table /= table.sum(axis=1, keepdims=True) * (1 + rng.uniform(-2e-6, 2e-6, (rows, 1)))
+        spoil = rng.random(table.shape) < 0.02
+        table[spoil] = rng.choice([0.0, -0.0, -0.5, 1.5, np.nan, np.inf], spoil.sum())
+        specs.append((f"v{i}", [f"p{i}"], table.tolist()))
+    stacked = model.stacked_cpts(specs)
+    for (child, parents, rows), cpt in zip(specs, stacked):
+        alone = Cpt(child, parents, rows)
+        assert (cpt.child, cpt.parents) == (alone.child, alone.parents)
+        assert cpt.table.shape == alone.table.shape
+        assert cpt.table.tobytes() == alone.table.tobytes()
+        assert not cpt.table.flags.writeable
