@@ -146,8 +146,9 @@ def _mix(net: Network, evidence: Evidence, members: list, queries: tuple, on_upd
     its per-case results: the mixed belief, the run of the live cases,
     their indices, and their query beliefs, a row per live case laid out
     by `Network.state_slices`."""
-    for q in queries:
-        net.variable(q)
+    unknown = [q for q in queries if q not in net.vars_by_name]
+    if unknown:
+        net.variable(unknown[0])  # raises the unknown-variable KeyError
     check_evidence(net, evidence)
     plan = two_pass_plan(net, members)
     live = plan.live_cases(evidence)

@@ -195,6 +195,19 @@ class TestInferConditioned:
         with pytest.raises(ValueError, match=f"^state 5 out of range for variable '{var}'$"):
             auto_infer(fig1_net(seed=3), {var: 5}, ["x3"])
 
+    def test_unknown_query_then_evidence_then_cutset(self):
+        """An unknown query is reported before bad evidence, and bad
+        evidence before an invalid cutset."""
+        net, bad_evidence, bad_cutset = fig1_net(), {"x2": 5}, ["x5"]
+        with pytest.raises(KeyError, match="unknown variable 'nobody'"):
+            infer_conditioned(net, bad_evidence, bad_cutset, ["x1", "nobody", "ghost"])
+        with pytest.raises(KeyError, match="unknown variable 'nobody'"):
+            auto_infer(net, bad_evidence, ["x1", "nobody"])
+        with pytest.raises(ValueError, match="^state 5 out of range for variable 'x2'$"):
+            infer_conditioned(net, bad_evidence, bad_cutset, ["x1"])
+        with pytest.raises(ValueError, match=r"^not a valid cutset: \['x5'\]$"):
+            infer_conditioned(net, {"x2": 1}, bad_cutset, ["x1"])
+
     def test_two_binary_members_enumerate_four_runs(self):
         left = diamond_net(prefix="l", seed=1)
         right = diamond_net(prefix="r", seed=2)
