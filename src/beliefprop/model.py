@@ -400,8 +400,8 @@ def validate(net: Network) -> list[str]:
 def _rows_pass(table: np.ndarray) -> bool:
     """Whether every row of `table` certainly passes `validate`'s row
     checks: no entry is negative and every row sums to 1 within half the
-    tolerance, since the row-by-row sum may round differently.  NaN and
-    inf fail both tests, so a table that fails is walked row by row."""
+    tolerance, since the row-by-row sum may round differently.  NaN fails
+    both tests and inf the second, so such a table is walked row by row."""
     return bool(
         (table >= 0.0).all()
         and (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_CHECK_TOL / 2).all()
