@@ -3,32 +3,33 @@
 Every directed arc parent->child carries two dynamic vectors over the
 parent's states: a causal-support message (pi) flowing down the arc and a
 diagnostic-support message (lambda) flowing up.  Every message and every
-belief comes from one sum-product rule, `TwoPassRun.core`, under every
-schedule: a node multiplies its CPT by what it holds from each neighbor
-except the recipient (the pi of each parent, the evidence factor times the
-lambda of each child) and sums out every axis but the recipient's, or its
-own for a belief.  The rule runs on a plan compiled per network and loop
-cutset (`TwoPassPlan`), over integer node ids and one buffer of
-zero-padded message rows with a row per cutset case.  The plan compiles,
-once, which rows each node's belief reads (`Rule`); the rule of a message
-is derived from its sender's when needed, and the plan is never written
-after it is built.
+belief comes from one sum-product rule under every schedule: a node
+multiplies its CPT by what it holds from each neighbor except the
+recipient (the pi of each parent, the evidence factor times the lambda of
+each child) and sums out every axis but the recipient's, or its own for a
+belief.  The rule has one implementation, `TwoPassRun._compute`, which
+computes a `Step`: a batch of same-shaped messages or beliefs, or a single
+one.  It runs on a plan compiled per network and loop cutset
+(`TwoPassPlan`), over integer node ids and one buffer of zero-padded
+message rows with a row per cutset case; the plan is never written after
+it is built.
 
 The two-pass schedule computes each message once.  The messages at one
 tree depth depend only on deeper ones (collect) or shallower ones
-(distribute), so the plan compiles the schedule into steps (`Step`), each
-one einsum over a batch of same-shaped messages of one depth with their
+(distribute), so the plan compiles the schedule into steps, each one
+einsum over a batch of same-shaped messages of one depth with their
 tables padded and stacked.  A run of single messages, such as a chain's
 (`Sequence`), has one bitwise fixpoint under recomputation, the in-order
 result; a long run is relaxed towards it in batched rounds, each message
-recomputed when a message it reads changes, and finished in order.
-Every result has the bits the per-message rule gives it in the
+recomputed when a message it reads changes, and finished in order.  Every
+result has the bits the message gets computed alone and unpadded in the
 sequential schedule, and log P(evidence) and the trace keep that order.
 The relaxations recompute the out-of-kilter messages of a one-case run of
-the empty-cutset plan until every one equals its recomputed value, and
-node beliefs are then read off the same rule, normalized.  The
-per-message functions load the `MessageState` they are given into such a
-run.
+the empty-cutset plan, each a one-member step cut from the plan's steps,
+until every one equals its recomputed value, and then check the mass of
+every belief.  A per-message function computes one single-message step
+on a one-case run that holds the messages it reads from the
+`MessageState` it is given.
 
 Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
@@ -122,24 +123,29 @@ def init_messages(net: Network, evidence: Evidence) -> MessageState:
     return MessageState(messages, factors)
 
 
-def _load(net: Network, state: MessageState) -> TwoPassRun:
+def _load(net: Network, state: MessageState, slots=None) -> TwoPassRun:
     """A one-case run of the empty-cutset plan that holds `state`'s
-    messages and evidence factors and has sent nothing yet."""
+    evidence factors and its messages in the rows `slots` (the pi of arc k
+    in row 2k and its lambda in row 2k+1; every row by default), and has
+    sent nothing yet."""
     plan = two_pass_plan(net, [])
     run = TwoPassRun(plan, state.evidence_factor, np.arange(1))
-    for slot in range(0, plan.ones, 2):  # each arc's pi, then its lambda
-        lp = state.messages[plan.arc(slot)[:2]]
-        run.msg(slot)[...], run.msg(slot + 1)[...] = lp.pi, lp.lam
+    for slot in range(plan.ones) if slots is None else slots:
+        p, c = plan.arcs[slot // 2]
+        lp = state.messages[plan.names[p], plan.names[c]]
+        run.buf[slot, 0, :plan.cards[p]] = lp.lam if slot % 2 else lp.pi
     return run
 
 
 def _loaded(net: Network, state: MessageState, a: str, to: str | None = None):
-    """`state` loaded into a one-case run (see `_load`), and the rule of
-    the message `a` sends `to`, or of a's belief when `to` is None."""
+    """The one-member step of the message `a` sends `to`, or of a's belief
+    when `to` is None, and a one-case run (see `_load`) that holds the
+    messages of `state` it reads."""
     net.variable(a)  # an unknown name raises as it does everywhere else
-    run = _load(net, state)
-    ids = run.plan.ids
-    return run, run.plan.rule(ids[a], None if to is None else ids[to])
+    plan = two_pass_plan(net, [])
+    step = plan.single(plan.ids[a], None if to is None else plan.ids[to])
+    reads = step.index[0, _POSITION + 1:].tolist()
+    return _load(net, state, [slot for slot in reads if slot < plan.ones]), step
 
 
 def zero_mass(variable: str) -> str:
@@ -156,24 +162,24 @@ def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarra
     causal = {
         arc: LinkParameters(lp.pi, np.ones_like(lp.lam)) for arc, lp in state.messages.items()
     }
-    run, rule = _loaded(net, MessageState(causal, {}), a)
-    return run.core(rule)[0]
+    run, step = _loaded(net, MessageState(causal, {}), a)
+    return run._compute(step, raw=True)[0][0, 0]
 
 
 def total_diagnostic_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Product of the evidence factor (if any) and every child's lambda
     message; all-ones for an uninstantiated leaf."""
-    run, rule = _loaded(net, state, a)
-    return run.diagnostic(rule)[0]
+    run, step = _loaded(net, state, a)
+    return run._compute(step, raw=True)[1][0, 0]
 
 
 def fuse_belief(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Normalized product of total causal and diagnostic support."""
-    run, rule = _loaded(net, state, a)
-    belief, mass, _ = run.normalized(rule)
-    if mass[0] <= 0.0:
+    run, step = _loaded(net, state, a)
+    belief, mass, _ = run._compute(step)
+    if mass[0, 0] <= 0.0:
         raise ImpossibleEvidenceError(zero_mass(a), variable=a)
-    return belief[0]
+    return belief[0, 0]
 
 
 def link_belief(state: MessageState, parent: str, child: str) -> np.ndarray:
@@ -197,8 +203,8 @@ def update_lambda_to_parent(
     other parents.  Reads nothing from arc b->a itself."""
     if b not in net.parents(a):
         raise KeyError(f"{b} is not a parent of {a}")
-    run, rule = _loaded(net, state, a, b)
-    return run.normalized(rule)[0][0]
+    run, step = _loaded(net, state, a, b)
+    return run._compute(step)[0][0, 0]
 
 
 def update_pi_to_child(
@@ -209,33 +215,49 @@ def update_pi_to_child(
     children.  Reads nothing from arc a->x itself."""
     if x not in net.children(a):
         raise KeyError(f"{x} is not a child of {a}")
-    run, rule = _loaded(net, state, a, x)
-    return run.normalized(rule)[0][0]
+    run, step = _loaded(net, state, a, x)
+    return run._compute(step)[0][0, 0]
 
 
-def _message_rules(net: Network, plan: TwoPassPlan) -> dict[tuple[int, int], Rule]:
-    """The rule of every directed message, keyed (sender id, receiver id):
-    senders in topological order, each sending to its neighbors in name
-    order."""
+def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
+    """Every directed message as (sender id, receiver id): senders in
+    topological order, each sending to its neighbors in name order."""
     ids = plan.ids
-    keys = [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
-    return {key: plan.rule(*key) for key in keys}
+    return [(ids[s], ids[r]) for s in net.topological_order() for r in net.neighbors(s)]
+
+
+def _sending_steps(plan: TwoPassPlan) -> list[Step]:
+    """The plan's steps that send messages, each run's members one by one:
+    together they send every message once."""
+    return [one for step in plan.steps
+            for one in (step.members if type(step) is Sequence else [step]) if one.sends]
+
+
+def _message_steps(plan: TwoPassPlan) -> dict[tuple[int, int], Step]:
+    """The one-member step of every directed message, keyed (sender id,
+    receiver id), each cut from the plan's step that sends the message
+    (see `_sending_steps`), so nothing is compiled again."""
+    alone = {}
+    for step in _sending_steps(plan):
+        for g, (a, to) in enumerate(step.index[:, :_PLACE].tolist()):
+            alone[a, to] = step if len(step.index) == 1 else step._replace(index=step.index[g:g + 1])
+    return alone
 
 
 def _residual(old: np.ndarray, new: np.ndarray) -> float:
-    return float(np.max(np.abs(old - new)))
+    return float(np.abs(old - new).max())
 
 
 def _store(run: TwoPassRun, slot: int, new: np.ndarray, on_update, sweep: int) -> float:
-    """Write `new` as the message in row `slot` of the one-case `run` and
-    return how far it moved (max-norm); when that exceeds TOLERANCE, pass
-    it to `on_update`."""
+    """Write `new`, zero-padded or not, as the message in row `slot` of the
+    one-case `run` and return how far it moved (max-norm); when that
+    exceeds TOLERANCE, pass it to `on_update`."""
     held = run.msg(slot)
-    old = held.copy()
-    held[...] = new
-    residual = _residual(old, new)
+    new = new[:, :held.shape[1]]
+    residual = _residual(held, new)
     if residual > TOLERANCE and on_update is not None:
-        on_update(run.plan.record(sweep, slot, old[0], new[0]))
+        on_update(run.plan.record(sweep, slot, held[0].copy(), new[0]))
+    held[...] = new
     return residual
 
 
@@ -262,7 +284,8 @@ def propagate(
     """Bring all messages to the fixpoint.
 
     `schedule` is "synchronous" (full sweeps, every message recomputed from
-    the previous sweep's snapshot, in the fixed order of `_message_rules`),
+    the previous sweep's snapshot and stored in the fixed order of
+    `_message_keys`),
     "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
     seeded by `seed`, until none is) or "two-pass" (each message computed
     once, see `TwoPassPlan`).  The relaxations stop once every stored
@@ -291,31 +314,34 @@ def propagate(
         lp = state.messages[plan.arc(slot)[:2]]
         lp.pi, lp.lam = run.msg(slot)[0], run.msg(slot + 1)[0]
     if schedule != "two-pass":
-        for a, rule in enumerate(plan.rules):
-            if run.normalized(rule)[1][0] <= 0.0:
-                v = plan.names[a]
-                raise ImpossibleEvidenceError(zero_mass(v), variable=v)
+        zero = np.flatnonzero(run.beliefs(range(len(plan.names)))[1][:, 0] <= 0.0)
+        if len(zero):
+            v = plan.names[zero[0]]
+            raise ImpossibleEvidenceError(zero_mass(v), variable=v)
     return state, stats
 
 
 def _run_synchronous(net, run, on_update):
-    rules = list(_message_rules(net, run.plan).values())
+    steps = _sending_steps(run.plan)
+    slots = [run.plan.rule(*key).slot for key in _message_keys(net, run.plan)]
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
-        new = [run.normalized(rule)[0] for rule in rules]
-        residuals = [_store(run, rule.slot, m, on_update, sweep) for rule, m in zip(rules, new)]
+        new = {}  # every message from the last sweep's, a step at a time
+        for step in steps:
+            new.update(zip(step.index[:, _SLOT].tolist(), run._compute(step)[0]))
+        residuals = [_store(run, slot, new[slot], on_update, sweep) for slot in slots]
         moved = sum(r > TOLERANCE for r in residuals)
         updates += moved
         if not moved:
             return PropagationStats(sweeps=sweep, updates=updates)
-    worst = max(range(len(rules)), key=residuals.__getitem__)
-    raise _no_fixpoint(run, f"{max_sweeps} synchronous sweeps", rules[worst].slot, residuals[worst])
+    worst = max(range(len(slots)), key=residuals.__getitem__)
+    raise _no_fixpoint(run, f"{max_sweeps} synchronous sweeps", slots[worst], residuals[worst])
 
 
 def _run_fair_random(net, run, seed, on_update):
-    rules = _message_rules(net, run.plan)
-    keys = list(rules)
+    steps = _message_steps(run.plan)
+    keys = _message_keys(net, run.plan)
     sends: dict[int, list] = {}  # each sender's keys, in the order of `keys`
     for key in keys:
         sends.setdefault(key[0], []).append(key)
@@ -334,8 +360,8 @@ def _run_fair_random(net, run, seed, on_update):
             continue
         dirty.remove(key)
         s, r = key
-        rule = rules[key]
-        last = rule.slot, _store(run, rule.slot, run.normalized(rule)[0], on_update, updates + 1)
+        slot = int(steps[key].index[0, _SLOT])
+        last = slot, _store(run, slot, run._compute(steps[key])[0][0], on_update, updates + 1)
         if last[1] > TOLERANCE:
             updates += 1
             # every message r sends reads this one, except the one back to s
@@ -360,8 +386,9 @@ def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
 _CASE = 51
 #: einsum label of the member axis of a compiled step
 _MEMBER = 50
-#: einsum sublist of a message over node axis j, one row per case
-_ROW = [[_CASE, j] for j in range(_MEMBER)]
+#: einsum sublist of a message over node axis j, one row per case, behind
+#: the member axis of a step
+_ROW = [[_MEMBER, _CASE, j] for j in range(_MEMBER)]
 
 
 #: a row sum below this is recomputed with the diagnostic vector rescaled
@@ -392,13 +419,8 @@ _RELAX_BUDGET = 8
 
 @functools.cache
 def _axes(n_parents: int, batched: bool) -> list[int]:
-    return [_CASE] * batched + list(range(n_parents + 1))
-
-
-@functools.cache
-def _batch(*sub: int) -> list[int]:
-    """The einsum sublist `sub` behind a member axis, as a step's operand."""
-    return [_MEMBER, *sub]
+    """The einsum sublist of a table in a step."""
+    return [_MEMBER] + [_CASE] * batched + list(range(n_parents + 1))
 
 
 @functools.cache
@@ -436,19 +458,21 @@ _NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
 
 
 class Step(NamedTuple):
-    """Messages or beliefs at one tree depth whose rules share one shape
-    class (see `TwoPassPlan._shape_class`) and recipient axis, computed by
-    one einsum over a leading member axis.  Row g of `index` is about
-    member g: its node, its recipient, its table's row in `stack`, the row
-    it writes and its normalizer position (-1 for no recipient, row or
-    position), then the row of each pi it reads, then its diagnostic rows
-    (its evidence row and `Rule.lams`, padded with the all-ones row).
-    `sends` tells whether the members are messages or beliefs.  `table`
-    is the tables' einsum sublist, and each of `pis` the padded width and
-    sublist of one pi operand.  The diagnostic rows multiply to the
-    operand with sublist `diag`, `own` states wide.  The result has
-    sublist `out` and is `width` states wide.  `collects` tells whether
-    its row sums are normalizers of log P(evidence)."""
+    """Messages or beliefs whose rules share one shape class (see
+    `TwoPassPlan._shape_class`) and recipient axis, computed by one einsum
+    over a leading member axis: those at one tree depth, or a single one
+    (`TwoPassPlan.single`).  Row g of `index` is about member g: its node,
+    its recipient, its table's row in `stack`, the row it writes and its
+    normalizer position (-1 for no recipient, row or position), then the
+    row of each pi it reads, then its diagnostic rows (its evidence row
+    and `Rule.lams`, padded with the all-ones row).  `sends` tells whether
+    the members are messages or beliefs.  `table` is the tables' einsum
+    sublist, and each of `pis` the padded width and sublist of one pi
+    operand; a single message's `stack` is its node's own table, without
+    the member axis.  The diagnostic rows multiply to the operand with sublist
+    `diag`, `own` states wide.  The result has sublist `out` and is
+    `width` states wide.  `collects` tells whether its row sums are
+    normalizers of log P(evidence)."""
 
     index: np.ndarray
     sends: bool
@@ -465,18 +489,17 @@ class Step(NamedTuple):
 class Sequence(NamedTuple):
     """A run of single messages, such as a chain's: the members of
     consecutive levels that hold one message or mass each, in schedule
-    order.  A member reads only earlier members and rows that are final
-    before the run starts.  For each member: its `Rule` (a root's belief
-    rule for its mass) and its normalizer position (None for a distribute
-    message).  A run of _RELAX_RUN members or more also holds its members
-    as `steps`, grouped by shape class, recipient axis and normalizer
-    kind, where row g of `steps[i].index` is member `numbers[i][g]`; its
-    reader table `fanout`, whose row i lists the members that read the
-    row member i writes, padded with the number of members; and, in
-    `starts`, the rows the members write, as (rows, width) per width."""
+    order, each as its one-member step in `members` (a root's belief step
+    for its mass).  A member reads only earlier members and rows that are
+    final before the run starts.  A run of _RELAX_RUN members or more also
+    holds its members as `steps`, grouped by shape class, recipient axis
+    and normalizer kind, where row g of `steps[i].index` is member
+    `numbers[i][g]`; its reader table `fanout`, whose row i lists the
+    members that read the row member i writes, padded with the number of
+    members; and, in `starts`, the rows the members write, as (rows,
+    width) per width."""
 
-    rules: tuple
-    positions: tuple
+    members: tuple
     steps: tuple = ()
     numbers: tuple = ()
     fanout: np.ndarray | None = None
@@ -500,8 +523,9 @@ class TwoPassPlan:
     row `ones + 1 + a` (all-ones where it has none); `widths` gives each
     row's number of states.  `rules[a]` is the `Rule` of node a's belief,
     and `rule(a, to)` derives that of the message a sends its neighbor
-    `to`.  Nothing in a plan changes after it is built, so every run and
-    relaxation of the same network shares it.
+    `to`; `single(a, to)` compiles either into a one-member step.  Nothing
+    in a plan changes after it is built, so every run and relaxation of
+    the same network shares it.
 
     Each tree is rooted at its smallest name and walked as in
     `forest_walks`.  A collect message, sent towards the root, reads only
@@ -511,14 +535,15 @@ class TwoPassPlan:
     level from the deepest, merged across trees, then the roots' beliefs,
     whose row sums are the trees' masses, then the distribute messages
     from the shallowest level; consecutive levels of one message or mass
-    each form one `Sequence`, which, when it is long, holds its reader
-    table and its own steps for the rounds.  `beliefs` holds the steps of
-    every node's belief, one or a few per shape class.  The tables of each
-    shape class (`classes[a]` is node a's) are zero-padded to the class's
-    largest and stacked once, in `stacks`, node a in row `places[a]`.  Row
-    g of `columns[i]` gives, for each state of the member g of
-    `beliefs[i]`, its column in a vector over the states of every node in
-    id order (-1 past the node's states).  `order` lists the message rows
+    each form one `Sequence` of single-message steps, which, when it is
+    long, also holds its reader table and its own steps for the rounds.
+    `beliefs` holds the steps of every node's belief, one or a few per
+    shape class.  The tables of each shape class (`classes[a]` is node
+    a's) are zero-padded to the class's largest and stacked once, in
+    `stacks`, node a in row `places[a]`.  Row g of `columns[i]` gives, for
+    each state of the member g of `beliefs[i]`, its column in a vector
+    over the states of every node in id order (-1 past the node's
+    states).  `order` lists the message rows
     in the sequential schedule: each tree's collect messages in reverse
     walk order, tree by tree, then each tree's distribute messages in walk
     order.  Trace records follow it, and so do the `n_normalizers`
@@ -654,7 +679,7 @@ class TwoPassPlan:
             groups: dict = {}
             for entry in level:
                 rule = self.rule(*entry[1:3])
-                groups.setdefault((self.classes[entry[1]], rule.out[1]), []).append((rule, entry))
+                groups.setdefault((self.classes[entry[1]], rule.out[-1]), []).append((rule, entry))
             for members in groups.values():
                 yield from self._split(members)
 
@@ -681,10 +706,10 @@ class TwoPassPlan:
     def _sequence(self, members) -> Sequence:
         """The Sequence of `members`, as `_chunks` yields them, in schedule
         order."""
-        rules, entries = zip(*members)
-        positions = tuple(entry[3] for entry in entries)
-        if len(rules) < _RELAX_RUN:
-            return Sequence(rules, positions)
+        alone = tuple(self._step([member], alone=True) for member in members)
+        if len(members) < _RELAX_RUN:
+            return Sequence(alone)
+        rules = [rule for rule, _ in members]
         number = {rule.slot: i for i, rule in enumerate(rules) if rule.slot is not None}
         readers = [[] for _ in rules]
         for j, rule in enumerate(rules):
@@ -693,7 +718,7 @@ class TwoPassPlan:
                     readers[number[slot]].append(j)
         groups: dict = {}
         for i, (rule, entry) in enumerate(members):  # the level is now the member number
-            key = self.classes[rule.node], rule.out[1], rule.slot is None, entry[3] is None
+            key = self.classes[rule.node], rule.out[-1], rule.slot is None, entry[3] is None
             groups.setdefault(key, []).append((rule, (i, *entry[1:])))
         chunks = [chunk for group in groups.values() for chunk in self._split(group)]
         fanout = np.full((len(rules), max(map(len, readers))), len(rules), dtype=np.intp)
@@ -704,39 +729,46 @@ class TwoPassPlan:
             if rule.slot is not None:
                 starts.setdefault(self.widths[rule.slot], []).append(rule.slot)
         return Sequence(
-            rules,
-            positions,
+            alone,
             tuple(map(self._step, chunks)),
             tuple(np.array([entry[0] for _, entry in chunk]) for chunk in chunks),
             fanout,
             tuple((np.array(slots), width) for width, slots in starts.items()),
         )
 
-    def _step(self, members) -> Step:
-        """The Step of `members`, as `_chunks` yields them."""
+    def _step(self, members, alone: bool = False) -> Step:
+        """The Step of `members`, as `_chunks` yields them, over their
+        class's stack; with `alone`, of the one member over its node's own
+        table, so nothing is padded."""
         rules, members = zip(*members)
-        first = rules[0]
-        stack = self.stacks[self.classes[members[0][1]]]
-        width = dict(zip(first.table, stack.shape[1:]))  # each axis label's padded width
-        columns = _POSITION + 2 + len(first.pis) + max(len(rule.lams) for rule in rules)
-        index = np.full((len(members), columns), self.ones, dtype=np.int32)
-        for g, ((_, a, to, position), rule) in enumerate(zip(members, rules)):
-            row = (a, -1 if to is None else to, self.places[a], -1 if rule.slot is None else rule.slot,
-                   -1 if position is None else position, *(slot for slot, _ in rule.pis),
-                   self.ones + 1 + a, *rule.lams)
-            index[g, :len(row)] = row
+        first, a = rules[0], members[0][1]
+        stack = self.tensors[a] if alone else self.stacks[self.classes[a]]
+        shape = stack.shape if alone else stack.shape[1:]
+        width = dict(zip(first.table[1:], shape))  # each node axis label's padded width
+        rows = [(a, -1 if to is None else to, 0 if alone else self.places[a],
+                 -1 if rule.slot is None else rule.slot, -1 if position is None else position,
+                 *[slot for slot, _ in rule.pis], self.ones + 1 + a, *rule.lams)
+                for (_, a, to, position), rule in zip(members, rules)]
+        columns = max(map(len, rows))
+        index = np.array([row + (self.ones,) * (columns - len(row)) for row in rows], dtype=np.int32)
         return Step(
             index,
             first.slot is not None,
             stack,
-            _batch(*first.table),
-            tuple((width[sub[1]], _batch(*sub)) for _, sub in first.pis),
-            width[first.own[1]],
-            _batch(*first.own),
-            _batch(*first.out),
-            width[first.out[1]],
+            first.table,
+            tuple([(width[sub[-1]], sub) for _, sub in first.pis]),
+            width[first.own[-1]],
+            first.own,
+            first.out,
+            width[first.out[-1]],
             members[0][3] is not None,
         )
+
+    def single(self, a: int, to: int | None) -> Step:
+        """The one-member step of the message node `a` sends its neighbor
+        `to`, or of a's belief when `to` is None, over a's own table and
+        with no normalizer position."""
+        return self._step([(self.rule(a, to), (0, a, to, None))], alone=True)
 
     def rule(self, a: int, to: int | None) -> Rule:
         """The rule of the message node `a` sends its neighbor `to`, or of
@@ -786,23 +818,23 @@ class TwoPassPlan:
 class TwoPassRun:
     """The messages of `plan` over the cases `live`, in the plan's buffer
     layout with a row per case, with the evidence factor `factors[v]` (a
-    vector over v's states) on each variable v that has one.  `core` is
-    the one sum-product rule under every schedule: `two_pass` runs the
-    plan's steps, each a batch of `core` with the per-message bits, and
-    sends each run of single messages (`_send`: batched rounds to its
-    bitwise fixpoint when it is long, then in order), and the relaxations
-    recompute the messages of a one-case run until none moves.  A run
-    writes only its own buffer: it reads the plan's tables in place, cut
-    to the live cases where a table has a case axis, and the rules from
-    the plan.  Each message is `core` normalized per case; a case whose
-    normalizer is 0 is impossible and its row stays 0.  After `two_pass`,
-    a stored collect message is its exact unnormalized value divided by
-    its own normalizer and every normalizer below it, so all of them times
-    the root's mass give each case's P(evidence): `log_weights`, valid
-    where `possible`.  A normalizer computed from a rescaled diagnostic
-    vector (see `normalized`) comes with its power of two, which
-    `log_weights` takes back out, so a product below the float range
-    stays exact."""
+    vector over v's states) on each variable v that has one.  `_compute`
+    is the one sum-product kernel under every schedule: it computes the
+    members of a `Step`, a batch of same-shaped messages or beliefs or a
+    single one.  `two_pass` runs the plan's steps and sends each run of
+    single messages (`_send`: batched rounds to its bitwise fixpoint when
+    it is long, then in order), and the relaxations and the per-message
+    functions compute one-member steps on a one-case run.  A run writes
+    only its own buffer: it reads the plan's tables in place, cut to the
+    live cases where a table has a case axis, and the steps from the plan.
+    Each message is normalized per case; a case whose normalizer is 0 is
+    impossible and its row stays 0.  After `two_pass`, a stored collect
+    message is its exact unnormalized value divided by its own normalizer
+    and every normalizer below it, so all of them times the root's mass
+    give each case's P(evidence): `log_weights`, valid where `possible`.
+    A normalizer computed from a rescaled diagnostic vector (see
+    `_compute`) comes with its power of two, which `log_weights` takes
+    back out, so a product below the float range stays exact."""
 
     __slots__ = ("plan", "n_cases", "live", "buf", "possible", "log_weights")
 
@@ -835,18 +867,31 @@ class TwoPassRun:
         for step in plan.steps:
             if type(step) is Sequence:
                 self._send(step, scales, shifts)
-                continue
-            values, sums, step_shifts = self._compute(step)
-            if step.sends:
-                self.buf[step.index[:, _SLOT], :, :step.width] = values
-            if step.collects:
-                scales[step.index[:, _POSITION]] = sums
-                shifts[step.index[:, _POSITION]] = step_shifts
+            else:
+                self._apply(step, scales, shifts)
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
         self.possible = (scales > 0).all(axis=0)
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
         shift = shifts.sum(axis=0) * math.log(2.0)
         self.log_weights = (np.add.accumulate(logs)[-1] - shift).tolist()
+
+    def _apply(self, step: Step, scales: np.ndarray, shifts: np.ndarray, track: bool = False):
+        """Compute `step`, write its messages into their rows and its
+        normalizers and their shifts into `scales` and `shifts` by
+        position.  With `track`, return which members' rows changed in any
+        bit (None for masses, which write no row)."""
+        values, sums, step_shifts = self._compute(step)
+        if step.collects:
+            scales[step.index[:, _POSITION]] = sums
+            shifts[step.index[:, _POSITION]] = step_shifts
+        if not step.sends:
+            return None
+        slots, moved = step.index[:, _SLOT], None
+        if track:
+            old = self.buf[slots, :, :step.width]
+            moved = (old.view(np.int64) != values.view(np.int64)).any(axis=(1, 2))
+        self.buf[slots, :, :step.width] = values
+        return moved
 
     def _send(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
         """Send the members of `run`, writing their normalizers and shifts
@@ -855,39 +900,37 @@ class TwoPassRun:
         result, since a member reads only earlier members and rows final
         before the run.  A long run is first relaxed towards it in batched
         rounds (`_relax`); the members it leaves dirty are then computed
-        in order through `normalized`, and one whose row changes in any bit
-        makes its readers dirty.  A shorter run computes every member once,
-        in order."""
-        buf, widths = self.buf, self.plan.widths
+        in order, and one whose row changes in any bit makes its readers
+        dirty.  A shorter run computes every member once, in order."""
         dirty = self._relax(run, scales, shifts) if run.steps else None
-        for i, rule in enumerate(run.rules):
+        for i, step in enumerate(run.members):
             if dirty is not None and not dirty[i]:
                 continue
-            values, sums, shift = self.normalized(rule)
-            if rule.slot is not None:
-                row = buf[rule.slot, :, :widths[rule.slot]]
+            values, sums, shift = self._compute(step)
+            slot, position = step.index[0, _SLOT:_POSITION + 1].tolist()
+            if step.sends:
+                row = self.buf[slot, :, :step.width]
                 if dirty is not None and row.tobytes() != values.tobytes():
                     for r in run.fanout[i].tolist():
                         dirty[r] = True
-                row[...] = values
-            if run.positions[i] is not None:
-                scales[run.positions[i]], shifts[run.positions[i]] = sums, shift
+                row[...] = values[0]
+            if step.collects:
+                scales[position], shifts[position] = sums[0], shift
 
     def _relax(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> list[bool]:
         """Relax the long `run` in rounds and return which members are
         left dirty, and one more entry that `fanout`'s padding marks.
         Every member starts dirty, with its row all ones.  A round
         computes the dirty members of each of the run's steps in one batch,
-        with the per-message bits (see `_compute`), and a member whose row
-        changed in any bit makes its readers dirty.  The rounds stop when
-        fewer than _RELAX_MIN members are dirty, or before they would
-        compute more than _RELAX_BUDGET members per member."""
-        buf = self.buf
+        and a member whose row changed in any bit makes its readers dirty.
+        The rounds stop when fewer than _RELAX_MIN members are dirty, or
+        before they would compute more than _RELAX_BUDGET members per
+        member."""
         for slots, width in run.starts:
-            buf[slots, :, :width] = 1.0
-        dirty = np.ones(len(run.rules) + 1, dtype=bool)  # the last entry pads `fanout`
-        todo, spent = len(run.rules), 0
-        while _RELAX_MIN <= todo and spent + todo <= _RELAX_BUDGET * len(run.rules):
+            self.buf[slots, :, :width] = 1.0
+        dirty = np.ones(len(run.members) + 1, dtype=bool)  # the last entry pads `fanout`
+        todo, spent = len(run.members), 0
+        while _RELAX_MIN <= todo and spent + todo <= _RELAX_BUDGET * len(run.members):
             spent += todo
             for step, numbers in zip(run.steps, run.numbers):
                 picked = np.flatnonzero(dirty[numbers])
@@ -896,65 +939,89 @@ class TwoPassRun:
                 if len(picked) < len(numbers):
                     step, numbers = step._replace(index=step.index[picked]), numbers[picked]
                 dirty[numbers] = False
-                values, sums, step_shifts = self._compute(step)
-                if step.collects:
-                    scales[step.index[:, _POSITION]] = sums
-                    shifts[step.index[:, _POSITION]] = step_shifts
-                if step.sends:
-                    slots = step.index[:, _SLOT]
-                    old = buf[slots, :, :step.width]
-                    moved = (old.view(np.int64) != values.view(np.int64)).any(axis=(1, 2))
-                    buf[slots, :, :step.width] = values
+                moved = self._apply(step, scales, shifts, track=True)
+                if moved is not None:
                     dirty[run.fanout[numbers[moved]]] = True
             todo = int(dirty[:-1].sum())
         return dirty.tolist()
 
-    def _compute(self, step: Step):
-        """`normalized` for every member of `step`: the results stacked and
-        zero-padded to the step's width, their row sums, and the shifts of
-        those sums, one row per member (0 when none has one).  One einsum
-        serves all members; the rows that may have underflowed (see
-        `_underflowed`) are recomputed member by member, as `normalized`
-        recomputes them."""
+    def _compute(self, step: Step, raw: bool = False):
+        """The sum-product rule behind every message and belief, for every
+        member of `step`: the member's table times the pi message of each
+        parent it reads and its diagnostic vector (its evidence factor
+        times the lambda of each child it reads, multiplied left to right),
+        summed over every axis but the recipient's, one row per case.
+        Whatever comes from the recipient is left out; the result ranges
+        over its states when it is a parent, else over the node's own (a
+        pi message, or a belief).  Returned normalized, stacked and
+        zero-padded to the step's width (a row summing to 0 stays 0), with
+        the row sums and the power of two by which each sum exceeds the
+        true one (0 when none does), one row per member; with `raw`, the
+        results and the diagnostic vectors before normalization.
+
+        A row that may have underflowed is recomputed from the `_rescaled`
+        diagnostic vector of its member, by one einsum over that member's
+        operands; every other row keeps its bits and a shift of 0.  The
+        diagnostic vector enters as one operand because einsum takes at
+        most 64."""
         buf, index = self.buf, step.index
-        tensor = step.stack[index[:, _PLACE]]
-        if self.live is not None and step.table[1] == _CASE:
-            tensor = tensor[:, self.live]
+        if step.stack.ndim < len(step.table):  # a single message over its own table
+            tensor = step.stack[None]
+        else:
+            tensor = step.stack.take(index[:, _PLACE], axis=0)
+        if self.live is not None and step.table[1] == _CASE:  # the live rows of the case axis
+            tensor = tensor.take(self.live, axis=1)
+        gathered = buf.take(index[:, _POSITION + 1:], axis=0)  # the pis, then the diagnostic rows
         operands = [tensor, step.table]
-        for column, (width, sub) in enumerate(step.pis, _POSITION + 1):
-            operands += (buf[index[:, column], :, :width], sub)
-        rows = buf[index[:, _POSITION + 1 + len(step.pis):], :, :step.own]
-        core = np.einsum(*operands, rows.prod(axis=1), step.diag, step.out)
+        for j, (width, sub) in enumerate(step.pis):
+            operands += (gathered[:, j, :, :width], sub)
+        rows = gathered[:, len(step.pis):, :, :step.own]
+        lam = rows.prod(axis=1)
+        core = np.einsum(*operands, lam, step.diag, step.out)
+        if raw:
+            return core, lam
         sums = core.sum(axis=2)
         if sums.min() >= _TINY:
             return core / sums[..., None], sums, 0
-        low = self._underflowed(sums, rows, operands[2::2])
-        values = core / np.where(sums > 0, sums, 1.0)[..., None]
+        # a sum below 2^-500 may have underflowed, unless a pi or diagnostic
+        # row it was computed from is all zero in that case: then it is 0
+        low = (sums < _TINY) & rows.any(axis=3).all(axis=1)
+        for pi in operands[2::2]:
+            low &= pi.any(axis=2)
         shifts = np.zeros(sums.shape, dtype=np.int64)
         for g in np.flatnonzero(low.any(axis=1)).tolist():
-            a, to = index[g, :_PLACE].tolist()
-            rule = self.plan.rule(a, None if to < 0 else to)
-            values[g], sums[g], shifts[g] = self._rescale_rows(rule, core[g], low[g])
-        return values, sums, shifts
+            lam, top = self._rescaled(rows[g])
+            member = operands.copy()
+            member[::2] = (operand[g:g + 1] for operand in operands[::2])
+            fixed = np.einsum(*member, lam[None], step.diag, step.out)[0]
+            core[g, low[g]] = fixed[low[g]]
+            shifts[g] = np.where(low[g], top, 0)
+        sums = core.sum(axis=2)
+        return core / np.where(sums > 0, sums, 1.0)[..., None], sums, shifts
 
     @staticmethod
-    def _underflowed(sums: np.ndarray, rows: np.ndarray, pis) -> np.ndarray:
-        """Where a row sum in `sums` is below 2^-500 and may have
-        underflowed.  Not where one of the rows it was computed from is all
-        zero in that case, a pi in `pis` or a diagnostic row stacked along
-        axis -3 of `rows`, for then the sum is exactly 0."""
-        read = rows.any(axis=-1).all(axis=-2)
-        for pi in pis:
-            read &= pi.any(axis=-1)
-        return (sums < _TINY) & read
+    def _rescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The product of the diagnostic `rows`, stacked along axis 0 with
+        a row per case each, times 2**shift per row, and `shift`.  The
+        product is formed from mantissas and exponents kept apart, so no
+        entry underflows on the way; then each row is scaled by the power
+        of two that brings its largest entry to [0.5, 1).  An entry more
+        than 2^-1074 below its row's largest still ends as 0."""
+        mants, pows = np.frexp(rows)
+        lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
+        for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
+            lam, e = np.frexp(lam * np.prod(mants[start:start + 512], axis=0))
+            power += e
+        top = np.where(lam > 0, power, power.min()).max(axis=1)  # moot for an all-zero row
+        return np.ldexp(lam, power - top[:, None]), -top
 
     def beliefs(self, nodes):
-        """The beliefs of `nodes`, each normalized per case as `normalized`
-        gives it, in one array with a row per case over the states of
-        every node in id order (zero where a node is not in `nodes`), and
-        their row sums, row k for `nodes[k]`.  The plan's belief steps
-        restricted to `nodes` compute them, and each step's rows go in
-        with one assignment through its column index (`columns`)."""
+        """The beliefs of `nodes`, each normalized per case, in one array
+        with a row per case over the states of every node in id order
+        (zero where a node is not in `nodes`), and their row sums, row k
+        for `nodes[k]`.  The plan's belief steps restricted to `nodes`
+        compute them, and each step's rows go in with one assignment
+        through its column index (`columns`)."""
         plan = self.plan
         index = np.full(len(plan.cards), -1)
         index[nodes] = np.arange(len(nodes))
@@ -972,80 +1039,6 @@ class TwoPassRun:
             values[:, columns[states]] = beliefs.transpose(1, 0, 2)[:, states]
             masses[ks[picked]] = sums
         return values, masses
-
-    def diagnostic(self, rule: Rule) -> np.ndarray:
-        """Evidence factor of the rule's node times the lambda in each row
-        of `rule.lams`, multiplied left to right, one row per case."""
-        a, lams = rule.node, rule.lams
-        k = self.plan.cards[a]
-        if len(lams) > 3:  # one gather beats a Python loop
-            return self.buf[[self.plan.ones + 1 + a, *lams], :, :k].prod(axis=0)
-        lam = self.buf[self.plan.ones + 1 + a, :, :k]
-        for row in lams:
-            lam = lam * self.buf[row, :, :k]
-        return lam
-
-    def _rescaled(self, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
-        """`diagnostic(rule)` times 2**shift per row, and `shift`.  The
-        product is formed from mantissas and exponents kept apart, so no
-        entry underflows on the way; then each row is scaled by the power
-        of two that brings its largest entry to [0.5, 1).  An entry more
-        than 2^-1074 below its row's largest still ends as 0."""
-        rows = [self.plan.ones + 1 + rule.node, *rule.lams]
-        mants, pows = np.frexp(self.buf[rows, :, :self.plan.cards[rule.node]])
-        lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
-        for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
-            lam, e = np.frexp(lam * np.prod(mants[start:start + 512], axis=0))
-            power += e
-        top = np.where(lam > 0, power, power.min()).max(axis=1)  # moot for an all-zero row
-        return np.ldexp(lam, power - top[:, None]), -top
-
-    def core(self, rule: Rule, lam: np.ndarray | None = None) -> np.ndarray:
-        """The local rule behind every message and belief, one row per
-        case: the table of the rule's node times the pi message of each
-        parent and its `diagnostic` vector, summed over every axis but the
-        recipient's.  Whatever comes from the recipient is left out; the
-        result ranges over its states when it is a parent, else over the
-        node's own (a pi message, or a belief).  The diagnostic vector
-        enters as one operand because einsum takes at most 64; `lam`, when
-        given, stands for it."""
-        a, _, table, pis, _, own, out = rule
-        buf, widths = self.buf, self.plan.widths
-        tensor = self.plan.tensors[a]
-        if self.live is not None and table[0] == _CASE:  # the live rows of the case axis
-            tensor = tensor[self.live]
-        operands = [tensor, table]
-        for slot, sub in pis:
-            operands += (buf[slot, :, :widths[slot]], sub)
-        return np.einsum(*operands, self.diagnostic(rule) if lam is None else lam, own, out)
-
-    def normalized(self, rule: Rule):
-        """`core(rule)` with each row divided by its sum (a row summing to
-        0 stays 0), the row sums, and the power of two by which each sum
-        exceeds the true one.  A row that may have underflowed (see
-        `_underflowed`) is recomputed from the `_rescaled` diagnostic
-        vector; every other row keeps its bits and a shift of 0."""
-        core = self.core(rule)
-        sums = core.sum(axis=1)
-        if sums.min() >= _TINY:
-            return core / sums[:, None], sums, 0
-        plan, buf = self.plan, self.buf
-        rows = buf[[plan.ones + 1 + rule.node, *rule.lams], :, :plan.cards[rule.node]]
-        pis = [buf[slot, :, :plan.widths[slot]] for slot, _ in rule.pis]
-        return self._rescale_rows(rule, core, self._underflowed(sums, rows, pis))
-
-    def _rescale_rows(self, rule: Rule, core: np.ndarray, low: np.ndarray):
-        """`core(rule)`, zero-padded or not, with the rows `low` recomputed
-        from the `_rescaled` diagnostic vector, then normalized as
-        `normalized` returns it."""
-        shift = 0
-        if low.any():
-            lam, top = self._rescaled(rule)
-            fixed = self.core(rule, lam)
-            core[low, :fixed.shape[1]] = fixed[low]
-            shift = np.where(low, top, 0)
-        sums = core.sum(axis=1)
-        return core / np.where(sums > 0, sums, 1.0)[:, None], sums, shift
 
     def records(self, case: int):
         """The TraceRecords of one case: each message that moved away from

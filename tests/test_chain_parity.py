@@ -125,20 +125,15 @@ def test_chain_runs_are_bit_identical():
 
 def members_computed(monkeypatch, run_plan) -> int:
     """How many messages and masses `run_plan()` computes, batched or one
-    at a time."""
+    at a time: every one is a member of a step."""
     count = [0]
-    compute, normalized = polytree.TwoPassRun._compute, polytree.TwoPassRun.normalized
+    compute = polytree.TwoPassRun._compute
 
-    def batched(run, step):
+    def counted(run, step, *args):
         count[0] += len(step.index)
-        return compute(run, step)
+        return compute(run, step, *args)
 
-    def alone(run, rule, *args):
-        count[0] += 1
-        return normalized(run, rule, *args)
-
-    monkeypatch.setattr(polytree.TwoPassRun, "_compute", batched)
-    monkeypatch.setattr(polytree.TwoPassRun, "normalized", alone)
+    monkeypatch.setattr(polytree.TwoPassRun, "_compute", counted)
     run_plan()
     monkeypatch.undo()
     return count[0]
@@ -154,9 +149,12 @@ def test_slow_mixing_chain_stays_within_the_work_budget(monkeypatch):
 def test_runs_below_the_threshold_are_sent_in_order(monkeypatch, length):
     # a chain of n variables is one run of 2n - 1 members: 15, 127 and 129
     plan = two_pass_plan(markov_chain(length, [0.5, 0.5], [[0.9, 0.1], [0.3, 0.7]]), [])
-    batched = []
-    compute = polytree.TwoPassRun._compute
+    sizes, relaxed = [], []
+    compute, relax = polytree.TwoPassRun._compute, polytree.TwoPassRun._relax
     monkeypatch.setattr(polytree.TwoPassRun, "_compute",
-                        lambda run, step: batched.append(len(step.index)) or compute(run, step))
+                        lambda run, step: sizes.append(len(step.index)) or compute(run, step))
+    monkeypatch.setattr(polytree.TwoPassRun, "_relax",
+                        lambda run, *args: relaxed.append(1) or relax(run, *args))
     plan.run({f"m{length - 1:04d}": 1})
-    assert (not batched) == (2 * length - 1 < polytree._RELAX_RUN)
+    in_order = max(sizes) == 1 and not relaxed
+    assert in_order == (2 * length - 1 < polytree._RELAX_RUN)

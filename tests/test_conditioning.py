@@ -254,29 +254,37 @@ def _normalized_weights(runs):
     return np.array(raw) / sum(raw)
 
 
+def count_calls(monkeypatch, *names, callers=None):
+    """Count the calls of each function in `names` (by default the forest
+    proofs) in the engine's modules and numpy; with `callers`, also append
+    the module and function name of each call's caller to it."""
+    names = names or ("is_forest", "_cycle_nodes")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if callers is not None:
+                frame = sys._getframe(1)
+                callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (model, cutset, polytree, conditioning, np):
+        for name in names:
+            if hasattr(owner, name):
+                counted(owner, name)
+    return calls
+
+
 class TestForestProofs:
     """Each network proves once that it is a forest: the input network for
     the cutset search, the compiled plan for its cutset."""
 
-    @staticmethod
-    def count(monkeypatch, *names):
-        names = names or ("is_forest", "_cycle_nodes")
-        calls = dict.fromkeys(names, 0)
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        for owner in (model, cutset, polytree, conditioning, np):
-            for name in names:
-                if hasattr(owner, name):
-                    counted(owner, name)
-        return calls
+    count = staticmethod(count_calls)
 
     def test_warm_polytree_proves_nothing_again(self, monkeypatch):
         net, _ = random_polytree(8, max_nodes=10)

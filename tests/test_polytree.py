@@ -42,6 +42,7 @@ from helpers import (
     random_polytree,
     random_table,
 )
+from test_conditioning import count_calls
 
 
 def deterministic_chain():
@@ -697,17 +698,41 @@ def hub_net():
 
 def assert_steps_match_messages(plan, run):
     """Every message and belief that `run`'s steps computed is bit for bit
-    what `normalized` gives for it alone, on the same buffer."""
+    what its unpadded one-member step (`TwoPassPlan.single`) gives for it
+    alone, on the same buffer."""
     for i, j in plan.arcs:
         for a, to in ((i, j), (j, i)):
-            slot = plan.rule(a, to).slot
-            assert run.msg(slot).tobytes() == run.normalized(plan.rule(a, to))[0].tobytes()
+            alone = run._compute(plan.single(a, to))[0][0]
+            assert run.msg(plan.rule(a, to).slot).tobytes() == alone.tobytes()
     values, masses = run.beliefs(list(range(len(plan.names))))
     stops = np.cumsum(plan.cards)
-    for a, rule in enumerate(plan.rules):
-        expected, sums, _ = run.normalized(rule)
+    for a in range(len(plan.names)):
+        expected, sums, _ = run._compute(plan.single(a, None))
         belief = values[:, stops[a] - plan.cards[a]:stops[a]]
-        assert (belief.tobytes(), masses[a].tobytes()) == (expected.tobytes(), sums.tobytes())
+        assert (belief.tobytes(), masses[a].tobytes()) == (expected[0].tobytes(), sums[0].tobytes())
+
+
+def spy_on_rescaled(monkeypatch) -> list[int]:
+    """A list that gains, for each member a step recomputes from its
+    `_rescaled` diagnostic vector, the member's node: the first member of
+    the step whose gathered diagnostic rows are the rows rescaled."""
+    nodes, current = [], [None]
+    compute, rescaled = polytree.TwoPassRun._compute, polytree.TwoPassRun._rescaled
+
+    def computing(run, step, *args):
+        current[0] = step
+        return compute(run, step, *args)
+
+    def spy(run, rows):
+        step = current[0]
+        gathered = run.buf[step.index[:, polytree._POSITION + 1 + len(step.pis):], :, :step.own]
+        g = [mine.tobytes() for mine in gathered].index(rows.tobytes())
+        nodes.append(int(step.index[g, polytree._NODE]))
+        return rescaled(rows)
+
+    monkeypatch.setattr(polytree.TwoPassRun, "_compute", computing)
+    monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", spy)
+    return nodes
 
 
 class TestCompiledSteps:
@@ -727,7 +752,7 @@ class TestCompiledSteps:
     @pytest.mark.parametrize("leave", [0.02, 0.3])
     def test_relaxed_runs_reach_the_fixpoint(self, leave):
         # every message of the chain's one run, relaxed in rounds, is what
-        # `normalized` gives it from the final messages it reads
+        # its one-member step gives it from the final messages it reads
         net = markov_chain(300, [0.9, 0.1], [[0.99, 0.01], [leave, 1 - leave]])
         plan = two_pass_plan(net, [])
         assert len(plan.steps) == 1 and plan.steps[0].fanout is not None
@@ -760,17 +785,10 @@ class TestCompiledSteps:
                  if isinstance(step, polytree.Step)
                  and {ids["R"], ids["a0"]} <= set(step.index[:, polytree._NODE].tolist())]
         assert mixed  # the roots' masses and the roots' pi messages share steps
-        rescaled = []
-        original = polytree.TwoPassRun._rescaled
-
-        def spy(run, rule):
-            rescaled.append(rule.node)
-            return original(run, rule)
-
-        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", spy)
+        rescaled = spy_on_rescaled(monkeypatch)
         run = plan.run({"a3": 1})
         assert set(rescaled) == {ids["R"]}
-        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", original)
+        monkeypatch.undo()
         assert_steps_match_messages(plan, run)
 
     def test_impossible_case_recomputes_only_its_own_zeros(self, monkeypatch):
@@ -778,19 +796,12 @@ class TestCompiledSteps:
         # reads that 0 is exactly 0 and is not recomputed rescaled
         net = hub_net()
         plan = two_pass_plan(net, ["h"])
-        rescaled = []
-        original = polytree.TwoPassRun._rescaled
-
-        def spy(run, rule):
-            rescaled.append(plan.names[rule.node])
-            return original(run, rule)
-
-        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", spy)
+        rescaled = spy_on_rescaled(monkeypatch)
         mixed, runs = infer_conditioned(net, {"c": 1}, ["h"], net.var_names())
-        assert rescaled == ["c", "c"]  # its message to w and its belief
+        assert [plan.names[a] for a in rescaled] == ["c", "c"]  # its message to w and its belief
         assert [run.log_weight for run in runs] == [mixed.log_likelihood, None]
         assert mixed.log_likelihood == pytest.approx(math.log(0.5 * 0.4), abs=1e-12)
-        monkeypatch.setattr(polytree.TwoPassRun, "_rescaled", original)
+        monkeypatch.undo()
         assert_steps_match_messages(plan, plan.run({"c": 1}))
 
     def test_records_follow_the_sequential_order(self):
@@ -856,6 +867,38 @@ def test_plan_is_not_written_by_runs_or_relaxations():
     assert plan.rules is rules and plan.steps is steps and len(rules) == len(plan.names)
     # a kept rule per message to a child would hold 1,099 rows each, 9 MiB
     assert built < 8 << 20 and grown < 1 << 20
+
+
+@pytest.mark.parametrize("children", [1, 3, 6])
+def test_diagnostic_support_multiplies_left_to_right(children):
+    # the evidence factor times each child's lambda in arc order, one
+    # product after another, whatever the number of children
+    net, _, _ = binary_star(children, random.Random(children))
+    rng = np.random.default_rng(children)
+    for _ in range(50):
+        state = init_messages(net, {})
+        state.evidence_factor["R"] = expected = rng.random(2)
+        for p, c in net.edges():
+            state.messages[p, c].lam = lam = rng.random(2)
+            expected = expected * lam
+        assert total_diagnostic_support(net, state, "R").tobytes() == expected.tobytes()
+
+
+def test_every_contraction_runs_in_compute(monkeypatch):
+    callers = []
+    count_calls(monkeypatch, "einsum", callers=callers)
+    net, evidence = random_polytree(2)
+    for schedule in ("two-pass", "synchronous", "fair-random"):
+        state, _ = propagate(net, evidence, schedule)
+    a, (p, c) = net.var_names()[0], next(iter(net.edges()))
+    total_causal_support(net, state, a)
+    total_diagnostic_support(net, state, a)
+    fuse_belief(net, state, a)
+    update_pi_to_child(net, state, p, c)
+    update_lambda_to_parent(net, state, c, p)
+    star, _, _ = binary_star(1100, random.Random(3))
+    propagate(star, {}, "two-pass")  # the rescaled rows of R's messages and mass
+    assert callers and {name for module, name in callers if module == polytree.__name__} == {"_compute"}
 
 
 def test_random_polytree_above_20_nodes():
