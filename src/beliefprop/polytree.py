@@ -14,11 +14,13 @@ one.  It runs on a plan compiled per network and loop cutset
 message rows with a row per cutset case; the plan is never written after
 it is built.
 
-The two-pass schedule computes each message once.  The messages at one
-tree depth depend only on deeper ones (collect) or shallower ones
-(distribute), so the plan compiles the schedule into steps, each one
-einsum over a batch of same-shaped messages of one depth with their
-tables padded and stacked.  A run of single messages, such as a chain's
+The two-pass schedule computes each message once.  A message is ready
+as soon as its sender has heard from every other neighbor, so messages
+towards the roots (collect) and away from them (distribute) can be ready
+at the same time.  The plan compiles the schedule into steps, each one
+einsum over a batch of ready, same-shaped messages with their tables
+padded and stacked, taken first where the longest chain of messages
+waits on them.  A run of single messages, such as a chain's
 (`Sequence`), has one bitwise fixpoint under recomputation, the in-order
 result; a long run is relaxed towards it in batched rounds, each message
 recomputed when a message it reads changes, and finished in order.  Every
@@ -47,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -460,12 +461,13 @@ _NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
 class Step(NamedTuple):
     """Messages or beliefs whose rules share one shape class (see
     `TwoPassPlan._shape_class`) and recipient axis, computed by one einsum
-    over a leading member axis: those at one tree depth, or a single one
-    (`TwoPassPlan.single`).  Row g of `index` is about member g: its node,
-    its recipient, its table's row in `stack`, the row it writes and its
-    normalizer position (-1 for no recipient, row or position), then the
-    row of each pi it reads, then its diagnostic rows (its evidence row
-    and `Rule.lams`, padded with the all-ones row).  `sends` tells whether
+    over a leading member axis: ready ones taken together by
+    `TwoPassPlan._schedule`, or a single one (`TwoPassPlan.single`).  Row
+    g of `index` is about member g: its node, its recipient, its table's
+    row in `stack`, the row it writes and its normalizer position (-1 for
+    no recipient, row or position), then the row of each pi it reads,
+    then its diagnostic rows (its evidence row and `Rule.lams`, padded
+    with the all-ones row).  `sends` tells whether
     the members are messages or beliefs.  `table` is the tables' einsum
     sublist, and each of `pis` the padded width and sublist of one pi
     operand; a single message's `stack` is its node's own table, without
@@ -488,9 +490,9 @@ class Step(NamedTuple):
 
 class Sequence(NamedTuple):
     """A run of single messages, such as a chain's: the members of
-    consecutive levels that hold one message or mass each, in schedule
-    order, each as its one-member step in `members` (a root's belief step
-    for its mass).  A member reads only earlier members and rows that are
+    consecutive steps of one message or mass each, in schedule order, each
+    as its one-member step in `members` (a root's belief step for its
+    mass).  A member reads only earlier members and rows that are
     final before the run starts.  A run of _RELAX_RUN members or more also
     holds its members as `steps`, grouped by shape class, recipient axis
     and normalizer kind, where row g of `steps[i].index` is member
@@ -528,22 +530,24 @@ class TwoPassPlan:
     the same network shares it.
 
     Each tree is rooted at its smallest name and walked as in
-    `forest_walks`.  A collect message, sent towards the root, reads only
-    messages from deeper nodes, and a distribute message only ones from
-    shallower nodes and collect messages; so each tree depth is a set of
-    independent messages.  `steps` runs the collect messages level by
-    level from the deepest, merged across trees, then the roots' beliefs,
-    whose row sums are the trees' masses, then the distribute messages
-    from the shallowest level; consecutive levels of one message or mass
-    each form one `Sequence` of single-message steps, which, when it is
-    long, also holds its reader table and its own steps for the rounds.
-    `beliefs` holds the steps of every node's belief, one or a few per
-    shape class.  The tables of each shape class (`classes[a]` is node
-    a's) are zero-padded to the class's largest and stacked once, in
-    `stacks`, node a in row `places[a]`.  Row g of `columns[i]` gives, for
-    each state of the member g of `beliefs[i]`, its column in a vector
-    over the states of every node in id order (-1 past the node's
-    states).  `order` lists the message rows
+    `forest_walks`; a message towards the root collects, one away from it
+    distributes.  The message a node sends a neighbor is ready once the
+    node has heard from every other neighbor, and a root's belief, whose
+    row sums are its tree's mass, once the root has heard from all of
+    them.  `steps` computes every message and mass in the order
+    `_schedule` gives, by readiness, not by depth: a step holds ready
+    members that share a shape, and collect and distribute messages run
+    side by side.  Consecutive steps of one message or mass each form one
+    `Sequence` of single-message steps, which, when it is long, also holds
+    its reader table and its own steps for the rounds.  `beliefs` holds
+    the steps of every node's belief, one or a few per shape class.  The
+    tables of shape class k (`classes[a]` is node a's) are zero-padded to
+    the class's largest and stacked once, in `stacks[k]`, node a in row
+    `places[a]`.  `columns[i]` is about `beliefs[i]`: row g of its first
+    array gives, for each state of member g, its column in a vector over
+    the states of every node in id order (-1 past the node's states); its
+    second marks the states that are the node's, and its third lists
+    their columns, row after row.  `order` lists the message rows
     in the sequential schedule: each tree's collect messages in reverse
     walk order, tree by tree, then each tree's distribute messages in walk
     order.  Trace records follow it, and so do the `n_normalizers`
@@ -594,30 +598,26 @@ class TwoPassPlan:
         classes: dict = {}
         for a in range(len(self.names)):
             classes.setdefault(self._shape_class(a), []).append(a)
-        self.stacks, self.places, self.classes = {}, [0] * len(self.names), [None] * len(self.names)
-        for shape_class, nodes in classes.items():
-            self.stacks[shape_class] = self._stack(nodes)
+        self.places, self.classes = [0] * len(self.names), [0] * len(self.names)
+        self.stacks = tuple(map(self._stack, classes.values()))
+        for k, nodes in enumerate(classes.values()):
             for a in nodes:
-                self.classes[a] = shape_class  # one tuple per class, shared
+                self.classes[a] = k
 
-        # (level, node, recipient, normalizer position) of each message
-        collect, masses, distribute = [], [], []
-        position = 1  # normalizer 0 is all-ones
-        depth = [0] * len(self.names)
+        # (entry number, node, recipient, normalizer position) of each
+        # message and mass, in an order where each comes after what it reads
+        entries, distribute = [], []
         for root, walk in forest_walks(self.names, neighbors.__getitem__):
-            for a, towards in walk:  # pre-order: towards comes first
-                depth[ids[a]] = depth[ids[towards]] + 1
             for a, towards in reversed(walk):
-                collect.append((-depth[ids[a]], ids[a], ids[towards], position))
-                position += 1
-            masses.append((0, ids[root], None, position))
-            position += 1
-            distribute += ((depth[ids[a]], ids[towards], ids[a], None) for a, towards in walk)
+                entries.append((len(entries), ids[a], ids[towards], len(entries) + 1))
+            entries.append((len(entries), ids[root], None, len(entries) + 1))  # the mass
+            distribute += ((ids[towards], ids[a]) for a, towards in walk)
         del neighbors  # freed before the steps are built, to lower the peak
-        self.n_normalizers = position
-        self.order = tuple(slots[a, to] for _, a, to, _ in (*collect, *distribute))
+        self.n_normalizers = len(entries) + 1  # normalizer 0 is all-ones
+        entries += [(e, a, to, None) for e, (a, to) in enumerate(distribute, len(entries))]
+        self.order = tuple(slots[a, to] for _, a, to, _ in entries if to is not None)
         self.steps, alone = [], []  # runs of single members are sent in sequence
-        for chunk in itertools.chain(*map(self._chunks, (collect, masses, distribute))):
+        for chunk in self._schedule(entries):
             if len(chunk) == 1:
                 alone += chunk
                 continue
@@ -628,15 +628,19 @@ class TwoPassPlan:
         if alone:
             self.steps.append(self._sequence(alone))
         self.steps = tuple(self.steps)
-        del collect, masses, distribute, alone
-        beliefs = [(0, a, None, None) for a in range(len(self.names))]
-        self.beliefs = tuple(map(self._step, self._chunks(beliefs)))
+        del entries, distribute, alone
+        beliefs = [(a, a, None, None) for a in range(len(self.names))]
+        self.beliefs = tuple(map(self._step, self._schedule(beliefs)))
         cards, offsets = np.array(self.cards), np.cumsum((0, *self.cards[:-1]))
         self.columns = []
         for step in self.beliefs:
             nodes, states = step.index[:, _NODE], np.arange(step.width)
             columns = np.where(states < cards[nodes, None], offsets[nodes, None] + states, -1)
-            self.columns.append(columns)
+            states = columns >= 0
+            flat = columns[states]
+            for array in (columns, states, flat):
+                array.flags.writeable = False
+            self.columns.append((columns, states, flat))
         self.columns = tuple(self.columns)
 
     def _tensor(self, net: Network, v: str) -> np.ndarray:
@@ -669,43 +673,104 @@ class TwoPassPlan:
         wide = tuple(k if k >= _UNPADDED else 0 for k in self.tensors[a].shape)
         return tuple(self.rules[a].table), wide
 
-    def _chunks(self, entries):
-        """Yield `entries`, each (level, node, recipient, normalizer
-        position), as lists of (rule, entry) that one step can compute:
-        levels in increasing order, each split by shape class and
-        recipient axis and then by `_split`."""
-        level_of = operator.itemgetter(0)
-        for _, level in itertools.groupby(sorted(entries, key=level_of), level_of):
-            groups: dict = {}
-            for entry in level:
-                rule = self.rule(*entry[1:3])
-                groups.setdefault((self.classes[entry[1]], rule.out[-1]), []).append((rule, entry))
-            for members in groups.values():
-                yield from self._split(members)
+    def _key(self, rule: Rule, entry) -> tuple:
+        """What the members of one step share: shape class, recipient axis,
+        and whether they are beliefs or masses and whether they collect."""
+        return self.classes[rule.node], rule.out[-1], rule.slot is None, entry[3] is None
 
-    def _split(self, members):
-        """Yield `members`, (rule, entry) pairs of one shape class and
-        recipient axis, in order of the number of diagnostic rows, as
+    def _schedule(self, entries):
+        """Yield `entries`, each (entry number, node, recipient, normalizer
+        position) and numbered from 0 in a list where each comes after what
+        it reads, as lists of (rule, entry) that one step can compute, each
+        after the steps of everything its members read.  The message a
+        sends `to` is ready once a has heard from every neighbor but `to`,
+        and a root's mass or a belief once its node has heard from all of
+        them.  Ready entries wait in groups by `_key`.  Each time, the group
+        that holds the ready entry with the longest chain of readers ahead
+        of it is taken whole and split by `_split`; ties go to the larger
+        group, then to the lower entry number (critical-path list
+        scheduling, HLFET in Kwok & Ahmad 1999)."""
+        # the longest chain from each entry through its readers, found from
+        # each node's two longest outgoing chains: the message a sends `to`
+        # is read by every message `to` sends except the one back, and by
+        # to's mass
+        n = len(self.names)
+        tails, top, top_to, second = [1] * len(entries), [0] * n, [None] * n, [0] * n
+        sends = [[] for _ in range(n)]  # (recipient, entry number) of each node's entries
+        waiting, unheard = [0] * n, [0] * n  # each node's neighbors not heard from, ids summed
+        for e, a, to, _ in reversed(entries):
+            sends[a].append((to, e))
+            if to is not None:
+                waiting[a] += 1
+                unheard[a] += to
+                tails[e] += top[to] if top_to[to] != a else second[to]
+            if tails[e] > top[a]:
+                second[a], top[a], top_to[a] = top[a], tails[e], to
+            elif tails[e] > second[a]:
+                second[a] = tails[e]
+        del top, top_to, second
+        groups: dict = {}  # key: [longest tail, size, -lowest entry number, key, members]
+        # ready from the start: a leaf's message to its one neighbor, and
+        # the mass or belief of a node with no neighbor
+        ready = [e for a, mine in enumerate(sends) if waiting[a] <= 1
+                 for to, e in mine if waiting[a] == 0 or to is not None]
+        while True:
+            for e in ready:
+                entry = entries[e]
+                rule = self.rule(entry[1], entry[2])
+                key = self._key(rule, entry)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [tails[e], 1, -e, key, [(rule, entry)]]
+                    continue
+                if tails[e] > group[0]:
+                    group[0] = tails[e]
+                if -e > group[2]:
+                    group[2] = -e
+                group[1] += 1
+                group[4].append((rule, entry))
+            if not groups:
+                return
+            group = max(groups.values())  # entry numbers differ, so keys are never compared
+            del groups[group[3]]
+            yield from self._split(group[4])
+            ready = []
+            for _, (_, a, to, _) in group[4]:  # `to` hears from `a`
+                if to is None:
+                    continue
+                waiting[to] -= 1
+                unheard[to] -= a
+                if waiting[to] == 1:
+                    for x, e in sends[to]:
+                        if x == unheard[to]:
+                            ready.append(e)
+                            break
+                elif waiting[to] == 0:
+                    for x, e in sends[to]:
+                        if x != a:
+                            ready.append(e)
+
+    def _split(self, members) -> list:
+        """`members`, (rule, entry) pairs of one shape class and recipient
+        axis, in order of the number of diagnostic rows, as a list of
         chunks that gather at most _STEP_FLOATS floats of tables and rows;
         a single member as it is."""
         if len(members) == 1:
-            yield members
-            return
-        per_row = len(self.cases) * max(self.widths)
+            return [members]
+        per_row = len(self.cases) * self.widths[self.ones]  # the all-ones row is the widest
         table = self.stacks[self.classes[members[0][0].node]][0].size
-        chunk, rows = [], 0
+        chunks, chunk = [], []
         for member in sorted(members, key=lambda member: len(member[0].lams)):
-            m = 1 + len(member[0].lams)  # with the evidence row
-            if chunk and (len(chunk) + 1) * (table + max(rows, m) * per_row) > _STEP_FLOATS:
-                yield chunk
-                chunk, rows = [], 0
+            rows = 1 + len(member[0].lams)  # the most in the chunk, with the evidence row
+            if chunk and (len(chunk) + 1) * (table + rows * per_row) > _STEP_FLOATS:
+                chunks.append(chunk)
+                chunk = []
             chunk.append(member)
-            rows = max(rows, m)
-        yield chunk
+        return [*chunks, chunk]
 
     def _sequence(self, members) -> Sequence:
-        """The Sequence of `members`, as `_chunks` yields them, in schedule
-        order."""
+        """The Sequence of `members`, as `_schedule` yields them, in
+        schedule order."""
         alone = tuple(self._step([member], alone=True) for member in members)
         if len(members) < _RELAX_RUN:
             return Sequence(alone)
@@ -717,9 +782,8 @@ class TwoPassPlan:
                 if slot in number:
                     readers[number[slot]].append(j)
         groups: dict = {}
-        for i, (rule, entry) in enumerate(members):  # the level is now the member number
-            key = self.classes[rule.node], rule.out[-1], rule.slot is None, entry[3] is None
-            groups.setdefault(key, []).append((rule, (i, *entry[1:])))
+        for i, (rule, entry) in enumerate(members):  # the entry number is now the member number
+            groups.setdefault(self._key(rule, entry), []).append((rule, (i, *entry[1:])))
         chunks = [chunk for group in groups.values() for chunk in self._split(group)]
         fanout = np.full((len(rules), max(map(len, readers))), len(rules), dtype=np.intp)
         for i, row in enumerate(readers):
@@ -737,7 +801,7 @@ class TwoPassPlan:
         )
 
     def _step(self, members, alone: bool = False) -> Step:
-        """The Step of `members`, as `_chunks` yields them, over their
+        """The Step of `members`, as `_schedule` yields them, over their
         class's stack; with `alone`, of the one member over its node's own
         table, so nothing is padded."""
         rules, members = zip(*members)
@@ -856,11 +920,10 @@ class TwoPassRun:
         return self.buf[slot, :, :self.plan.widths[slot]]
 
     def two_pass(self) -> None:
-        """Run the plan's steps, which send every message once: collect
-        towards each tree's root, then distribute away from it.  The
-        normalizers and their powers of two go to their sequential
-        positions before the log sum, so `log_weights` adds them in the
-        same order whatever the steps."""
+        """Run the plan's steps, which send every message once, each after
+        the messages it reads.  The normalizers and their powers of two go
+        to their sequential positions before the log sum, so `log_weights`
+        adds them in the same order whatever the steps."""
         plan = self.plan
         scales = np.ones((plan.n_normalizers, self.n_cases))
         shifts = np.zeros(scales.shape, dtype=np.int64)
@@ -883,7 +946,8 @@ class TwoPassRun:
         values, sums, step_shifts = self._compute(step)
         if step.collects:
             scales[step.index[:, _POSITION]] = sums
-            shifts[step.index[:, _POSITION]] = step_shifts
+            if type(step_shifts) is not int:  # a scalar 0 moves nothing: shifts start at 0
+                shifts[step.index[:, _POSITION]] = step_shifts
         if not step.sends:
             return None
         slots, moved = step.index[:, _SLOT], None
@@ -1021,24 +1085,26 @@ class TwoPassRun:
         (zero where a node is not in `nodes`), and their row sums, row k
         for `nodes[k]`.  The plan's belief steps restricted to `nodes`
         compute them, and each step's rows go in with one assignment
-        through its column index (`columns`)."""
+        through its compiled state mask and column list (`columns`)."""
         plan = self.plan
-        index = np.full(len(plan.cards), -1)
-        index[nodes] = np.arange(len(nodes))
+        asked = np.zeros(len(plan.cards), dtype=bool)
+        asked[nodes] = True
+        everyone = asked.all()
         values = np.zeros((self.n_cases, sum(plan.cards)))
-        masses = np.empty((len(nodes), self.n_cases))
-        for step, columns in zip(plan.beliefs, plan.columns):
-            ks = index[step.index[:, _NODE]]
-            picked = np.flatnonzero(ks >= 0)
-            if len(picked) == 0:
-                continue
-            if len(picked) < len(ks):
-                step, columns = step._replace(index=step.index[picked]), columns[picked]
+        masses = np.empty((len(plan.cards), self.n_cases))
+        for step, (columns, states, flat) in zip(plan.beliefs, plan.columns):
+            if not everyone:
+                picked = np.flatnonzero(asked[step.index[:, _NODE]])
+                if len(picked) == 0:
+                    continue
+                if len(picked) < len(step.index):
+                    step = step._replace(index=step.index[picked])
+                    columns, states = columns[picked], states[picked]
+                    flat = columns[states]
             beliefs, sums, _ = self._compute(step)
-            states = columns >= 0
-            values[:, columns[states]] = beliefs.transpose(1, 0, 2)[:, states]
-            masses[ks[picked]] = sums
-        return values, masses
+            values[:, flat] = beliefs.transpose(1, 0, 2)[:, states]
+            masses[step.index[:, _NODE]] = sums
+        return values, masses[nodes]
 
     def records(self, case: int):
         """The TraceRecords of one case: each message that moved away from

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefprop import polytree
+from beliefprop import netformat, polytree
 from beliefprop.conditioning import auto_infer, infer_conditioned
 from beliefprop.cutset import greedy_cutset
 from beliefprop.errors import ConvergenceError, ImpossibleEvidenceError
@@ -839,6 +839,100 @@ class TestCompiledSteps:
         exc = info.value
         assert exc.arc in list(net.edges()) and exc.direction in ("pi", "lambda")
         assert exc.residual >= 0.0
+
+
+def isolated_node_forest():
+    """Two small trees and a node with no neighbor: three roots."""
+    return build_net(
+        [(v, ("f", "t")) for v in ("a", "b", "c", "d", "e", "iso")],
+        [("a", (), [[0.3, 0.7]]), ("b", ("a",), [[0.9, 0.1], [0.2, 0.8]]),
+         ("c", ("a",), [[0.6, 0.4], [0.5, 0.5]]), ("d", (), [[0.1, 0.9]]),
+         ("e", ("d",), [[0.7, 0.3], [0.4, 0.6]]), ("iso", (), [[0.25, 0.75]])],
+    )
+
+
+def loopy_with_cutset(seed):
+    net = random_loopy(seed)[0]
+    return net, greedy_cutset(net)
+
+
+def members_in_order(plan):
+    """The plan's sending and mass steps in order, each run's members one
+    by one, each with whether it is a run member."""
+    for step in plan.steps:
+        if type(step) is polytree.Sequence:
+            yield from ((member, True) for member in step.members)
+        else:
+            yield step, False
+
+
+SCHEDULED = [
+    *[pytest.param(lambda seed=seed: (random_polytree(seed)[0], []), id=f"random{seed}")
+      for seed in range(6)],
+    *[pytest.param(lambda seed=seed: (bushy_polytree(seed, n=60)[0], []), id=f"bushy{seed}")
+      for seed in range(6)],
+    *[pytest.param(lambda seed=seed: loopy_with_cutset(seed), id=f"loopy{seed}")
+      for seed in range(6)],
+    pytest.param(lambda: (binary_star(40, random.Random(4))[0], []), id="star"),
+    pytest.param(lambda: (markov_chain(150, [0.4, 0.6], [[0.9, 0.1], [0.3, 0.7]]), []),
+                 id="chain"),
+    pytest.param(lambda: (isolated_node_forest(), []), id="forest"),
+]
+
+
+class TestReadinessSchedule:
+    @pytest.mark.parametrize("build", SCHEDULED)
+    def test_every_read_row_is_written_before(self, build):
+        # a batched step reads the buffer before it writes any member, a
+        # run member after every earlier member; evidence rows and the
+        # all-ones row are final from the start
+        plan = two_pass_plan(*build())
+        written, positions = set(), []
+        for step, in_run in members_in_order(plan):
+            reads = step.index[:, polytree._POSITION + 1:]
+            assert set(reads[reads < plan.ones].tolist()) <= written
+            if step.sends:
+                slots = step.index[:, polytree._SLOT].tolist()
+                assert written.isdisjoint(slots) and len(set(slots)) == len(slots)
+                written.update(slots)
+            if step.collects:
+                positions += step.index[:, polytree._POSITION].tolist()
+            assert in_run == (len(step.index) == 1)
+        assert written == set(range(plan.ones))  # every message once
+        assert sorted(positions) == list(range(1, plan.n_normalizers))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bushy_plans_run_in_few_steps(self, seed, monkeypatch):
+        # by readiness, not by depth: a message waits only for what it reads
+        net, evidence = bushy_polytree(seed)
+        plan = two_pass_plan(net, [])
+        calls, compute = [0], polytree.TwoPassRun._compute
+
+        def counted(run, step, *args):
+            calls[0] += 1
+            return compute(run, step, *args)
+
+        monkeypatch.setattr(polytree.TwoPassRun, "_compute", counted)
+        plan.run(evidence)
+        assert calls[0] <= 40
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_a_chain_is_one_run_of_every_member(self, n):
+        plan = two_pass_plan(markov_chain(n, [0.4, 0.6], [[0.9, 0.1], [0.3, 0.7]]), [])
+        (run,) = plan.steps
+        assert type(run) is polytree.Sequence
+        assert len(run.members) == len(plan.order) + 1  # every message and the mass
+
+    @pytest.mark.parametrize("make", [lambda: bushy_polytree(5, n=80)[0],
+                                      lambda: random_loopy(3)[0]])
+    def test_plans_of_separately_parsed_copies_match(self, make):
+        text = netformat.serialize(make())
+        indexes = []
+        for net in (netformat.parse(text), netformat.parse(text)):
+            plan = two_pass_plan(net, greedy_cutset(net))
+            steps = [step for step, _ in members_in_order(plan)] + list(plan.beliefs)
+            indexes.append([step.index.tobytes() for step in steps])
+        assert indexes[0] == indexes[1]
 
 
 def test_plan_is_not_written_by_runs_or_relaxations():
