@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 validation error,
 4 impossible evidence, 5 internal non-convergence.
+
+Each command imports the engine modules it uses when it runs, so
+`validate` loads none of them and `dsep` only `dsep`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import argparse
 import math
 import sys
 
-from . import conditioning, cutset, dsep, model, netformat, oracle, polytree
+from . import model, netformat
 from .errors import ConvergenceError, ImpossibleEvidenceError
 
 EXIT_OK = 0
@@ -107,7 +110,7 @@ class _TraceWriter:
     def __init__(self, fh):
         self.fh = fh
 
-    def __call__(self, assignment, rec: polytree.TraceRecord):
+    def __call__(self, assignment, rec):
         prefix = ""
         if assignment:
             keys = " ".join(f"{k}={v}" for k, v in sorted(assignment.items()))
@@ -162,11 +165,15 @@ def _cmd_infer(args, out) -> int:
     on_update = _TraceWriter(trace_fh) if trace_fh else None
     try:
         if args.method == "exact":
+            from . import oracle
+
             try:
                 beliefs, likelihood, log_likelihood = oracle._infer(net, evidence, queries)
             except ValueError as exc:  # the oracle's state-space guard
                 raise _UsageError(f"--method exact: {exc}") from None
         else:  # a polytree is conditioning's empty-cutset case
+            from . import conditioning
+
             mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
             beliefs, log_likelihood = mixed.beliefs, mixed.log_likelihood
             likelihood = math.exp(log_likelihood)
@@ -181,6 +188,8 @@ def _cmd_infer(args, out) -> int:
 
 
 def _cmd_dsep(args, out) -> int:
+    from . import dsep
+
     net = _load_network(args.file)
     given = [g for g in args.given.split(",") if g]
     for name in [args.x, args.y, *given]:
@@ -200,6 +209,8 @@ def _cmd_dsep(args, out) -> int:
 
 
 def _cmd_cutset(args, out) -> int:
+    from . import cutset
+
     net = _load_network(args.file)
     if args.exhaustive:
         try:

@@ -8,11 +8,11 @@ multiplies its CPT by what it holds from each neighbor except the
 recipient (the pi of each parent, the evidence factor times the lambda of
 each child) and sums out every axis but the recipient's, or its own for a
 belief.  The rule has one implementation, `TwoPassRun._compute`, which
-computes a `Step`: a batch of same-shaped messages or beliefs, or a single
-one.  It runs on a plan compiled per network and loop cutset
-(`TwoPassPlan`), over integer node ids and one buffer of zero-padded
-message rows with a row per cutset case; the plan is never written after
-it is built.
+computes a `Step` (a batch of same-shaped messages or beliefs, or a
+single one) or a `Phase` of steps.  It runs on a plan compiled per
+network and loop cutset (`TwoPassPlan`), over integer node ids and one
+buffer of zero-padded message rows with a row per cutset case; the plan
+is never written after it is built.
 
 The two-pass schedule computes each message once.  A message is ready
 as soon as its sender has heard from every other neighbor, so messages
@@ -20,12 +20,15 @@ towards the roots (collect) and away from them (distribute) can be ready
 at the same time.  The plan compiles the schedule into steps, each one
 einsum over a batch of ready, same-shaped messages with their tables
 padded and stacked, taken first where the longest chain of messages
-waits on them.  A run of single messages, such as a chain's
-(`Sequence`), has one bitwise fixpoint under recomputation, the in-order
-result; a long run is relaxed towards it in batched rounds, each message
-recomputed when a message it reads changes, and finished in order.  Every
-result has the bits the message gets computed alone and unpadded in the
-sequential schedule, and log P(evidence) and the trace keep that order.
+waits on them.  Consecutive steps of which no member reads what another
+writes form a phase: one gather of every row they read, an einsum per
+step, and one normalization and one scatter for all of them.  A long
+run of single messages, such as a chain's (`Sequence`), has one bitwise
+fixpoint under recomputation, the in-order result; it is relaxed towards
+it in batched rounds, each message recomputed when a message it reads
+changes, and finished in order.  Every result has the bits the message
+gets computed alone and unpadded in the sequential schedule, and log
+P(evidence) and the trace keep that order.
 The relaxations recompute the out-of-kilter messages of a one-case run of
 the empty-cutset plan, each a one-member step cut from the plan's steps,
 until every one equals its recomputed value, and then check the mass of
@@ -145,8 +148,7 @@ def _loaded(net: Network, state: MessageState, a: str, to: str | None = None):
     net.variable(a)  # an unknown name raises as it does everywhere else
     plan = two_pass_plan(net, [])
     step = plan.single(plan.ids[a], None if to is None else plan.ids[to])
-    reads = step.index[0, _POSITION + 1:].tolist()
-    return _load(net, state, [slot for slot in reads if slot < plan.ones]), step
+    return _load(net, state, [slot for slot in step.reads[0].tolist() if slot < plan.ones]), step
 
 
 def zero_mass(variable: str) -> str:
@@ -228,10 +230,10 @@ def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
 
 
 def _sending_steps(plan: TwoPassPlan) -> list[Step]:
-    """The plan's steps that send messages, each run's members one by one:
-    together they send every message once."""
+    """The plan's steps that send messages, each phase's steps and each
+    run's members one by one: together they send every message once."""
     return [one for step in plan.steps
-            for one in (step.members if type(step) is Sequence else [step]) if one.sends]
+            for one in (step.members if type(step) is Sequence else step.steps) if one.sends]
 
 
 def _message_steps(plan: TwoPassPlan) -> dict[tuple[int, int], Step]:
@@ -241,7 +243,8 @@ def _message_steps(plan: TwoPassPlan) -> dict[tuple[int, int], Step]:
     alone = {}
     for step in _sending_steps(plan):
         for g, (a, to) in enumerate(step.index[:, :_PLACE].tolist()):
-            alone[a, to] = step if len(step.index) == 1 else step._replace(index=step.index[g:g + 1])
+            alone[a, to] = step if len(step.index) == 1 else step._replace(
+                index=step.index[g:g + 1], reads=step.reads[g:g + 1])
     return alone
 
 
@@ -389,14 +392,15 @@ _CASE = 51
 _MEMBER = 50
 #: einsum sublist of a message over node axis j, one row per case, behind
 #: the member axis of a step
-_ROW = [[_MEMBER, _CASE, j] for j in range(_MEMBER)]
+_ROW = tuple((_MEMBER, _CASE, j) for j in range(_MEMBER))
 
 
 #: a row sum below this is recomputed with the diagnostic vector rescaled
 _TINY = 2.0**-500
 
-#: floats of tables and diagnostic rows that one step may gather; the
-#: messages of a node with many children are spread over several steps
+#: floats of tables and diagnostic rows that one step, or one phase of
+#: steps, may gather; the messages of a node with many children are spread
+#: over several steps
 _STEP_FLOATS = 1 << 20
 
 #: an axis this wide is never zero-padded in a step: numpy adds 8 or more
@@ -419,9 +423,20 @@ _RELAX_BUDGET = 8
 
 
 @functools.cache
-def _axes(n_parents: int, batched: bool) -> list[int]:
+def _subscripts(*sublists: tuple) -> str:
+    """The einsum subscripts of operands and then a result given as
+    sublists, each label k written as the letter numpy gives it in sublist
+    form (A to Z, then a to z), so the contraction is the same; numpy
+    parses subscripts faster than sublists."""
+    *operands, result = ("".join(chr(k + 65 if k < 26 else k + 71) for k in sub)
+                         for sub in sublists)
+    return ",".join(operands) + "->" + result
+
+
+@functools.cache
+def _axes(n_parents: int, batched: bool) -> tuple:
     """The einsum sublist of a table in a step."""
-    return [_MEMBER] + [_CASE] * batched + list(range(n_parents + 1))
+    return (_MEMBER, *[_CASE] * batched, *range(n_parents + 1))
 
 
 @functools.cache
@@ -447,14 +462,14 @@ class Rule(NamedTuple):
 
     node: int
     slot: int | None
-    table: list[int]
-    pis: tuple[tuple[int, list[int]], ...]
+    table: tuple
+    pis: tuple
     lams: tuple[int, ...]
-    own: list[int]
-    out: list[int]
+    own: tuple
+    out: tuple
 
 
-#: the leading columns of `Step.index`
+#: the columns of `Step.index`
 _NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
 
 
@@ -465,53 +480,81 @@ class Step(NamedTuple):
     `TwoPassPlan._schedule`, or a single one (`TwoPassPlan.single`).  Row
     g of `index` is about member g: its node, its recipient, its table's
     row in `stack`, the row it writes and its normalizer position (-1 for
-    no recipient, row or position), then the row of each pi it reads,
-    then its diagnostic rows (its evidence row and `Rule.lams`, padded
-    with the all-ones row).  `sends` tells whether
+    no recipient, row or position).  Row g of `reads` lists the rows
+    member g reads: the row of each pi, then its diagnostic rows (its
+    evidence row and `Rule.lams`, padded with the all-ones row); in a
+    `Phase` it is a view of the phase's `rows`.  `sends` tells whether
     the members are messages or beliefs.  `table` is the tables' einsum
-    sublist, and each of `pis` the padded width and sublist of one pi
-    operand; a single message's `stack` is its node's own table, without
-    the member axis.  The diagnostic rows multiply to the operand with sublist
-    `diag`, `own` states wide.  The result has sublist `out` and is
+    sublist, and each of `pis` the padded width of one pi operand; a
+    single message's `stack` is its node's own table, without the member
+    axis.  The diagnostic rows multiply to one operand `own` states wide.
+    `spec` holds the einsum subscripts of the table, the pis and the
+    diagnostic operand and of the result (see `_subscripts`), which is
     `width` states wide.  `collects` tells whether its row sums are
     normalizers of log P(evidence)."""
 
     index: np.ndarray
+    reads: np.ndarray
     sends: bool
     stack: np.ndarray
-    table: list[int]
+    table: tuple
     pis: tuple
     own: int
-    diag: list[int]
-    out: list[int]
+    spec: str
     width: int
     collects: bool
 
 
+class Phase(NamedTuple):
+    """Consecutive steps of the schedule of which no member reads a row
+    that another member writes, computed by `TwoPassRun._compute` with one
+    gather, an einsum per step, one normalization and one scatter.  `rows`
+    lists every row the phase reads, step after step, each step's column
+    by column (the first row of every member, then the second), so that
+    a step's pis and diagnostic rows gather as whole blocks and multiply
+    along the first axis; each step's `reads` is a view of its block, and
+    its `index` a view of the phase's members' index rows, so nothing is
+    held twice.  `spans[k]` gives the first and end entry of `steps[k]` in
+    `rows` and its first and end member in the results.  The results are
+    `width` states wide, zero past a narrower step's
+    width; a result of _UNPADDED states or more is never beside a narrower
+    one.  The steps that send come first, and the first `sent` members
+    write the rows `slots`; the members from number `collected` on are
+    normalizers, at `positions`."""
+
+    steps: tuple
+    rows: np.ndarray
+    spans: tuple
+    slots: np.ndarray
+    sent: int
+    positions: np.ndarray
+    collected: int
+    width: int
+
+
 class Sequence(NamedTuple):
-    """A run of single messages, such as a chain's: the members of
-    consecutive steps of one message or mass each, in schedule order, each
-    as its one-member step in `members` (a root's belief step for its
-    mass).  A member reads only earlier members and rows that are
-    final before the run starts.  A run of _RELAX_RUN members or more also
-    holds its members as `steps`, grouped by shape class, recipient axis
-    and normalizer kind, where row g of `steps[i].index` is member
-    `numbers[i][g]`; its reader table `fanout`, whose row i lists the
-    members that read the row member i writes, padded with the number of
-    members; and, in `starts`, the rows the members write, as (rows,
-    width) per width."""
+    """A run of _RELAX_RUN single messages or more, such as a chain's: the
+    members of consecutive steps of one message or mass each, in schedule
+    order, each as its one-member step in `members` (a root's belief step
+    for its mass).  A member reads only earlier members and rows that are
+    final before the run starts.  The run also holds its members as
+    `steps`, grouped by shape class, recipient axis and normalizer kind,
+    where row g of `steps[i].index` is member `numbers[i][g]`; its reader
+    table `fanout`, whose row i lists the members that read the row member
+    i writes, padded with the number of members; and, in `starts`, the
+    rows the members write, as (rows, width) per width."""
 
     members: tuple
-    steps: tuple = ()
-    numbers: tuple = ()
-    fanout: np.ndarray | None = None
-    starts: tuple = ()
+    steps: tuple
+    numbers: tuple
+    fanout: np.ndarray
+    starts: tuple
 
 
 class TwoPassPlan:
     """Pearl's collect/distribute schedule over the forest left by
     conditioning on a loop cutset, with integer node ids, compiled into
-    steps.
+    steps and phases of steps.
 
     Every arc out of a member is cut: the member's children get a leading
     case axis on their tables, one row per joint member assignment
@@ -534,20 +577,25 @@ class TwoPassPlan:
     distributes.  The message a node sends a neighbor is ready once the
     node has heard from every other neighbor, and a root's belief, whose
     row sums are its tree's mass, once the root has heard from all of
-    them.  `steps` computes every message and mass in the order
-    `_schedule` gives, by readiness, not by depth: a step holds ready
-    members that share a shape, and collect and distribute messages run
-    side by side.  Consecutive steps of one message or mass each form one
-    `Sequence` of single-message steps, which, when it is long, also holds
-    its reader table and its own steps for the rounds.  `beliefs` holds
-    the steps of every node's belief, one or a few per shape class.  The
-    tables of shape class k (`classes[a]` is node a's) are zero-padded to
-    the class's largest and stacked once, in `stacks[k]`, node a in row
-    `places[a]`.  `columns[i]` is about `beliefs[i]`: row g of its first
-    array gives, for each state of member g, its column in a vector over
-    the states of every node in id order (-1 past the node's states); its
-    second marks the states that are the node's, and its third lists
-    their columns, row after row.  `order` lists the message rows
+    them.  The schedule `_schedule` gives is by readiness, not by depth:
+    a step holds ready members that share a shape, and collect and
+    distribute messages run side by side.  `steps` computes every message
+    and mass as phases (`_phases`): each is a maximal run of consecutive
+    steps in which no member reads a row that another member writes, so
+    the whole run can gather first and scatter last.  Consecutive steps
+    of one message or mass each are a run of single messages; their
+    one-member steps join phases like any other, except in a run of
+    _RELAX_RUN members or more, which stays one `Sequence` with its
+    reader table and its own steps for the rounds.  `beliefs` holds the
+    phases of every node's belief, with a step or a few per shape class.
+    The tables of shape class k (`classes[a]` is node a's) are zero-padded
+    to the class's largest and stacked once, in `stacks[k]`, node a in row
+    `places[a]`.  `columns[i]` is about `beliefs[i]`: its first array
+    lists the phase's nodes, member by member; its second and third, the
+    member and state of each state that is its node's, member by member;
+    its fourth, the column of each such state in a vector over the states
+    of every node in id order, whose column k is a state of node
+    `owners[k]`.  `order` lists the message rows
     in the sequential schedule: each tree's collect messages in reverse
     walk order, tree by tree, then each tree's distribute messages in walk
     order.  Trace records follow it, and so do the `n_normalizers`
@@ -558,7 +606,7 @@ class TwoPassPlan:
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
                  "ones", "widths", "classes", "stacks", "places", "order", "steps", "beliefs",
-                 "columns", "n_normalizers")
+                 "columns", "owners", "n_normalizers")
 
     def __init__(self, net: Network, members) -> None:
         self.members = tuple(members)
@@ -616,31 +664,33 @@ class TwoPassPlan:
         self.n_normalizers = len(entries) + 1  # normalizer 0 is all-ones
         entries += [(e, a, to, None) for e, (a, to) in enumerate(distribute, len(entries))]
         self.order = tuple(slots[a, to] for _, a, to, _ in entries if to is not None)
-        self.steps, alone = [], []  # runs of single members are sent in sequence
+        steps, alone = [], []  # runs of single members
         for chunk in self._schedule(entries):
             if len(chunk) == 1:
                 alone += chunk
                 continue
-            if alone:
-                self.steps.append(self._sequence(alone))
-                alone = []
-            self.steps.append(self._step(chunk))
-        if alone:
-            self.steps.append(self._sequence(alone))
-        self.steps = tuple(self.steps)
+            steps += self._sequence(alone)
+            alone = []
+            steps.append(self._step(chunk))
+        steps += self._sequence(alone)
         del entries, distribute, alone
+        self.steps = self._phases(steps)
+        del steps
         beliefs = [(a, a, None, None) for a in range(len(self.names))]
-        self.beliefs = tuple(map(self._step, self._schedule(beliefs)))
-        cards, offsets = np.array(self.cards), np.cumsum((0, *self.cards[:-1]))
+        self.beliefs = self._phases(list(map(self._step, self._schedule(beliefs))))
+        cards, offsets = np.array(self.cards, dtype=np.intp), np.cumsum((0, *self.cards[:-1]))
+        self.owners = np.repeat(np.arange(len(cards)), cards)
+        self.owners.flags.writeable = False
         self.columns = []
-        for step in self.beliefs:
-            nodes, states = step.index[:, _NODE], np.arange(step.width)
+        for phase in self.beliefs:
+            nodes = np.concatenate([step.index[:, _NODE] for step in phase.steps])
+            states = np.arange(phase.width)
             columns = np.where(states < cards[nodes, None], offsets[nodes, None] + states, -1)
-            states = columns >= 0
-            flat = columns[states]
-            for array in (columns, states, flat):
+            members, states = np.nonzero(columns >= 0)
+            flat = columns[members, states]
+            for array in (nodes, members, states, flat):
                 array.flags.writeable = False
-            self.columns.append((columns, states, flat))
+            self.columns.append((nodes, members, states, flat))
         self.columns = tuple(self.columns)
 
     def _tensor(self, net: Network, v: str) -> np.ndarray:
@@ -768,12 +818,13 @@ class TwoPassPlan:
             chunk.append(member)
         return [*chunks, chunk]
 
-    def _sequence(self, members) -> Sequence:
-        """The Sequence of `members`, as `_schedule` yields them, in
-        schedule order."""
+    def _sequence(self, members) -> list:
+        """The run of single `members`, as `_schedule` yields them, in
+        schedule order: their one-member steps, or one Sequence when the
+        run is _RELAX_RUN members long or longer."""
         alone = tuple(self._step([member], alone=True) for member in members)
         if len(members) < _RELAX_RUN:
-            return Sequence(alone)
+            return list(alone)
         rules = [rule for rule, _ in members]
         number = {rule.slot: i for i, rule in enumerate(rules) if rule.slot is not None}
         readers = [[] for _ in rules]
@@ -792,13 +843,67 @@ class TwoPassPlan:
         for rule in rules:
             if rule.slot is not None:
                 starts.setdefault(self.widths[rule.slot], []).append(rule.slot)
-        return Sequence(
+        return [Sequence(
             alone,
             tuple(map(self._step, chunks)),
             tuple(np.array([entry[0] for _, entry in chunk]) for chunk in chunks),
             fanout,
             tuple((np.array(slots), width) for width, slots in starts.items()),
-        )
+        )]
+
+    def _phases(self, steps) -> tuple:
+        """`steps`, Steps and Sequences in schedule order, with each
+        maximal run of consecutive Steps in which no member reads a row
+        that another member writes made one Phase.  A phase gathers at
+        most _STEP_FLOATS floats of tables and rows (a Step alone may
+        gather more) and puts no result of _UNPADDED states or more beside
+        a narrower one, since numpy sums 8 or more terms in another order;
+        a Sequence stays on its own."""
+        per_row = len(self.cases) * self.widths[self.ones]  # the all-ones row is the widest
+        written = np.zeros(len(self.widths), dtype=bool)  # the rows the open phase writes
+        phases, group, floats, width = [], [], 0, 0
+        for step in steps:
+            run = type(step) is Sequence
+            if not run:
+                alone = step.stack.ndim < len(step.table)
+                size = step.stack.size if alone else len(step.index) * step.stack[0].size
+                size += step.reads.size * per_row
+            if group and (run or written.take(step.reads).any() or floats + size > _STEP_FLOATS
+                          or step.width != width and max(step.width, width) >= _UNPADDED):
+                phases.append(self._phase(group))
+                written.put(phases[-1].slots, False)
+                group, floats, width = [], 0, 0
+            if run:
+                phases.append(step)
+                continue
+            group.append(step)
+            floats, width = floats + size, max(width, step.width)
+            if step.sends:
+                written.put(step.index[:, _SLOT], True)
+        if group:
+            phases.append(self._phase(group))
+        return tuple(phases)
+
+    @staticmethod
+    def _phase(steps) -> Phase:
+        """The Phase of `steps`: the steps that send distribute messages
+        first, then those that send collect messages, then the rest
+        (masses, or beliefs), each kind in schedule order, so the members
+        that send and those that collect are each one block."""
+        steps = sorted(steps, key=lambda step: (not step.sends, step.collects))
+        rows = np.concatenate([step.reads.T.ravel() for step in steps])
+        index = np.concatenate([step.index for step in steps])
+        spans, start, first = [], 0, 0
+        for k, step in enumerate(steps):  # each step's arrays become views of the phase's
+            end, last = start + step.reads.size, first + len(step.index)
+            reads = rows[start:end].reshape(step.reads.shape[::-1]).T
+            steps[k] = Step(index[first:last], reads, *step[2:])
+            spans.append((start, end, first, last))
+            start, first = end, last
+        sent = sum(len(step.index) for step in steps if step.sends)
+        collected = sum(len(step.index) for step in steps if not step.collects)
+        return Phase(tuple(steps), rows, tuple(spans), index[:sent, _SLOT], sent,
+                     index[collected:, _POSITION], collected, max(step.width for step in steps))
 
     def _step(self, members, alone: bool = False) -> Step:
         """The Step of `members`, as `_schedule` yields them, over their
@@ -814,16 +919,16 @@ class TwoPassPlan:
                  *[slot for slot, _ in rule.pis], self.ones + 1 + a, *rule.lams)
                 for (_, a, to, position), rule in zip(members, rules)]
         columns = max(map(len, rows))
-        index = np.array([row + (self.ones,) * (columns - len(row)) for row in rows], dtype=np.int32)
+        rows = np.array([row + (self.ones,) * (columns - len(row)) for row in rows], dtype=np.int32)
         return Step(
-            index,
+            rows[:, :_POSITION + 1],
+            rows[:, _POSITION + 1:],
             first.slot is not None,
             stack,
             first.table,
-            tuple([(width[sub[-1]], sub) for _, sub in first.pis]),
+            tuple(width[sub[-1]] for _, sub in first.pis),
             width[first.own[-1]],
-            first.own,
-            first.out,
+            _subscripts(first.table, *[sub for _, sub in first.pis], first.own, first.out),
             width[first.out[-1]],
             members[0][3] is not None,
         )
@@ -885,10 +990,12 @@ class TwoPassRun:
     vector over v's states) on each variable v that has one.  `_compute`
     is the one sum-product kernel under every schedule: it computes the
     members of a `Step`, a batch of same-shaped messages or beliefs or a
-    single one.  `two_pass` runs the plan's steps and sends each run of
-    single messages (`_send`: batched rounds to its bitwise fixpoint when
-    it is long, then in order), and the relaxations and the per-message
-    functions compute one-member steps on a one-case run.  A run writes
+    single one, or of a `Phase` of steps.  `two_pass` runs the plan's
+    phases, each with one gather, one normalization and one scatter
+    (`_apply`), and sends each long run of single messages (`_send`:
+    batched rounds to its bitwise fixpoint, then in order); the
+    relaxations and the per-message functions compute lone one-member
+    steps on a one-case run.  A run writes
     only its own buffer: it reads the plan's tables in place, cut to the
     live cases where a table has a case axis, and the steps from the plan.
     Each message is normalized per case; a case whose normalizer is 0 is
@@ -920,61 +1027,54 @@ class TwoPassRun:
         return self.buf[slot, :, :self.plan.widths[slot]]
 
     def two_pass(self) -> None:
-        """Run the plan's steps, which send every message once, each after
-        the messages it reads.  The normalizers and their powers of two go
-        to their sequential positions before the log sum, so `log_weights`
-        adds them in the same order whatever the steps."""
+        """Run the plan's phases and long runs, which send every message
+        once, each after the messages it reads.  The normalizers and their
+        powers of two go to their sequential positions before the log sum,
+        so `log_weights` adds them in the same order whatever the phases."""
         plan = self.plan
         scales = np.ones((plan.n_normalizers, self.n_cases))
         shifts = np.zeros(scales.shape, dtype=np.int64)
-        for step in plan.steps:
-            if type(step) is Sequence:
-                self._send(step, scales, shifts)
+        for phase in plan.steps:
+            if type(phase) is Sequence:
+                self._send(phase, scales, shifts)
             else:
-                self._apply(step, scales, shifts)
+                self._apply(phase, scales, shifts)
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
         self.possible = (scales > 0).all(axis=0)
         logs = np.log(scales, out=np.zeros_like(scales), where=scales > 0)
         shift = shifts.sum(axis=0) * math.log(2.0)
         self.log_weights = (np.add.accumulate(logs)[-1] - shift).tolist()
 
-    def _apply(self, step: Step, scales: np.ndarray, shifts: np.ndarray, track: bool = False):
-        """Compute `step`, write its messages into their rows and its
-        normalizers and their shifts into `scales` and `shifts` by
-        position.  With `track`, return which members' rows changed in any
-        bit (None for masses, which write no row)."""
-        values, sums, step_shifts = self._compute(step)
-        if step.collects:
-            scales[step.index[:, _POSITION]] = sums
-            if type(step_shifts) is not int:  # a scalar 0 moves nothing: shifts start at 0
-                shifts[step.index[:, _POSITION]] = step_shifts
-        if not step.sends:
-            return None
-        slots, moved = step.index[:, _SLOT], None
-        if track:
-            old = self.buf[slots, :, :step.width]
-            moved = (old.view(np.int64) != values.view(np.int64)).any(axis=(1, 2))
-        self.buf[slots, :, :step.width] = values
-        return moved
+    def _apply(self, phase: Phase, scales: np.ndarray, shifts: np.ndarray) -> None:
+        """Compute `phase`, write its messages into their rows with one
+        scatter and its normalizers and their shifts into `scales` and
+        `shifts` by position."""
+        values, sums, found = self._compute(phase)
+        if len(phase.positions):
+            scales[phase.positions] = sums[phase.collected:]
+            if type(found) is not int:  # a scalar 0 moves nothing: shifts start at 0
+                shifts[phase.positions] = found[phase.collected:]
+        if phase.sent:
+            self.buf[phase.slots, :, :phase.width] = values[:phase.sent]
 
     def _send(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
-        """Send the members of `run`, writing their normalizers and shifts
-        into `scales` and `shifts` by position.  Recomputing every member
-        from the current rows has one bitwise fixpoint, the in-order
-        result, since a member reads only earlier members and rows final
-        before the run.  A long run is first relaxed towards it in batched
-        rounds (`_relax`); the members it leaves dirty are then computed
-        in order, and one whose row changes in any bit makes its readers
-        dirty.  A shorter run computes every member once, in order."""
-        dirty = self._relax(run, scales, shifts) if run.steps else None
+        """Send the members of the long `run`, writing their normalizers
+        and shifts into `scales` and `shifts` by position.  Recomputing
+        every member from the current rows has one bitwise fixpoint, the
+        in-order result, since a member reads only earlier members and rows
+        final before the run.  The run is first relaxed towards it in
+        batched rounds (`_relax`); the members it leaves dirty are then
+        computed in order, and one whose row changes in any bit makes its
+        readers dirty."""
+        dirty = self._relax(run, scales, shifts)
         for i, step in enumerate(run.members):
-            if dirty is not None and not dirty[i]:
+            if not dirty[i]:
                 continue
             values, sums, shift = self._compute(step)
             slot, position = step.index[0, _SLOT:_POSITION + 1].tolist()
             if step.sends:
                 row = self.buf[slot, :, :step.width]
-                if dirty is not None and row.tobytes() != values.tobytes():
+                if row.tobytes() != values.tobytes():
                     for r in run.fanout[i].tolist():
                         dirty[r] = True
                 row[...] = values[0]
@@ -1001,67 +1101,98 @@ class TwoPassRun:
                 if len(picked) == 0:
                     continue
                 if len(picked) < len(numbers):
-                    step, numbers = step._replace(index=step.index[picked]), numbers[picked]
+                    step = step._replace(index=step.index[picked], reads=step.reads[picked])
+                    numbers = numbers[picked]
                 dirty[numbers] = False
-                moved = self._apply(step, scales, shifts, track=True)
-                if moved is not None:
+                values, sums, found = self._compute(step)
+                if step.collects:
+                    scales[step.index[:, _POSITION]] = sums
+                    if type(found) is not int:
+                        shifts[step.index[:, _POSITION]] = found
+                if step.sends:
+                    slots = step.index[:, _SLOT]
+                    old = self.buf[slots, :, :step.width]
+                    moved = (old.view(np.int64) != values.view(np.int64)).any(axis=(1, 2))
+                    self.buf[slots, :, :step.width] = values
                     dirty[run.fanout[numbers[moved]]] = True
             todo = int(dirty[:-1].sum())
         return dirty.tolist()
 
-    def _compute(self, step: Step, raw: bool = False):
+    def _compute(self, step: Step | Phase, raw: bool = False):
         """The sum-product rule behind every message and belief, for every
-        member of `step`: the member's table times the pi message of each
-        parent it reads and its diagnostic vector (its evidence factor
-        times the lambda of each child it reads, multiplied left to right),
-        summed over every axis but the recipient's, one row per case.
-        Whatever comes from the recipient is left out; the result ranges
-        over its states when it is a parent, else over the node's own (a
-        pi message, or a belief).  Returned normalized, stacked and
-        zero-padded to the step's width (a row summing to 0 stays 0), with
-        the row sums and the power of two by which each sum exceeds the
-        true one (0 when none does), one row per member; with `raw`, the
-        results and the diagnostic vectors before normalization.
+        member of `step`, a Step or a Phase: the member's table times the
+        pi message of each parent it reads and its diagnostic vector (its
+        evidence factor times the lambda of each child it reads, multiplied
+        left to right), summed over every axis but the recipient's, one row
+        per case.  Whatever comes from the recipient is left out; the
+        result ranges over its states when it is a parent, else over the
+        node's own (a pi message, or a belief).  Returned normalized,
+        stacked and zero-padded to the step's or the phase's width (a row
+        summing to 0 stays 0), with the row sums and the power of two by
+        which each sum exceeds the true one (0 when none does), one row per
+        member, the phase's members in the order of its steps; with `raw`,
+        a Step's results and diagnostic vectors before normalization.
 
-        A row that may have underflowed is recomputed from the `_rescaled`
-        diagnostic vector of its member, by one einsum over that member's
-        operands; every other row keeps its bits and a shift of 0.  The
-        diagnostic vector enters as one operand because einsum takes at
-        most 64."""
-        buf, index = self.buf, step.index
-        if step.stack.ndim < len(step.table):  # a single message over its own table
-            tensor = step.stack[None]
+        A phase gathers every row it reads with one `take` and runs one
+        einsum per step into one result array, which is normalized as a
+        whole.  A row that may have underflowed is recomputed from the
+        `_rescaled` diagnostic vector of its member, by one einsum over
+        that member's operands; every other row keeps its bits and a shift
+        of 0.  The diagnostic vector enters as one operand because einsum
+        takes at most 64."""
+        buf, live = self.buf, self.live
+        if type(step) is Step:
+            steps, spans, flat = (step,), ((0, 0, 0, len(step.index)),), None
         else:
-            tensor = step.stack.take(index[:, _PLACE], axis=0)
-        if self.live is not None and step.table[1] == _CASE:  # the live rows of the case axis
-            tensor = tensor.take(self.live, axis=1)
-        gathered = buf.take(index[:, _POSITION + 1:], axis=0)  # the pis, then the diagnostic rows
-        operands = [tensor, step.table]
-        for j, (width, sub) in enumerate(step.pis):
-            operands += (gathered[:, j, :, :width], sub)
-        rows = gathered[:, len(step.pis):, :, :step.own]
-        lam = rows.prod(axis=1)
-        core = np.einsum(*operands, lam, step.diag, step.out)
-        if raw:
-            return core, lam
-        sums = core.sum(axis=2)
+            steps, spans = step.steps, step.spans
+            # every row the phase reads, each step's column by column
+            flat = buf.take(step.rows, axis=0) if len(steps) > 1 else None
+        result, parts = None, []
+        for one, (start, end, first, last) in zip(steps, spans):
+            if flat is None:
+                gathered = buf.take(one.reads.T, axis=0)  # the pis, then the diagnostic rows
+            else:
+                gathered = flat[start:end].reshape(one.reads.shape[::-1] + flat.shape[1:])
+            if one.stack.ndim < len(one.table):  # a single message over its own table
+                tensor = one.stack[None]
+            else:
+                tensor = one.stack.take(one.index[:, _PLACE], axis=0)
+            if live is not None and one.table[1] == _CASE:  # the live rows of the case axis
+                tensor = tensor.take(live, axis=1)
+            operands = [tensor]
+            for j, width in enumerate(one.pis):
+                operands.append(gathered[j, :, :, :width])
+            rows = gathered[len(one.pis):, :, :, :one.own]
+            lam = rows.prod(axis=0)
+            if len(steps) == 1:
+                result = np.einsum(one.spec, *operands, lam)
+                if raw:
+                    return result, lam
+            else:
+                if result is None:
+                    result = np.zeros((spans[-1][3], self.n_cases, step.width))
+                np.einsum(one.spec, *operands, lam, out=result[first:last, :, :one.width])
+            parts.append((operands, rows))
+        sums = result.sum(axis=2)
         if sums.min() >= _TINY:
-            return core / sums[..., None], sums, 0
+            return result / sums[..., None], sums, 0
         # a sum below 2^-500 may have underflowed, unless a pi or diagnostic
         # row it was computed from is all zero in that case: then it is 0
-        low = (sums < _TINY) & rows.any(axis=3).all(axis=1)
-        for pi in operands[2::2]:
-            low &= pi.any(axis=2)
         shifts = np.zeros(sums.shape, dtype=np.int64)
-        for g in np.flatnonzero(low.any(axis=1)).tolist():
-            lam, top = self._rescaled(rows[g])
-            member = operands.copy()
-            member[::2] = (operand[g:g + 1] for operand in operands[::2])
-            fixed = np.einsum(*member, lam[None], step.diag, step.out)[0]
-            core[g, low[g]] = fixed[low[g]]
-            shifts[g] = np.where(low[g], top, 0)
-        sums = core.sum(axis=2)
-        return core / np.where(sums > 0, sums, 1.0)[..., None], sums, shifts
+        for one, (operands, rows), (_, _, first, last) in zip(steps, parts, spans):
+            if sums[first:last].min() >= _TINY:
+                continue
+            low = (sums[first:last] < _TINY) & rows.any(axis=3).all(axis=0)
+            for pi in operands[1:]:
+                low &= pi.any(axis=2)
+            for g in np.flatnonzero(low.any(axis=1)).tolist():
+                lam, top = self._rescaled(rows[:, g])
+                member = [operand[g:g + 1] for operand in operands]
+                fixed = np.einsum(one.spec, *member, lam[None])[0]
+                result[first + g, low[g], :one.width] = fixed[low[g]]
+                shifts[first + g] = np.where(low[g], top, 0)
+        sums = result.sum(axis=2)
+        return result / np.where(sums > 0, sums, 1.0)[..., None], sums, shifts
 
     @staticmethod
     def _rescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1083,27 +1214,21 @@ class TwoPassRun:
         """The beliefs of `nodes`, each normalized per case, in one array
         with a row per case over the states of every node in id order
         (zero where a node is not in `nodes`), and their row sums, row k
-        for `nodes[k]`.  The plan's belief steps restricted to `nodes`
-        compute them, and each step's rows go in with one assignment
-        through its compiled state mask and column list (`columns`)."""
+        for `nodes[k]`.  The plan's belief phases compute every belief,
+        each phase's rows go in with one assignment through its compiled
+        members, states and columns (`columns`), and the columns of the
+        nodes not asked are zeroed once."""
         plan = self.plan
+        values = np.zeros((self.n_cases, len(plan.owners)))
+        masses = np.empty((len(plan.cards), self.n_cases))
+        for phase, (phase_nodes, members, states, flat) in zip(plan.beliefs, plan.columns):
+            beliefs, sums, _ = self._compute(phase)
+            values.T[flat] = beliefs[members, :, states]
+            masses[phase_nodes] = sums
         asked = np.zeros(len(plan.cards), dtype=bool)
         asked[nodes] = True
-        everyone = asked.all()
-        values = np.zeros((self.n_cases, sum(plan.cards)))
-        masses = np.empty((len(plan.cards), self.n_cases))
-        for step, (columns, states, flat) in zip(plan.beliefs, plan.columns):
-            if not everyone:
-                picked = np.flatnonzero(asked[step.index[:, _NODE]])
-                if len(picked) == 0:
-                    continue
-                if len(picked) < len(step.index):
-                    step = step._replace(index=step.index[picked])
-                    columns, states = columns[picked], states[picked]
-                    flat = columns[states]
-            beliefs, sums, _ = self._compute(step)
-            values[:, flat] = beliefs.transpose(1, 0, 2)[:, states]
-            masses[step.index[:, _NODE]] = sums
+        if not asked.all():
+            values[:, ~asked[plan.owners]] = 0.0
         return values, masses[nodes]
 
     def records(self, case: int):

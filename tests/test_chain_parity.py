@@ -123,15 +123,20 @@ def test_chain_runs_are_bit_identical():
     assert chain_digest() == DIGEST
 
 
+def steps_of(unit) -> tuple:
+    """The steps that one `_compute` call runs: a phase's, or a lone step."""
+    return unit.steps if type(unit) is polytree.Phase else (unit,)
+
+
 def members_computed(monkeypatch, run_plan) -> int:
-    """How many messages and masses `run_plan()` computes, batched or one
-    at a time: every one is a member of a step."""
+    """How many messages and masses `run_plan()` computes, in phases or
+    one at a time: every one is a member of a step."""
     count = [0]
     compute = polytree.TwoPassRun._compute
 
-    def counted(run, step, *args):
-        count[0] += len(step.index)
-        return compute(run, step, *args)
+    def counted(run, unit, *args):
+        count[0] += sum(len(step.index) for step in steps_of(unit))
+        return compute(run, unit, *args)
 
     monkeypatch.setattr(polytree.TwoPassRun, "_compute", counted)
     run_plan()
@@ -151,8 +156,8 @@ def test_runs_below_the_threshold_are_sent_in_order(monkeypatch, length):
     plan = two_pass_plan(markov_chain(length, [0.5, 0.5], [[0.9, 0.1], [0.3, 0.7]]), [])
     sizes, relaxed = [], []
     compute, relax = polytree.TwoPassRun._compute, polytree.TwoPassRun._relax
-    monkeypatch.setattr(polytree.TwoPassRun, "_compute",
-                        lambda run, step: sizes.append(len(step.index)) or compute(run, step))
+    monkeypatch.setattr(polytree.TwoPassRun, "_compute", lambda run, unit: sizes.append(
+        max(len(step.index) for step in steps_of(unit))) or compute(run, unit))
     monkeypatch.setattr(polytree.TwoPassRun, "_relax",
                         lambda run, *args: relaxed.append(1) or relax(run, *args))
     plan.run({f"m{length - 1:04d}": 1})

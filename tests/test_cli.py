@@ -208,13 +208,14 @@ class TestInfer:
         assert float(likelihood.removeprefix("P(e) = ")) == pytest.approx(1.0, abs=1e-9)
 
     def test_non_convergence_exit_5(self, monkeypatch):
-        from beliefprop import cli as cli_mod
+        from beliefprop import conditioning
         from beliefprop.errors import ConvergenceError
 
         def explode(*args, **kwargs):
             raise ConvergenceError("forced for the exit-code contract")
 
-        monkeypatch.setattr(cli_mod.conditioning, "auto_infer", explode)
+        # the infer command imports `conditioning` when it runs
+        monkeypatch.setattr(conditioning, "auto_infer", explode)
         code, _, err = cli("infer", CHAIN, "-e", "B=f")
         assert code == 5
         assert "internal error" in err
@@ -463,3 +464,49 @@ def test_python_dash_m_entry_points(module):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "BEL(A) f=0.658537 t=0.341463\n"
+
+
+ENGINE = {"conditioning", "cutset", "dsep", "oracle", "polytree"}
+
+
+def engine_modules_after(code: str) -> set[str]:
+    """The engine modules that a fresh interpreter holds after `code`."""
+    src = str(Path(__file__).parent.parent / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code += "\nimport sys\nprint(*(m.split('.')[-1] for m in sys.modules" \
+            " if m.startswith('beliefprop.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return set(proc.stdout.split()) & ENGINE
+
+
+@pytest.mark.parametrize(("argv", "loaded"), [
+    (["validate", FIG1], set()),
+    (["dsep", FIG1, "--x", "x2", "--y", "x3"], {"dsep"}),
+    (["cutset", FIG1], {"cutset"}),
+])
+def test_commands_load_only_the_engine_modules_they_use(argv, loaded):
+    code = f"import io\nfrom beliefprop import cli\nassert cli.run({argv!r}, io.StringIO()) == 0"
+    assert engine_modules_after(code) == loaded
+
+
+def test_every_exported_name_resolves():
+    code = "\n".join([
+        "import importlib, beliefprop",
+        "assert not hasattr(beliefprop, 'no_such_name')",
+        "names = {name: getattr(beliefprop, name) for name in beliefprop.__all__}",
+        "star = {}",
+        "exec('from beliefprop import *', star)",
+        "assert all(star[name] is value for name, value in names.items())",
+        "homes = [importlib.import_module(f'beliefprop.{m}') for m in beliefprop._HOMES]",
+        "assert all(any(getattr(h, name, None) is value for h in homes)"
+        " for name, value in names.items())",
+        "assert set(beliefprop.__all__) <= set(dir(beliefprop))",
+        "assert beliefprop.cli is importlib.import_module('beliefprop.cli')",
+    ])
+    assert engine_modules_after(code) == ENGINE

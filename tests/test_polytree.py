@@ -712,21 +712,33 @@ def assert_steps_match_messages(plan, run):
         assert (belief.tobytes(), masses[a].tobytes()) == (expected[0].tobytes(), sums[0].tobytes())
 
 
+def steps_of(unit) -> tuple:
+    """The steps that one `_compute` call runs: a phase's, or a lone step."""
+    return unit.steps if type(unit) is polytree.Phase else (unit,)
+
+
+def plan_steps(plan) -> list:
+    """Every step of the plan's phases, its messages' and its beliefs'."""
+    return [step for unit in plan.steps + plan.beliefs
+            if type(unit) is polytree.Phase for step in unit.steps]
+
+
 def spy_on_rescaled(monkeypatch) -> list[int]:
-    """A list that gains, for each member a step recomputes from its
-    `_rescaled` diagnostic vector, the member's node: the first member of
-    the step whose gathered diagnostic rows are the rows rescaled."""
+    """A list that gains, for each member a phase or step recomputes from
+    its `_rescaled` diagnostic vector, the member's node: the first member
+    of the phase whose gathered diagnostic rows are the rows rescaled."""
     nodes, current = [], [None]
     compute, rescaled = polytree.TwoPassRun._compute, polytree.TwoPassRun._rescaled
 
-    def computing(run, step, *args):
-        current[0] = step
-        return compute(run, step, *args)
+    def computing(run, unit, *args):
+        current[0] = unit
+        return compute(run, unit, *args)
 
     def spy(run, rows):
-        step = current[0]
-        gathered = run.buf[step.index[:, polytree._POSITION + 1 + len(step.pis):], :, :step.own]
-        g = [mine.tobytes() for mine in gathered].index(rows.tobytes())
+        members = [(step, g) for step in steps_of(current[0]) for g in range(len(step.index))]
+        gathered = [run.buf[step.reads[g, len(step.pis):], :, :step.own].tobytes()
+                    for step, g in members]
+        step, g = members[gathered.index(rows.tobytes())]
         nodes.append(int(step.index[g, polytree._NODE]))
         return rescaled(rows)
 
@@ -760,10 +772,11 @@ class TestCompiledSteps:
 
     def test_bushy_levels_batch_many_messages(self):
         plan = two_pass_plan(bushy_polytree(0)[0], [])
-        batches = [step for step in plan.steps if isinstance(step, polytree.Step)]
+        batches = [step for unit in plan.steps for step in steps_of(unit)]
         assert max(len(step.index) for step in batches) >= 5
         assert len(plan.steps) < 2 / 3 * len(plan.order)
-        assert len(plan.beliefs) == 4  # one per number of parents, 0 to 3
+        # one step per number of parents, 0 to 3
+        assert sum(len(phase.steps) for phase in plan.beliefs) == 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_live_cases_and_case_axes_match_messages(self, seed):
@@ -773,17 +786,15 @@ class TestCompiledSteps:
         evidence = {**evidence, members[0]: seed % 2}
         live = plan.live_cases(evidence)
         assert len(live) < len(plan.cases)
-        batches = [step for step in plan.steps + plan.beliefs if isinstance(step, polytree.Step)]
-        assert any(step.table[1] == polytree._CASE for step in batches)
+        assert any(step.table[1] == polytree._CASE for step in plan_steps(plan))
         assert_steps_match_messages(plan, plan.run(evidence, live))
 
     def test_only_underflowing_members_take_the_rescaled_path(self, monkeypatch):
         net = star_and_small_tree()
         plan = two_pass_plan(net, [])
         ids = plan.ids
-        mixed = [step for step in plan.steps + plan.beliefs
-                 if isinstance(step, polytree.Step)
-                 and {ids["R"], ids["a0"]} <= set(step.index[:, polytree._NODE].tolist())]
+        mixed = [step for step in plan_steps(plan)
+                 if {ids["R"], ids["a0"]} <= set(step.index[:, polytree._NODE].tolist())]
         assert mixed  # the roots' masses and the roots' pi messages share steps
         rescaled = spy_on_rescaled(monkeypatch)
         run = plan.run({"a3": 1})
@@ -856,14 +867,22 @@ def loopy_with_cutset(seed):
     return net, greedy_cutset(net)
 
 
-def members_in_order(plan):
-    """The plan's sending and mass steps in order, each run's members one
-    by one, each with whether it is a run member."""
-    for step in plan.steps:
-        if type(step) is polytree.Sequence:
-            yield from ((member, True) for member in step.members)
+def units_in_order(plan):
+    """What the plan computes in order, as lists of steps that read the
+    buffer before any of them writes, each with whether it is a long run's
+    member: each phase's steps, and each long run's members one by one."""
+    for unit in plan.steps:
+        if type(unit) is polytree.Sequence:
+            yield from (([member], True) for member in unit.members)
         else:
-            yield step, False
+            yield list(unit.steps), False
+
+
+def gathered_floats(plan, phase) -> int:
+    """The floats of tables and buffer rows that `phase` gathers."""
+    tables = sum(step.stack.size if step.stack.ndim < len(step.table)
+                 else len(step.index) * step.stack[0].size for step in phase.steps)
+    return tables + len(phase.rows) * len(plan.cases) * plan.widths[plan.ones]
 
 
 SCHEDULED = [
@@ -877,29 +896,111 @@ SCHEDULED = [
     pytest.param(lambda: (markov_chain(150, [0.4, 0.6], [[0.9, 0.1], [0.3, 0.7]]), []),
                  id="chain"),
     pytest.param(lambda: (isolated_node_forest(), []), id="forest"),
+    pytest.param(lambda: (bushy_polytree(0, n=30, max_card=12)[0], []), id="wide"),
 ]
 
 
 class TestReadinessSchedule:
     @pytest.mark.parametrize("build", SCHEDULED)
     def test_every_read_row_is_written_before(self, build):
-        # a batched step reads the buffer before it writes any member, a
-        # run member after every earlier member; evidence rows and the
+        # a phase reads the buffer before it writes any member, a run
+        # member after every earlier member; evidence rows and the
         # all-ones row are final from the start
         plan = two_pass_plan(*build())
         written, positions = set(), []
-        for step, in_run in members_in_order(plan):
-            reads = step.index[:, polytree._POSITION + 1:]
-            assert set(reads[reads < plan.ones].tolist()) <= written
-            if step.sends:
-                slots = step.index[:, polytree._SLOT].tolist()
-                assert written.isdisjoint(slots) and len(set(slots)) == len(slots)
-                written.update(slots)
-            if step.collects:
-                positions += step.index[:, polytree._POSITION].tolist()
-            assert in_run == (len(step.index) == 1)
+        for steps, in_run in units_in_order(plan):
+            assert not in_run or len(steps[0].index) == 1
+            for step in steps:
+                reads = step.reads
+                assert set(reads[reads < plan.ones].tolist()) <= written
+            for step in steps:
+                if step.sends:
+                    slots = step.index[:, polytree._SLOT].tolist()
+                    assert written.isdisjoint(slots) and len(set(slots)) == len(slots)
+                    written.update(slots)
+                if step.collects:
+                    positions += step.index[:, polytree._POSITION].tolist()
         assert written == set(range(plan.ones))  # every message once
         assert sorted(positions) == list(range(1, plan.n_normalizers))
+
+    @pytest.mark.parametrize("build", SCHEDULED)
+    def test_no_member_reads_what_its_phase_writes(self, build):
+        plan = two_pass_plan(*build())
+        for phase in plan.steps:
+            if type(phase) is polytree.Phase:
+                assert set(phase.rows.tolist()).isdisjoint(phase.slots.tolist())
+                for step, (start, end, _, _) in zip(phase.steps, phase.spans):
+                    assert step.reads.base is phase.rows  # a view, not a copy
+                    assert step.reads.T.ravel().tobytes() == phase.rows[start:end].tobytes()
+
+    @pytest.mark.parametrize("build", SCHEDULED)
+    def test_phases_write_every_row_and_normalizer_once(self, build):
+        # a phase's scatter writes its `slots` from its first `sent`
+        # members, its normalizers at `positions` from member `collected`
+        plan = two_pass_plan(*build())
+        slots, positions = [], []
+        for unit in plan.steps:
+            if type(unit) is polytree.Sequence:
+                slots += [int(step.index[0, polytree._SLOT])
+                          for step in unit.members if step.sends]
+                positions += [int(step.index[0, polytree._POSITION])
+                              for step in unit.members if step.collects]
+                continue
+            index = np.concatenate([step.index for step in unit.steps])
+            sends = np.concatenate([[step.sends] * len(step.index) for step in unit.steps])
+            collects = np.concatenate([[step.collects] * len(step.index) for step in unit.steps])
+            assert sends.tolist() == [True] * unit.sent + [False] * (len(index) - unit.sent)
+            assert collects[unit.collected:].all() and not collects[:unit.collected].any()
+            assert unit.slots.tolist() == index[:unit.sent, polytree._SLOT].tolist()
+            assert unit.positions.tolist() == index[unit.collected:, polytree._POSITION].tolist()
+            slots += unit.slots.tolist()
+            positions += unit.positions.tolist()
+        assert sorted(slots) == list(range(plan.ones))
+        assert sorted(positions) == list(range(1, plan.n_normalizers))
+        for phase in plan.beliefs:
+            assert phase.sent == 0 and len(phase.positions) == 0
+            assert phase.collected == phase.spans[-1][3]  # every member
+
+    @pytest.mark.parametrize("bound", [None, 3000], ids=["default", "small"])
+    @pytest.mark.parametrize("build", SCHEDULED)
+    def test_phases_gather_a_bounded_number_of_floats(self, build, bound, monkeypatch):
+        # a step alone may gather more; the small bound splits phases
+        if bound is not None:
+            monkeypatch.setattr(polytree, "_STEP_FLOATS", bound)
+        plan = two_pass_plan(*build())
+        for phase in plan.steps + plan.beliefs:
+            if type(phase) is polytree.Phase and len(phase.steps) > 1:
+                assert gathered_floats(plan, phase) <= polytree._STEP_FLOATS
+
+    @pytest.mark.parametrize("build", SCHEDULED)
+    def test_no_narrow_result_is_padded_to_8_states(self, build):
+        # numpy sums 8 or more terms in another order than fewer
+        plan = two_pass_plan(*build())
+        for phase in plan.steps + plan.beliefs:
+            if type(phase) is polytree.Phase and phase.width >= polytree._UNPADDED:
+                assert {step.width for step in phase.steps} == {phase.width}
+
+    @pytest.mark.parametrize("build", SCHEDULED)
+    def test_asked_beliefs_are_the_bytes_of_all_beliefs(self, build):
+        net, members = build()
+        plan = two_pass_plan(net, members)
+        run = plan.run({})
+        every, every_mass = run.beliefs(list(range(len(plan.names))))
+        asked = list(range(0, len(plan.names), 3))
+        values, masses = run.beliefs(asked)
+        stops = np.cumsum(plan.cards)
+        for a in range(len(plan.names)):
+            columns = slice(stops[a] - plan.cards[a], stops[a])
+            expected = every[:, columns] if a in asked else np.zeros_like(every[:, columns])
+            assert values[:, columns].tobytes() == expected.tobytes()
+        assert masses.tobytes() == every_mass[asked].tobytes()
+        beliefs = auto_infer(net, {}, [plan.names[a] for a in asked]).beliefs
+        for a in range(len(plan.names)):
+            if a in asked:
+                assert beliefs[plan.names[a]].sum() == pytest.approx(1.0)
+            else:
+                with pytest.raises(KeyError):
+                    beliefs[plan.names[a]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bushy_plans_run_in_few_steps(self, seed, monkeypatch):
@@ -914,14 +1015,18 @@ class TestReadinessSchedule:
 
         monkeypatch.setattr(polytree.TwoPassRun, "_compute", counted)
         plan.run(evidence)
-        assert calls[0] <= 40
+        assert calls[0] <= 17  # kernel passes: phases and lone steps
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_a_chain_is_one_run_of_every_member(self, n):
+        # a run shorter than _RELAX_RUN is sent as one-member steps, in
+        # phases; a longer one is one Sequence
         plan = two_pass_plan(markov_chain(n, [0.4, 0.6], [[0.9, 0.1], [0.3, 0.7]]), [])
-        (run,) = plan.steps
-        assert type(run) is polytree.Sequence
-        assert len(run.members) == len(plan.order) + 1  # every message and the mass
+        steps = [step for unit, _ in units_in_order(plan) for step in unit]
+        assert len(steps) == len(plan.order) + 1  # every message and the mass
+        assert all(len(step.index) == 1 for step in steps)
+        relaxed = 2 * n - 1 >= polytree._RELAX_RUN
+        assert relaxed == (len(plan.steps) == 1 and type(plan.steps[0]) is polytree.Sequence)
 
     @pytest.mark.parametrize("make", [lambda: bushy_polytree(5, n=80)[0],
                                       lambda: random_loopy(3)[0]])
@@ -930,8 +1035,8 @@ class TestReadinessSchedule:
         indexes = []
         for net in (netformat.parse(text), netformat.parse(text)):
             plan = two_pass_plan(net, greedy_cutset(net))
-            steps = [step for step, _ in members_in_order(plan)] + list(plan.beliefs)
-            indexes.append([step.index.tobytes() for step in steps])
+            steps = [step for unit, _ in units_in_order(plan) for step in unit] + plan_steps(plan)
+            indexes.append([step.index.tobytes() + step.reads.tobytes() for step in steps])
         assert indexes[0] == indexes[1]
 
 
@@ -998,3 +1103,10 @@ def test_every_contraction_runs_in_compute(monkeypatch):
 def test_random_polytree_above_20_nodes():
     net, _ = random_polytree(0, max_nodes=30, min_nodes=25)
     assert 25 <= len(net.var_names()) <= 30 and net.is_singly_connected()
+
+
+def test_network_without_variables_has_no_phases():
+    plan = two_pass_plan(build_net([], []), [])
+    assert plan.steps == () and plan.beliefs == () and len(plan.owners) == 0
+    values, masses = plan.run({}).beliefs([])
+    assert (values.shape, masses.shape) == ((1, 0), (0, 1))
