@@ -18,7 +18,7 @@ _HOMES = {
                      "infer_conditioned"),
     "cutset": ("greedy_cutset", "is_valid_cutset", "min_cutset_exhaustive"),
     "dsep": ("UndirectedPath", "d_separated", "is_blocked", "list_paths"),
-    "errors": ("ConvergenceError", "ImpossibleEvidenceError"),
+    "errors": ("ConvergenceError", "ImpossibleEvidenceError", "SizeError"),
     "model": ("Cpt", "Evidence", "Network", "Variable", "joint_probability", "validate"),
     "netformat": ("ParseError", "SourceSpan", "parse", "parse_evidence", "serialize"),
     "oracle": ("oracle_conditional_independence", "oracle_evidence_probability",

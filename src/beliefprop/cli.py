@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import model, netformat
-from .errors import ConvergenceError, ImpossibleEvidenceError
+from .errors import ConvergenceError, ImpossibleEvidenceError, SizeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,7 +174,10 @@ def _cmd_infer(args, out) -> int:
         else:  # a polytree is conditioning's empty-cutset case
             from . import conditioning
 
-            mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
+            try:
+                mixed = conditioning.auto_infer(net, evidence, queries, on_update=on_update)
+            except SizeError as exc:  # the engine's size guard
+                raise _UsageError(str(exc)) from None
             beliefs, log_likelihood = mixed.beliefs, mixed.log_likelihood
             likelihood = math.exp(log_likelihood)
     finally:

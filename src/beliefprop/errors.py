@@ -28,3 +28,9 @@ class ConvergenceError(Exception):
         self.arc = arc
         self.direction = direction
         self.residual = residual
+
+
+class SizeError(ValueError):
+    """A run would hold more floats than its documented guard allows
+    (`polytree.RUN_FLOATS_GUARD`); raised before anything that large is
+    allocated."""

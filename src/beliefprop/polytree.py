@@ -14,27 +14,14 @@ network and loop cutset (`TwoPassPlan`), over integer node ids and one
 buffer of zero-padded message rows with a row per cutset case; the plan
 is never written after it is built.
 
-The two-pass schedule computes each message once.  A message is ready
-as soon as its sender has heard from every other neighbor, so messages
-towards the roots (collect) and away from them (distribute) can be ready
-at the same time.  The plan compiles the schedule into steps, each one
-einsum over a batch of ready, same-shaped messages with their tables
-padded and stacked, taken first where the longest chain of messages
-waits on them.  Consecutive steps of which no member reads what another
-writes form a phase: one gather of every row they read, an einsum per
-step, and one normalization and one scatter for all of them.  A long
-run of single messages, such as a chain's (`Sequence`), has one bitwise
-fixpoint under recomputation, the in-order result; it is relaxed towards
-it in batched rounds, each message recomputed when a message it reads
-changes, and finished in order.  Every result has the bits the message
-gets computed alone and unpadded in the sequential schedule, and log
-P(evidence) and the trace keep that order.
-The relaxations recompute the out-of-kilter messages of a one-case run of
-the empty-cutset plan, each a one-member step cut from the plan's steps,
-until every one equals its recomputed value, and then check the mass of
-every belief.  A per-message function computes one single-message step
-on a one-case run that holds the messages it reads from the
-`MessageState` it is given.
+The two-pass schedule computes each message once, as soon as its sender
+has heard from every other neighbor, in steps and phases of steps (see
+`TwoPassPlan`), each message with the bits it gets alone in the
+sequential schedule, whose order log P(evidence) and the trace keep; a
+long run of single messages, such as a chain's, is sent by a blocked
+scan (`Sequence`) to rounding of those bits.  The relaxations and
+the per-message functions compute one-member steps cut from the plan's
+steps on a one-case run, loaded from the `MessageState` they are given.
 
 Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
@@ -44,7 +31,7 @@ evidence and is deliberately left unnormalized.  A product of many
 children's lambdas can fall below the float range; a message or belief
 whose mass falls below 2^-500 is recomputed with its diagnostic vector
 rescaled by a power of two, which the evidence likelihood takes back out,
-unless a message or factor it reads is all zero, which makes it exactly 0.
+unless a zero it reads makes it exactly 0.
 """
 
 from __future__ import annotations
@@ -58,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ImpossibleEvidenceError
+from .errors import ConvergenceError, ImpossibleEvidenceError, SizeError
 from .model import Evidence, Network, check_evidence, forest_walks, is_forest
 
 #: a message moved when it changed by more than this (max-norm)
@@ -408,18 +395,13 @@ _STEP_FLOATS = 1 << 20
 #: padding would move the last bits of the sums
 _UNPADDED = 8
 
-#: a run of single messages this long or longer is relaxed in batched
-#: rounds before it is finished in order; a shorter one is sent in order,
-#: which is as fast or faster: each round costs about as much as a few
-#: messages sent alone, whatever its size
-_RELAX_RUN = 128
+#: a run of single messages this long or longer is sent by a blocked scan
+#: (`Sequence`), faster from 23 members on; bushy and loopy runs stay below 18
+_SCAN_RUN = 32
 
-#: the rounds of a run stop when fewer members than this are dirty
-_RELAX_MIN = 16
-
-#: the rounds of a run stop before they would compute more than this many
-#: members per member of the run
-_RELAX_BUDGET = 8
+#: refuse a plan whose message rows, case-axis tables and transfer
+#: matrices would hold more floats than this (1 GiB) over its cases
+RUN_FLOATS_GUARD = 1 << 27
 
 
 @functools.cache
@@ -444,6 +426,22 @@ def _eye(k: int) -> np.ndarray:
     eye = np.eye(k)
     eye.flags.writeable = False
     return eye
+
+
+def _check_size(cases: int, floats: int) -> None:
+    """Raise SizeError if `cases` cases of `floats` floats each are too many."""
+    if cases * floats > RUN_FLOATS_GUARD:
+        raise SizeError(f"{cases} cutset cases would need about {cases * floats:.3g} floats "
+                        f"of messages and tables, above the {RUN_FLOATS_GUARD} guard")
+
+
+def _scaled(matrices: np.ndarray) -> np.ndarray:
+    """Contiguous, not negative `matrices`, each scaled in place by the power
+    of two that brings the sum of its entries to [0.5, 1) (0 stays 0)."""
+    size = matrices.shape[-1] * matrices.shape[-2]
+    _, powers = np.frexp(matrices.reshape(-1, size) @ np.ones(size))  # BLAS, not a short axis
+    matrices *= np.ldexp(1.0, -powers).reshape(matrices.shape[:-2] + (1, 1))
+    return matrices
 
 
 def two_pass_plan(net: Network, members) -> TwoPassPlan:
@@ -533,22 +531,28 @@ class Phase(NamedTuple):
 
 
 class Sequence(NamedTuple):
-    """A run of _RELAX_RUN single messages or more, such as a chain's: the
-    members of consecutive steps of one message or mass each, in schedule
-    order, each as its one-member step in `members` (a root's belief step
-    for its mass).  A member reads only earlier members and rows that are
-    final before the run starts.  The run also holds its members as
-    `steps`, grouped by shape class, recipient axis and normalizer kind,
-    where row g of `steps[i].index` is member `numbers[i][g]`; its reader
-    table `fanout`, whose row i lists the members that read the row member
-    i writes, padded with the number of members; and, in `starts`, the
-    rows the members write, as (rows, width) per width."""
+    """One wave of a run of _SCAN_RUN single messages or more, sent by a
+    blocked scan (`TwoPassRun._scan`): paths in which each member after
+    the first reads one run member, the one before, so its row is a linear
+    map of that member's.  Paths are cut into blocks of `block` members;
+    `phases` computes member j of every block, j after j.  Block b + 1 of
+    path k first reads row `starts[k, b]` (-1 past its end; paths from the
+    most blocks to the fewest).  Each of `transfers`, (step, at), gives the
+    transfer matrices of members outside a path's last block: their rules
+    with the read of the member before left out and its axis kept in the
+    result, behind the member and case axes; member g's matrix goes to
+    block position at[g] (path, block, member j)."""
 
-    members: tuple
-    steps: tuple
-    numbers: tuple
-    fanout: np.ndarray
-    starts: tuple
+    phases: tuple
+    block: int
+    starts: np.ndarray
+    transfers: tuple
+
+    @property
+    def members(self) -> list:
+        """Every member as its one-member step, phase by phase."""
+        return [step._replace(index=step.index[g:g + 1], reads=step.reads[g:g + 1])
+                for phase in self.phases for step in phase.steps for g in range(len(step.index))]
 
 
 class TwoPassPlan:
@@ -583,10 +587,9 @@ class TwoPassPlan:
     and mass as phases (`_phases`): each is a maximal run of consecutive
     steps in which no member reads a row that another member writes, so
     the whole run can gather first and scatter last.  Consecutive steps
-    of one message or mass each are a run of single messages; their
-    one-member steps join phases like any other, except in a run of
-    _RELAX_RUN members or more, which stays one `Sequence` with its
-    reader table and its own steps for the rounds.  `beliefs` holds the
+    of one message or mass each are a run of single messages, whose steps
+    join phases like any other unless the run holds _SCAN_RUN or more:
+    then it is sent as Sequences (`_sequence`).  `beliefs` holds the
     phases of every node's belief, with a step or a few per shape class.
     The tables of shape class k (`classes[a]` is node a's) are zero-padded
     to the class's largest and stacked once, in `stacks[k]`, node a in row
@@ -611,15 +614,20 @@ class TwoPassPlan:
     def __init__(self, net: Network, members) -> None:
         self.members = tuple(members)
         ranges = [range(net.card(m)) for m in self.members]
-        self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(
-            math.prod(map(len, ranges)), len(ranges)
-        )
-        self.cases.flags.writeable = False
         self.names = tuple(net.var_names())
         cut = set(self.members)
         arcs = [(p, c) for p, c in net.edges() if p not in cut]
         if not (is_forest(arcs, self.names) if cut else net.is_singly_connected()):
             raise ValueError(f"not a valid cutset: {list(self.members)}")
+        n_cases, widest = math.prod(map(len, ranges)), max(map(net.card, self.names), default=1)
+        # a case's rows, and each table with a case axis twice (its stack too)
+        floats = (2 * len(arcs) + 1 + len(self.names)) * widest + 2 * sum(
+            net.card(v) * math.prod(net.card(p) for p in net.parents(v) if p not in cut)
+            for v in self.names if cut.intersection(net.parents(v)))
+        _check_size(n_cases, floats)
+        self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp)
+        self.cases = self.cases.reshape(n_cases, len(ranges))
+        self.cases.flags.writeable = False
 
         self.ids = ids = {v: i for i, v in enumerate(self.names)}
         self.cards = tuple(net.card(v) for v in self.names)
@@ -676,6 +684,8 @@ class TwoPassPlan:
         del entries, distribute, alone
         self.steps = self._phases(steps)
         del steps
+        transfers = sum(run.starts.size * run.block for run in self.steps if type(run) is Sequence)
+        _check_size(n_cases, floats + transfers * widest ** 2)
         beliefs = [(a, a, None, None) for a in range(len(self.names))]
         self.beliefs = self._phases(list(map(self._step, self._schedule(beliefs))))
         cards, offsets = np.array(self.cards, dtype=np.intp), np.cumsum((0, *self.cards[:-1]))
@@ -819,37 +829,54 @@ class TwoPassPlan:
         return [*chunks, chunk]
 
     def _sequence(self, members) -> list:
-        """The run of single `members`, as `_schedule` yields them, in
-        schedule order: their one-member steps, or one Sequence when the
-        run is _RELAX_RUN members long or longer."""
-        alone = tuple(self._step([member], alone=True) for member in members)
-        if len(members) < _RELAX_RUN:
-            return list(alone)
-        rules = [rule for rule, _ in members]
-        number = {rule.slot: i for i, rule in enumerate(rules) if rule.slot is not None}
-        readers = [[] for _ in rules]
-        for j, rule in enumerate(rules):
-            for slot in (*(slot for slot, _ in rule.pis), *rule.lams):
-                if slot in number:
-                    readers[number[slot]].append(j)
-        groups: dict = {}
-        for i, (rule, entry) in enumerate(members):  # the entry number is now the member number
-            groups.setdefault(self._key(rule, entry), []).append((rule, (i, *entry[1:])))
-        chunks = [chunk for group in groups.values() for chunk in self._split(group)]
-        fanout = np.full((len(rules), max(map(len, readers))), len(rules), dtype=np.intp)
-        for i, row in enumerate(readers):
-            fanout[i, :len(row)] = row
-        starts: dict = {}
-        for rule in rules:
-            if rule.slot is not None:
-                starts.setdefault(self.widths[rule.slot], []).append(rule.slot)
-        return [Sequence(
-            alone,
-            tuple(map(self._step, chunks)),
-            tuple(np.array([entry[0] for _, entry in chunk]) for chunk in chunks),
-            fanout,
-            tuple((np.array(slots), width) for width, slots in starts.items()),
-        )]
+        """The run of single `members`, as `_schedule` yields them: one-member
+        steps, or from _SCAN_RUN on a Sequence per wave of paths.  A member
+        reading one run member continues its path unless another did or it
+        is a pi reading a lambda; else it starts a path in a later wave."""
+        if len(members) < _SCAN_RUN:
+            return [self._step([member], alone=True) for member in members]
+        paths, waves, tails, wave_of = [], [], {}, {}  # tails: a path's last row
+        for rule, entry in members:
+            read = [slot for slot in (*(s for s, _ in rule.pis), *rule.lams) if slot in wave_of]
+            turns = rule.slot is not None and rule.out == rule.own and {*read} & {*rule.lams}
+            if len(read) == 1 and read[0] in tails and not turns:
+                path = tails.pop(read[0])
+            else:
+                path = len(paths)
+                paths.append([])
+                waves.append(1 + max((wave_of[slot] for slot in read), default=-1))
+            paths[path].append((rule, entry))
+            tails[rule.slot], wave_of[rule.slot] = path, waves[path]
+        return [self._wave([path for path, w in zip(paths, waves) if w == wave])
+                for wave in range(max(waves) + 1)]
+
+    def _wave(self, paths) -> Sequence:
+        """The Sequence of `paths`, lists of (rule, entry) pairs in which
+        each member after the first reads the one before it."""
+        paths = sorted(paths, key=len, reverse=True)
+        block = 1 << max(0, math.isqrt(len(paths[0]) // 4).bit_length() - 1)
+        blocks = -(-len(paths[0]) // block)
+        starts = np.array([[path[b * block - 1][0].slot if b * block < len(path) else -1
+                            for b in range(1, blocks)] for path in paths], dtype=np.intp)
+        at_j, opened = [{} for _ in range(block)], {}  # member j of every block, by `_key`
+        for k, path in enumerate(paths):
+            for i, (rule, entry) in enumerate(path):
+                at_j[i % block].setdefault(self._key(rule, entry), []).append((rule, entry))
+                before = path[i - 1][0].slot if i else None  # the row it reads from its path
+                if i // block < (len(path) - 1) // block:  # not in the path's last block
+                    if i:  # its transfer matrix: the read of the member before left open
+                        axis = [sub for slot, sub in rule.pis if slot == before] or [rule.own]
+                        rule = rule._replace(
+                            pis=tuple(pi for pi in rule.pis if pi[0] != before),
+                            lams=tuple(slot for slot in rule.lams if slot != before),
+                            out=(_MEMBER, _CASE, axis[0][-1], rule.out[-1]))
+                    key = self._key(rule, entry), tuple(sub for _, sub in rule.pis), rule.out
+                    opened.setdefault(key, []).append(((rule, entry), k * (blocks - 1) * block + i))
+        transfers = tuple((self._step([m for m, _ in group]), np.array([at for _, at in group]))
+                          for group in opened.values())
+        phases = self._phases([self._step(chunk) for groups in at_j for group in groups.values()
+                               for chunk in self._split(group)])
+        return Sequence(phases, block, starts, transfers)
 
     def _phases(self, steps) -> tuple:
         """`steps`, Steps and Sequences in schedule order, with each
@@ -990,22 +1017,21 @@ class TwoPassRun:
     vector over v's states) on each variable v that has one.  `_compute`
     is the one sum-product kernel under every schedule: it computes the
     members of a `Step`, a batch of same-shaped messages or beliefs or a
-    single one, or of a `Phase` of steps.  `two_pass` runs the plan's
-    phases, each with one gather, one normalization and one scatter
-    (`_apply`), and sends each long run of single messages (`_send`:
-    batched rounds to its bitwise fixpoint, then in order); the
-    relaxations and the per-message functions compute lone one-member
-    steps on a one-case run.  A run writes
-    only its own buffer: it reads the plan's tables in place, cut to the
-    live cases where a table has a case axis, and the steps from the plan.
-    Each message is normalized per case; a case whose normalizer is 0 is
-    impossible and its row stays 0.  After `two_pass`, a stored collect
-    message is its exact unnormalized value divided by its own normalizer
-    and every normalizer below it, so all of them times the root's mass
-    give each case's P(evidence): `log_weights`, valid where `possible`.
-    A normalizer computed from a rescaled diagnostic vector (see
-    `_compute`) comes with its power of two, which `log_weights` takes
-    back out, so a product below the float range stays exact."""
+    single one, or of a `Phase` of steps, and the transfer matrices of a
+    long run.  `two_pass` runs the plan's phases, each with one gather,
+    one normalization and one scatter (`_apply`), and sends each long run
+    of single messages by its blocked scan (`_scan`); the relaxations and
+    the per-message functions compute lone one-member steps on a one-case
+    run.  A run writes only its own buffer: it reads the plan's tables in
+    place, cut to the live cases where a table has a case axis, and the
+    steps from the plan.  Each message is normalized per case; a case
+    whose normalizer is 0 is impossible and its row stays 0.  After
+    `two_pass`, a stored collect message is its unnormalized value divided
+    by its own normalizer and every normalizer below it (to rounding where
+    a scanned block starts), so all of them times the root's mass give
+    each case's P(evidence): `log_weights`, valid where `possible`.  A
+    normalizer computed from a rescaled diagnostic vector (see `_compute`)
+    comes with its power of two, which `log_weights` takes back out."""
 
     __slots__ = ("plan", "n_cases", "live", "buf", "possible", "log_weights")
 
@@ -1036,7 +1062,7 @@ class TwoPassRun:
         shifts = np.zeros(scales.shape, dtype=np.int64)
         for phase in plan.steps:
             if type(phase) is Sequence:
-                self._send(phase, scales, shifts)
+                self._scan(phase, scales, shifts)
             else:
                 self._apply(phase, scales, shifts)
         # a zero normalizer zeroes its root's mass too, so this is P(e) > 0
@@ -1057,66 +1083,39 @@ class TwoPassRun:
         if phase.sent:
             self.buf[phase.slots, :, :phase.width] = values[:phase.sent]
 
-    def _send(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
-        """Send the members of the long `run`, writing their normalizers
-        and shifts into `scales` and `shifts` by position.  Recomputing
-        every member from the current rows has one bitwise fixpoint, the
-        in-order result, since a member reads only earlier members and rows
-        final before the run.  The run is first relaxed towards it in
-        batched rounds (`_relax`); the members it leaves dirty are then
-        computed in order, and one whose row changes in any bit makes its
-        readers dirty."""
-        dirty = self._relax(run, scales, shifts)
-        for i, step in enumerate(run.members):
-            if not dirty[i]:
-                continue
-            values, sums, shift = self._compute(step)
-            slot, position = step.index[0, _SLOT:_POSITION + 1].tolist()
-            if step.sends:
-                row = self.buf[slot, :, :step.width]
-                if row.tobytes() != values.tobytes():
-                    for r in run.fanout[i].tolist():
-                        dirty[r] = True
-                row[...] = values[0]
-            if step.collects:
-                scales[position], shifts[position] = sums[0], shift
-
-    def _relax(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> list[bool]:
-        """Relax the long `run` in rounds and return which members are
-        left dirty, and one more entry that `fanout`'s padding marks.
-        Every member starts dirty, with its row all ones.  A round
-        computes the dirty members of each of the run's steps in one batch,
-        and a member whose row changed in any bit makes its readers dirty.
-        The rounds stop when fewer than _RELAX_MIN members are dirty, or
-        before they would compute more than _RELAX_BUDGET members per
-        member."""
-        for slots, width in run.starts:
-            self.buf[slots, :, :width] = 1.0
-        dirty = np.ones(len(run.members) + 1, dtype=bool)  # the last entry pads `fanout`
-        todo, spent = len(run.members), 0
-        while _RELAX_MIN <= todo and spent + todo <= _RELAX_BUDGET * len(run.members):
-            spent += todo
-            for step, numbers in zip(run.steps, run.numbers):
-                picked = np.flatnonzero(dirty[numbers])
-                if len(picked) == 0:
-                    continue
-                if len(picked) < len(numbers):
-                    step = step._replace(index=step.index[picked], reads=step.reads[picked])
-                    numbers = numbers[picked]
-                dirty[numbers] = False
-                values, sums, found = self._compute(step)
-                if step.collects:
-                    scales[step.index[:, _POSITION]] = sums
-                    if type(found) is not int:
-                        shifts[step.index[:, _POSITION]] = found
-                if step.sends:
-                    slots = step.index[:, _SLOT]
-                    old = self.buf[slots, :, :step.width]
-                    moved = (old.view(np.int64) != values.view(np.int64)).any(axis=(1, 2))
-                    self.buf[slots, :, :step.width] = values
-                    dirty[run.fanout[numbers[moved]]] = True
-            todo = int(dirty[:-1].sum())
-        return dirty.tolist()
+    def _scan(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
+        """Send the wave `run`, its normalizers and shifts into `scales` and
+        `shifts`.  Each block's transfer matrices are multiplied pairwise, a
+        level at a time, then the blocks' products into the product of all
+        up to each (Hillis & Steele), each scaled; its row 0 (a path's first
+        member has no other), normalized, is the next block's first input.
+        Then member j of every block is computed, j after j, overwriting
+        those inputs, again while one was off by over 1e-12 relative."""
+        written = run.starts >= 0
+        if run.starts.size:
+            found = [(self._compute(step, raw=True)[0], at) for step, at in run.transfers]
+            width = max(max(matrices.shape[2:]) for matrices, _ in found)
+            shape = (*run.starts.shape, run.block, self.n_cases, width, width)
+            products = np.zeros((math.prod(shape[:3]), *shape[3:]))
+            for matrices, at in found:
+                matrices = matrices if matrices.ndim == 4 else matrices[:, :, None]
+                products[at, :, :matrices.shape[2], :matrices.shape[3]] = _scaled(matrices)
+            products = products.reshape(shape)
+            while products.shape[2] > 1:  # blocks are a power of two long
+                products = _scaled(products[:, :, 0::2] @ products[:, :, 1::2])
+            products, span = products[:, :, 0], 1
+            while span < products.shape[1]:
+                products[:, span:] = _scaled(products[:, :-span] @ products[:, span:])
+                span *= 2
+            firsts = products[written][:, :, :1]
+            np.divide(firsts, sums := firsts.sum(axis=3, keepdims=True), out=firsts, where=sums > 0)
+            self.buf[run.starts[written], :, :width] = firsts[:, :, 0]
+        for _ in range(run.starts.shape[1] + 1):
+            inputs = self.buf[run.starts[written]]
+            for phase in run.phases:
+                self._apply(phase, scales, shifts)
+            if np.allclose(self.buf[run.starts[written]], inputs, rtol=1e-12, atol=0):
+                break
 
     def _compute(self, step: Step | Phase, raw: bool = False):
         """The sum-product rule behind every message and belief, for every
@@ -1176,13 +1175,13 @@ class TwoPassRun:
         sums = result.sum(axis=2)
         if sums.min() >= _TINY:
             return result / sums[..., None], sums, 0
-        # a sum below 2^-500 may have underflowed, unless a pi or diagnostic
-        # row it was computed from is all zero in that case: then it is 0
+        # a sum below 2^-500 may have underflowed, unless a pi row it reads is
+        # all zero, or a zero factor meets each entry of its diagnostic vector
         shifts = np.zeros(sums.shape, dtype=np.int64)
         for one, (operands, rows), (_, _, first, last) in zip(steps, parts, spans):
             if sums[first:last].min() >= _TINY:
                 continue
-            low = (sums[first:last] < _TINY) & rows.any(axis=3).all(axis=0)
+            low = (sums[first:last] < _TINY) & ~(rows == 0).any(axis=0).all(axis=2)
             for pi in operands[1:]:
                 low &= pi.any(axis=2)
             for g in np.flatnonzero(low.any(axis=1)).tolist():

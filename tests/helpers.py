@@ -239,3 +239,59 @@ def markov_chain(n: int, prior, rows) -> Network:
         [(v, states) for v in names],
         [(names[0], (), [prior])] + [(v, (u,), rows) for u, v in zip(names, names[1:])],
     )
+
+
+def sent_in_order(plan, evidence, live):
+    """The reference for a two-pass run: every message of `plan.order`
+    sent alone, as its `plan.single` step, one after another, over the
+    cases `live`, then each tree's mass.  Returns the buffer, each case's
+    log P(evidence) (collect normalizers and masses, their powers of two
+    taken out), the sum of the sizes of the terms that went into it, and
+    whether each case is possible."""
+    from beliefprop.polytree import TwoPassRun
+
+    run = TwoPassRun(plan, {v: np.eye(plan.cards[plan.ids[v]])[s] for v, s in evidence.items()},
+                     live)
+    sums, shifts, senders = [], [], set()
+
+    def send(a, to):
+        values, total, shift = run._compute(plan.single(a, to))
+        sums.append(total[0])
+        shifts.append(np.broadcast_to(shift, total.shape)[0])
+        return values[0]
+
+    for k, slot in enumerate(plan.order):
+        p, c = plan.arcs[slot // 2]
+        a, to = (c, p) if slot % 2 else (p, c)
+        run.buf[slot, :, :plan.widths[slot]] = send(a, to)
+        if k >= len(plan.arcs):  # a distribute message: no normalizer
+            sums.pop(), shifts.pop()
+        else:
+            senders.add(a)
+    for a in range(len(plan.names)):
+        if a not in senders:  # a root
+            send(a, None)
+    sums, shifts = np.array(sums).reshape(-1, len(live)), np.array(shifts).reshape(-1, len(live))
+    logs = np.log(sums, out=np.zeros_like(sums), where=sums > 0)
+    scale = np.abs(logs).sum(axis=0) + np.abs(shifts).sum(axis=0) * math.log(2.0)
+    return (run.buf, logs.sum(axis=0) - shifts.sum(axis=0) * math.log(2.0), scale,
+            (sums > 0).all(axis=0))
+
+
+def assert_sent_in_order(plan, evidence, rtol=1e-12):
+    """`plan.run` over the cases `evidence` leaves live has every message
+    within `rtol` relative, entry by entry, of `sent_in_order`, with the
+    same zero entries, the same possible cases, and log P(evidence)
+    within `rtol` where possible, relative to the larger of 1 and the
+    sizes of the terms summed into it."""
+    live = plan.live_cases(evidence)
+    run = plan.run(evidence, live)
+    buf, logs, scale, possible = sent_in_order(plan, evidence, live)
+    rows = list(plan.order)
+    ours, theirs = run.buf[rows], buf[rows]
+    assert ((ours == 0) == (theirs == 0)).all()
+    assert (np.abs(ours - theirs) <= rtol * np.abs(theirs)).all()
+    assert run.possible.tolist() == possible.tolist()
+    for ours, theirs, size in zip(np.array(run.log_weights)[possible], logs[possible],
+                                  scale[possible]):
+        assert abs(ours - theirs) <= rtol * max(1.0, size)

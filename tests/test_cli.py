@@ -11,6 +11,7 @@ import pytest
 from beliefprop.cli import run
 from beliefprop.conditioning import auto_infer
 from beliefprop.netformat import parse, parse_evidence, serialize
+from beliefprop.polytree import RUN_FLOATS_GUARD
 
 from helpers import (
     binary_star,
@@ -19,6 +20,12 @@ from helpers import (
     random_loopy,
     random_polytree,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import netgen  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHAIN = str(FIXTURES / "chain.bn")
@@ -234,6 +241,34 @@ class TestInfer:
         assert (code, out) == (1, "")
         assert err.startswith("usage error: ") and "guard" in err
         assert cli("infer", chain, "-e", "v29=t")[0] == 0
+
+    def test_cases_above_the_run_guard_are_usage(self, tmp_path):
+        # 26 binary loops: 2^26 cutset cases, refused before any is built
+        net = netgen.hubbed_loopy(random.Random(1), 200, 2, 26)
+        path = tmp_path / "hubbed26.bn"
+        path.write_text(serialize(net))
+        code, out, err = cli("infer", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: 67108864 cutset cases would need about ")
+        assert err.endswith(f" above the {RUN_FLOATS_GUARD} guard\n") and err.count("\n") == 1
+
+    def test_wide_cutset_member_above_the_run_guard_is_usage(self, tmp_path):
+        # a diamond a -> b, a -> c, b -> d, c -> d whose cutset member a has
+        # 40,000 states: each case would hold rows 40,000 states wide
+        states = 40_000
+        lines = [f"var a : {' '.join(f's{k}' for k in range(states))}"]
+        lines += [f"var {v} : f t" for v in "bcd"]
+        lines.append(f"cpt a :\n  {' '.join([repr(1 / states)] * states)}")
+        for v in "bc":
+            rows = "\n".join(f"  s{k} : 0.5 0.5" for k in range(states))
+            lines.append(f"cpt {v} | a :\n{rows}")
+        lines.append("cpt d | b c :\n" + "\n".join(
+            f"  {x} {y} : 0.3 0.7" for x in "ft" for y in "ft"))
+        path = tmp_path / "diamond.bn"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = cli("infer", str(path), "-q", "d")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {states} cutset cases would need about ")
 
     def test_likelihood_below_float_range_prints_from_log(self, tmp_path):
         chain, names = write_chain(tmp_path / "chain2000.bn", 2000)

@@ -8,6 +8,8 @@ random loopy networks with and without evidence on a cutset member.  The
 digest was captured before the two-pass schedule was batched by tree
 depth; CLI output must not move, so this digest is never updated to
 follow a change in the engine.
+
+`PYTHONPATH=src python tests/test_cli_parity.py` prints the current digest.
 """
 
 from __future__ import annotations
@@ -81,3 +83,10 @@ def cli_digest(tmp_path: Path) -> str:
 
 def test_cli_bytes_are_unchanged(tmp_path):
     assert cli_digest(tmp_path) == DIGEST
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        print(cli_digest(Path(scratch)))

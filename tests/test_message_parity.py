@@ -7,6 +7,8 @@ and arc of 20 random polytrees, each with a seeded random message state in
 which about one vector in ten is all zeros.  A call that raises
 contributes its exception type and message instead.  Any change that
 moves a single bit of these outputs has to say so by updating the digest.
+
+`PYTHONPATH=src python tests/test_message_parity.py` prints the current digest.
 """
 
 from __future__ import annotations
@@ -76,3 +78,7 @@ def message_digest() -> str:
 
 def test_per_message_outputs_are_bit_identical():
     assert message_digest() == DIGEST
+
+
+if __name__ == "__main__":
+    print(message_digest())

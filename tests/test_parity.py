@@ -7,6 +7,8 @@ all three schedules on 20 polytrees.  A call that raises contributes its
 exception type and message instead.  The digest was captured before the
 message rules were compiled into the plan's rule table; any change that
 moves a single bit of these outputs has to say so by updating it.
+
+`PYTHONPATH=src python tests/test_parity.py` prints the current digest.
 """
 
 from __future__ import annotations
@@ -69,3 +71,7 @@ def parity_digest() -> str:
 
 def test_engine_outputs_are_bit_identical():
     assert parity_digest() == DIGEST
+
+
+if __name__ == "__main__":
+    print(parity_digest())

@@ -18,6 +18,8 @@ parser or the validator.
 The counting tests guard the gain itself: a valid file is parsed
 without working out a single span, and a valid network is validated
 without walking the rows of any table.
+
+`PYTHONPATH=src python tests/test_parse_parity.py` prints the current digest.
 """
 
 from __future__ import annotations
@@ -244,3 +246,7 @@ def test_stacked_tables_are_the_tables_built_one_by_one():
         assert cpt.table.shape == alone.table.shape
         assert cpt.table.tobytes() == alone.table.tobytes()
         assert not cpt.table.flags.writeable
+
+
+if __name__ == "__main__":
+    print(parse_digest())

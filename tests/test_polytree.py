@@ -31,6 +31,7 @@ from beliefprop.polytree import (
 )
 
 from helpers import (
+    assert_sent_in_order,
     binary_star,
     build_net,
     bushy_polytree,
@@ -762,13 +763,13 @@ class TestCompiledSteps:
         assert_steps_match_messages(plan, plan.run(evidence))
 
     @pytest.mark.parametrize("leave", [0.02, 0.3])
-    def test_relaxed_runs_reach_the_fixpoint(self, leave):
-        # every message of the chain's one run, relaxed in rounds, is what
-        # its one-member step gives it from the final messages it reads
+    def test_scanned_runs_match_messages_sent_in_order(self, leave):
+        # the chain's one run, sent by the blocked scan, is within 1e-12 of
+        # every message computed alone from the one before it
         net = markov_chain(300, [0.9, 0.1], [[0.99, 0.01], [leave, 1 - leave]])
         plan = two_pass_plan(net, [])
-        assert len(plan.steps) == 1 and plan.steps[0].fanout is not None
-        assert_steps_match_messages(plan, plan.run({"m0150": 1, "m0299": 0}))
+        assert len(plan.steps) == 1 and plan.steps[0].transfers
+        assert_sent_in_order(plan, {"m0150": 1, "m0299": 0})
 
     def test_bushy_levels_batch_many_messages(self):
         plan = two_pass_plan(bushy_polytree(0)[0], [])
@@ -870,12 +871,32 @@ def loopy_with_cutset(seed):
 def units_in_order(plan):
     """What the plan computes in order, as lists of steps that read the
     buffer before any of them writes, each with whether it is a long run's
-    member: each phase's steps, and each long run's members one by one."""
+    member: each phase's steps, and each long run's members one by one,
+    each after the one it reads (the scan computes them side by side)."""
     for unit in plan.steps:
         if type(unit) is polytree.Sequence:
-            yield from (([member], True) for member in unit.members)
+            yield from (([member], True) for member in in_path_order(unit.members))
         else:
             yield list(unit.steps), False
+
+
+def in_path_order(members):
+    """`members`, the one-member steps of a wave, each after the wave
+    member whose row it reads (it reads at most one)."""
+    writer = {int(member.index[0, polytree._SLOT]): g for g, member in enumerate(members)}
+    before = [[writer[slot] for slot in member.reads[0].tolist() if slot in writer]
+              for member in members]
+    assert all(len(read) <= 1 for read in before)
+    depth = [None] * len(members)  # how many members lie before each on its path
+    for g in range(len(members)):
+        path = []
+        while g is not None and depth[g] is None:
+            path.append(g)
+            g = before[g][0] if before[g] else None
+        known = -1 if g is None else depth[g]
+        for k, h in enumerate(reversed(path), 1):
+            depth[h] = known + k
+    return [members[g] for g in sorted(range(len(members)), key=depth.__getitem__)]
 
 
 def gathered_floats(plan, phase) -> int:
@@ -1019,13 +1040,13 @@ class TestReadinessSchedule:
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_a_chain_is_one_run_of_every_member(self, n):
-        # a run shorter than _RELAX_RUN is sent as one-member steps, in
+        # a run shorter than _SCAN_RUN is sent as one-member steps, in
         # phases; a longer one is one Sequence
         plan = two_pass_plan(markov_chain(n, [0.4, 0.6], [[0.9, 0.1], [0.3, 0.7]]), [])
         steps = [step for unit, _ in units_in_order(plan) for step in unit]
         assert len(steps) == len(plan.order) + 1  # every message and the mass
         assert all(len(step.index) == 1 for step in steps)
-        relaxed = 2 * n - 1 >= polytree._RELAX_RUN
+        relaxed = 2 * n - 1 >= polytree._SCAN_RUN
         assert relaxed == (len(plan.steps) == 1 and type(plan.steps[0]) is polytree.Sequence)
 
     @pytest.mark.parametrize("make", [lambda: bushy_polytree(5, n=80)[0],
