@@ -7,8 +7,8 @@ sequential order, its `log_weights` and `possible`, on benchmark chains
 with and without evidence, a slow-mixing and a deterministic chain, a
 chain behind a loop on several subsets of its cutset cases, a chain with
 states fainter than 2^-500 and states of probability zero, a comb whose
-spine nodes have a second parent each, and two chains that merge into a
-third.  The digest was recaptured when long runs moved from relaxed
+spine nodes have a second parent each, two chains that merge into a
+third, and random trees of branching paths.  The digest was recaptured when long runs moved from relaxed
 rounds, whose fixpoint was bit for bit the sequential schedule, to the
 blocked scan: the first input of each block now comes from a product of
 transfer matrices, not from the message before it, so the messages of a
@@ -47,7 +47,7 @@ if str(BENCH) not in sys.path:
 import netgen  # noqa: E402
 import refinfer  # noqa: E402
 
-DIGEST = "ba874d30556cf68983042d43b7834d56e8780a1956d0c77185697e719a3e3eed"
+DIGEST = "3cfd385d99de9f382d012be489fdbddf12b9ff5ea9e1d20abb73d697be113e74"
 
 
 def slow_chain(n: int = 1100, leave=(0.01, 0.02)):
@@ -125,6 +125,30 @@ def merging_chains(n: int = 200):
                      [(v, ps, random_table(rng, 2 ** len(ps), 2)) for v, ps in defs])
 
 
+def branching_paths(seed: int):
+    """A random tree of one to five paths of 20 to 200 variables with 2 to
+    4 states, each hanging off a variable before it; an arc points back
+    now and then, giving a variable a second parent, so messages turn at
+    roots and paths meet."""
+    rng = random.Random(seed)
+    names, parents = ["a0000"], {"a0000": ()}
+    for _ in range(rng.randint(1, 5)):
+        prev = rng.choice(names)
+        for _ in range(rng.randint(20, 200)):
+            v = f"a{len(names):04d}"
+            parents[v] = (prev,)
+            if rng.random() >= 0.85 and len(parents[prev]) < 2:
+                parents[v], parents[prev] = (), parents[prev] + (v,)
+            names.append(v)
+            prev = v
+    cards = {v: rng.randint(2, 4) for v in names}
+    return build_net(
+        [(v, tuple(f"x{j}" for j in range(cards[v]))) for v in names],
+        [(v, ps, random_table(rng, math.prod(cards[p] for p in ps), cards[v]))
+         for v, ps in parents.items()],
+    )
+
+
 def cases():
     """(label, network, cutset, evidence) of every pinned run."""
     for n, seeds in ((400, (1, 2, 3)), (1100, (1, 2))):
@@ -151,6 +175,8 @@ def cases():
     merging = merging_chains()
     yield "merging/none", merging, [], {}
     yield "merging/evidence", merging, [], {"a100": 0, "c000": 1, "c199": 0}
+    for seed in (31, 38):
+        yield f"branching/{seed}", branching_paths(seed), [], {}
 
 
 def _record(h, *parts) -> None:
@@ -216,6 +242,25 @@ def test_a_block_input_the_scan_got_wrong_is_mended(at, monkeypatch):
         checks.clear()
         assert_sent_in_order(plan, evidence)
         assert checks.count(False) >= 5 and checks[-1]
+
+
+def test_faint_transfer_matrices_are_scaled_before_they_multiply(monkeypatch):
+    # every variable observed in a state of probability 1e-170: each
+    # transfer matrix is that small, and two of them multiplied unscaled
+    # would underflow and make the phases run again for every block
+    rng = random.Random(5)
+    names = [f"f{i:03d}" for i in range(200)]
+    cpts = [(names[0], (), [[0.2, 0.3, 0.5]])]
+    for u, v in zip(names, names[1:]):
+        cpts.append((v, (u,), [[row[0], 1.0 - row[0], 1e-170]
+                               for row in random_table(rng, 3, 3).tolist()]))
+    plan = two_pass_plan(build_net([(v, ("s0", "s1", "s2")) for v in names], cpts), [])
+    checks = []
+    allclose = np.allclose
+    monkeypatch.setattr(polytree.np, "allclose", lambda *args, **kwargs: checks.append(
+        allclose(*args, **kwargs)) or checks[-1])
+    assert_sent_in_order(plan, {v: 2 for v in names[1:]})
+    assert checks == [True]
 
 
 def kernel_passes(monkeypatch, run_plan) -> int:
