@@ -12,6 +12,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -292,22 +293,23 @@ def forest_walks(nodes, neighbors) -> tuple:
     node in `nodes`: (its root, its walk).  Each tree is rooted at its
     smallest name; the walk pairs every other node with its neighbor
     towards the root, in depth-first pre-order.  `neighbors(v)` gives v's
-    neighbors sorted."""
-    walks, seen = [], set()
-    for v in nodes:
-        if v not in seen:
-            tree = {v, *(node for node, _ in _walk(v, neighbors))}
-            seen |= tree
-            walks.append((min(tree), _walk(min(tree), neighbors)))
-    return tuple(walks)
+    neighbors sorted.  Each tree is walked once, from the smallest node
+    not yet walked."""
+    first = dict(zip(nodes, itertools.count()))  # each node's place in `nodes`
+    walks = []
+    for v in sorted(first):
+        if v in first:
+            walk = _walk(v, neighbors)
+            walks.append((min(map(first.pop, [v, *map(itemgetter(0), walk)])), v, walk))
+    return tuple((root, walk) for _, root, walk in sorted(walks, key=itemgetter(0)))
 
 
-def _walk(start: str, neighbors) -> tuple:
+def _walk(start, neighbors) -> tuple:
     walk, stack = [], [(m, start) for m in neighbors(start)]
     while stack:
         node, towards = stack.pop()
         walk.append((node, towards))
-        stack.extend((m, node) for m in neighbors(node) if m != towards)
+        stack += [(m, node) for m in neighbors(node) if m != towards]
     return tuple(walk)
 
 

@@ -37,16 +37,16 @@ unless a zero it reads makes it exactly 0.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ImpossibleEvidenceError, SizeError
-from .model import Evidence, Network, check_evidence, forest_walks, is_forest
+from .errors import ConvergenceError, ImpossibleEvidenceError
+from .model import Evidence, Network, check_evidence
+from .plan import (_CASE, _PLACE, _SLOT, Phase, Sequence, Step, TwoPassPlan, _eye,
+                   two_pass_plan)
 
 #: a message moved when it changed by more than this (max-norm)
 TOLERANCE = 1e-12
@@ -369,70 +369,8 @@ def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
     return propagate(net, evidence, schedule="two-pass")[1].log_likelihood
 
 
-# ----------------------------------------------------------------------
-# the two-pass schedule, compiled once per network and cutset
-# ----------------------------------------------------------------------
-
-#: einsum label of the case axis; a node's own axes are labeled from 0
-_CASE = 51
-#: einsum label of the member axis of a compiled step
-_MEMBER = 50
-#: einsum sublist of a message over node axis j, one row per case, behind
-#: the member axis of a step
-_ROW = tuple((_MEMBER, _CASE, j) for j in range(_MEMBER))
-
-
 #: a row sum below this is recomputed with the diagnostic vector rescaled
 _TINY = 2.0**-500
-
-#: floats of tables and diagnostic rows that one step, or one phase of
-#: steps, may gather; the messages of a node with many children are spread
-#: over several steps
-_STEP_FLOATS = 1 << 20
-
-#: an axis this wide is never zero-padded in a step: numpy adds 8 or more
-#: terms in another order than fewer (pairwise, or in SIMD lanes), so the
-#: padding would move the last bits of the sums
-_UNPADDED = 8
-
-#: a run of single messages this long or longer is sent by a blocked scan
-#: (`Sequence`), faster from 23 members on; bushy and loopy runs stay below 18
-_SCAN_RUN = 32
-
-#: refuse a plan whose message rows, case-axis tables and transfer
-#: matrices would hold more floats than this (1 GiB) over its cases
-RUN_FLOATS_GUARD = 1 << 27
-
-
-@functools.cache
-def _subscripts(*sublists: tuple) -> str:
-    """The einsum subscripts of operands and then a result given as
-    sublists, each label k written as the letter numpy gives it in sublist
-    form (A to Z, then a to z), so the contraction is the same; numpy
-    parses subscripts faster than sublists."""
-    *operands, result = ("".join(chr(k + 65 if k < 26 else k + 71) for k in sub)
-                         for sub in sublists)
-    return ",".join(operands) + "->" + result
-
-
-@functools.cache
-def _axes(n_parents: int, batched: bool) -> tuple:
-    """The einsum sublist of a table in a step."""
-    return (_MEMBER, *[_CASE] * batched, *range(n_parents + 1))
-
-
-@functools.cache
-def _eye(k: int) -> np.ndarray:
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
-
-
-def _check_size(cases: int, floats: int) -> None:
-    """Raise SizeError if `cases` cases of `floats` floats each are too many."""
-    if cases * floats > RUN_FLOATS_GUARD:
-        raise SizeError(f"{cases} cutset cases would need about {cases * floats:.3g} floats "
-                        f"of messages and tables, above the {RUN_FLOATS_GUARD} guard")
 
 
 def _scaled(matrices: np.ndarray) -> np.ndarray:
@@ -442,573 +380,6 @@ def _scaled(matrices: np.ndarray) -> np.ndarray:
     _, powers = np.frexp(matrices.reshape(-1, size) @ np.ones(size))  # BLAS, not a short axis
     matrices *= np.ldexp(1.0, -powers).reshape(matrices.shape[:-2] + (1, 1))
     return matrices
-
-
-def two_pass_plan(net: Network, members) -> TwoPassPlan:
-    """The plan of `net` conditioned on the cutset `members` (listed once
-    each), cached in the network.  Raises KeyError on an unknown member and
-    ValueError when the members leave a loop."""
-    return net.cached(("two-pass plan", tuple(members)), lambda: TwoPassPlan(net, members))
-
-
-class Rule(NamedTuple):
-    """How node `node` computes one message or its belief: the buffer row
-    it writes (None for a belief), the einsum sublist of its table, the
-    (row, sublist) of each pi it reads in table order, the rows of the
-    lambdas it reads in arc order, and the sublists of its diagnostic
-    vector and of the result."""
-
-    node: int
-    slot: int | None
-    table: tuple
-    pis: tuple
-    lams: tuple[int, ...]
-    own: tuple
-    out: tuple
-
-
-#: the columns of `Step.index`
-_NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
-
-
-class Step(NamedTuple):
-    """Messages or beliefs whose rules share one shape class (see
-    `TwoPassPlan._shape_class`) and recipient axis, computed by one einsum
-    over a leading member axis: ready ones taken together by
-    `TwoPassPlan._schedule`, or a single one (`TwoPassPlan.single`).  Row
-    g of `index` is about member g: its node, its recipient, its table's
-    row in `stack`, the row it writes and its normalizer position (-1 for
-    no recipient, row or position).  Row g of `reads` lists the rows
-    member g reads: the row of each pi, then its diagnostic rows (its
-    evidence row and `Rule.lams`, padded with the all-ones row); in a
-    `Phase` it is a view of the phase's `rows`.  `sends` tells whether
-    the members are messages or beliefs.  `table` is the tables' einsum
-    sublist, and each of `pis` the padded width of one pi operand; a
-    single message's `stack` is its node's own table, without the member
-    axis.  The diagnostic rows multiply to one operand `own` states wide.
-    `spec` holds the einsum subscripts of the table, the pis and the
-    diagnostic operand and of the result (see `_subscripts`), which is
-    `width` states wide.  `collects` tells whether its row sums are
-    normalizers of log P(evidence)."""
-
-    index: np.ndarray
-    reads: np.ndarray
-    sends: bool
-    stack: np.ndarray
-    table: tuple
-    pis: tuple
-    own: int
-    spec: str
-    width: int
-    collects: bool
-
-
-class Phase(NamedTuple):
-    """Consecutive steps of the schedule of which no member reads a row
-    that another member writes, computed by `TwoPassRun._compute` with one
-    gather, an einsum per step, one normalization and one scatter.  `rows`
-    lists every row the phase reads, step after step, each step's column
-    by column (the first row of every member, then the second), so that
-    a step's pis and diagnostic rows gather as whole blocks and multiply
-    along the first axis; each step's `reads` is a view of its block, and
-    its `index` a view of the phase's members' index rows, so nothing is
-    held twice.  `spans[k]` gives the first and end entry of `steps[k]` in
-    `rows` and its first and end member in the results.  The results are
-    `width` states wide, zero past a narrower step's
-    width; a result of _UNPADDED states or more is never beside a narrower
-    one.  The steps that send come first, and the first `sent` members
-    write the rows `slots`; the members from number `collected` on are
-    normalizers, at `positions`."""
-
-    steps: tuple
-    rows: np.ndarray
-    spans: tuple
-    slots: np.ndarray
-    sent: int
-    positions: np.ndarray
-    collected: int
-    width: int
-
-
-class Sequence(NamedTuple):
-    """One wave of a run of _SCAN_RUN single messages or more, sent by a
-    blocked scan (`TwoPassRun._scan`): paths in which each member after
-    the first reads one run member, the one before, so its row is a linear
-    map of that member's.  Paths are cut into blocks of `block` members;
-    `phases` computes member j of every block, j after j.  Block b + 1 of
-    path k first reads row `starts[k, b]` (-1 past its end; paths from the
-    most blocks to the fewest).  Each of `transfers`, (step, at), gives the
-    transfer matrices of members outside a path's last block: their rules
-    with the read of the member before left out and its axis kept in the
-    result, behind the member and case axes; member g's matrix goes to
-    block position at[g] (path, block, member j)."""
-
-    phases: tuple
-    block: int
-    starts: np.ndarray
-    transfers: tuple
-
-    @property
-    def members(self) -> list:
-        """Every member as its one-member step, phase by phase."""
-        return [step._replace(index=step.index[g:g + 1], reads=step.reads[g:g + 1])
-                for phase in self.phases for step in phase.steps for g in range(len(step.index))]
-
-
-class TwoPassPlan:
-    """Pearl's collect/distribute schedule over the forest left by
-    conditioning on a loop cutset, with integer node ids, compiled into
-    steps and phases of steps.
-
-    Every arc out of a member is cut: the member's children get a leading
-    case axis on their tables, one row per joint member assignment
-    (`cases`, in `itertools.product` order), and each member is pinned
-    per case.  So one einsum serves every case.  `arcs` are the arcs that
-    remain, as (parent id, child id) in `Network.edges` order.
-
-    A run keeps its messages in one buffer of zero-padded rows, one row
-    per case each: the pi of arc k in row 2k and its lambda in row 2k+1,
-    then the all-ones row `ones`, then each node a's evidence factor in
-    row `ones + 1 + a` (all-ones where it has none); `widths` gives each
-    row's number of states.  `rules[a]` is the `Rule` of node a's belief,
-    and `rule(a, to)` derives that of the message a sends its neighbor
-    `to`; `single(a, to)` compiles either into a one-member step.  Nothing
-    in a plan changes after it is built, so every run and relaxation of
-    the same network shares it.
-
-    Each tree is rooted at its smallest name and walked as in
-    `forest_walks`; a message towards the root collects, one away from it
-    distributes.  The message a node sends a neighbor is ready once the
-    node has heard from every other neighbor, and a root's belief, whose
-    row sums are its tree's mass, once the root has heard from all of
-    them.  The schedule `_schedule` gives is by readiness, not by depth:
-    a step holds ready members that share a shape, and collect and
-    distribute messages run side by side.  `steps` computes every message
-    and mass as phases (`_phases`): each is a maximal run of consecutive
-    steps in which no member reads a row that another member writes, so
-    the whole run can gather first and scatter last.  Consecutive steps
-    of one message or mass each are a run of single messages, whose steps
-    join phases like any other unless the run holds _SCAN_RUN or more:
-    then it is sent as Sequences (`_sequence`).  `beliefs` holds the
-    phases of every node's belief, with a step or a few per shape class.
-    The tables of shape class k (`classes[a]` is node a's) are zero-padded
-    to the class's largest and stacked once, in `stacks[k]`, node a in row
-    `places[a]`.  `columns[i]` is about `beliefs[i]`: its first array
-    lists the phase's nodes, member by member; its second and third, the
-    member and state of each state that is its node's, member by member;
-    its fourth, the column of each such state in a vector over the states
-    of every node in id order, whose column k is a state of node
-    `owners[k]`.  `order` lists the message rows
-    in the sequential schedule: each tree's collect messages in reverse
-    walk order, tree by tree, then each tree's distribute messages in walk
-    order.  Trace records follow it, and so do the `n_normalizers`
-    normalizer positions of the steps, with an all-ones row first and each
-    tree's root mass after its collect messages.  With no members this is
-    plain polytree propagation with one case.
-    """
-
-    __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
-                 "ones", "widths", "classes", "stacks", "places", "order", "steps", "beliefs",
-                 "columns", "owners", "n_normalizers")
-
-    def __init__(self, net: Network, members) -> None:
-        self.members = tuple(members)
-        ranges = [range(net.card(m)) for m in self.members]
-        self.names = tuple(net.var_names())
-        cut = set(self.members)
-        arcs = [(p, c) for p, c in net.edges() if p not in cut]
-        if not (is_forest(arcs, self.names) if cut else net.is_singly_connected()):
-            raise ValueError(f"not a valid cutset: {list(self.members)}")
-        n_cases, widest = math.prod(map(len, ranges)), max(map(net.card, self.names), default=1)
-        # a case's rows, and each table with a case axis twice (its stack too)
-        floats = (2 * len(arcs) + 1 + len(self.names)) * widest + 2 * sum(
-            net.card(v) * math.prod(net.card(p) for p in net.parents(v) if p not in cut)
-            for v in self.names if cut.intersection(net.parents(v)))
-        _check_size(n_cases, floats)
-        self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp)
-        self.cases = self.cases.reshape(n_cases, len(ranges))
-        self.cases.flags.writeable = False
-
-        self.ids = ids = {v: i for i, v in enumerate(self.names)}
-        self.cards = tuple(net.card(v) for v in self.names)
-        self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
-        self.tensors = tuple(self._tensor(net, v) for v in self.names)
-        self.ones = 2 * len(self.arcs)
-        self.widths = tuple(self.cards[p] for p, _ in self.arcs for _ in range(2))
-        self.widths += (max(self.cards, default=1), *self.cards)
-        slots, ups, downs = {}, [[] for _ in self.names], [[] for _ in self.names]
-        for arc, (p, c) in enumerate(self.arcs):
-            slots[p, c], slots[c, p] = 2 * arc, 2 * arc + 1  # the arc's pi and lambda
-            ups[c].append(p)
-            downs[p].append(c)
-        rules, neighbors = [], {}
-        for a, tensor in enumerate(self.tensors):
-            neighbors[self.names[a]] = sorted(self.names[k] for k in (*ups[a], *downs[a]))
-            n = len(ups[a])
-            table, own = _axes(n, tensor.ndim > n + 1), _ROW[n]
-            pis = tuple((slots[p, a], _ROW[j]) for j, p in enumerate(ups[a]))
-            lams = tuple(slots[c, a] for c in downs[a])
-            rules.append(Rule(a, None, table, pis, lams, own, own))
-        self.rules = tuple(rules)
-
-        classes: dict = {}
-        for a in range(len(self.names)):
-            classes.setdefault(self._shape_class(a), []).append(a)
-        self.places, self.classes = [0] * len(self.names), [0] * len(self.names)
-        self.stacks = tuple(map(self._stack, classes.values()))
-        for k, nodes in enumerate(classes.values()):
-            for a in nodes:
-                self.classes[a] = k
-
-        # (entry number, node, recipient, normalizer position) of each
-        # message and mass, in an order where each comes after what it reads
-        entries, distribute = [], []
-        for root, walk in forest_walks(self.names, neighbors.__getitem__):
-            for a, towards in reversed(walk):
-                entries.append((len(entries), ids[a], ids[towards], len(entries) + 1))
-            entries.append((len(entries), ids[root], None, len(entries) + 1))  # the mass
-            distribute += ((ids[towards], ids[a]) for a, towards in walk)
-        del neighbors  # freed before the steps are built, to lower the peak
-        self.n_normalizers = len(entries) + 1  # normalizer 0 is all-ones
-        entries += [(e, a, to, None) for e, (a, to) in enumerate(distribute, len(entries))]
-        self.order = tuple(slots[a, to] for _, a, to, _ in entries if to is not None)
-        steps, alone = [], []  # runs of single members
-        for chunk in self._schedule(entries):
-            if len(chunk) == 1:
-                alone += chunk
-                continue
-            steps += self._sequence(alone)
-            alone = []
-            steps.append(self._step(chunk))
-        steps += self._sequence(alone)
-        del entries, distribute, alone
-        self.steps = self._phases(steps)
-        del steps
-        transfers = sum(run.starts.size * run.block for run in self.steps if type(run) is Sequence)
-        _check_size(n_cases, floats + transfers * widest ** 2)
-        beliefs = [(a, a, None, None) for a in range(len(self.names))]
-        self.beliefs = self._phases(list(map(self._step, self._schedule(beliefs))))
-        cards, offsets = np.array(self.cards, dtype=np.intp), np.cumsum((0, *self.cards[:-1]))
-        self.owners = np.repeat(np.arange(len(cards)), cards)
-        self.owners.flags.writeable = False
-        self.columns = []
-        for phase in self.beliefs:
-            nodes = np.concatenate([step.index[:, _NODE] for step in phase.steps])
-            states = np.arange(phase.width)
-            columns = np.where(states < cards[nodes, None], offsets[nodes, None] + states, -1)
-            members, states = np.nonzero(columns >= 0)
-            flat = columns[members, states]
-            for array in (nodes, members, states, flat):
-                array.flags.writeable = False
-            self.columns.append((nodes, members, states, flat))
-        self.columns = tuple(self.columns)
-
-    def _tensor(self, net: Network, v: str) -> np.ndarray:
-        """v's CPT tensor; with the members among its parents moved to the
-        front and indexed by the case array, giving one leading case axis."""
-        tensor = net.cpt_tensor(v)
-        cut = [k for k, p in enumerate(net.parents(v)) if p in self.members]
-        if not cut:
-            return tensor
-        columns = [self.cases[:, self.members.index(net.parents(v)[k])] for k in cut]
-        tensor = np.moveaxis(tensor, cut, range(len(cut)))[tuple(columns)]
-        tensor.flags.writeable = False  # shared by every run of the plan
-        return tensor
-
-    def _stack(self, nodes) -> np.ndarray:
-        """The tables of `nodes`, zero-padded to the largest and stacked in
-        that order; each node's row goes to `places`."""
-        tables = [self.tensors[a] for a in nodes]
-        stack = np.zeros((len(nodes), *np.max([t.shape for t in tables], axis=0).tolist()))
-        for g, (a, table) in enumerate(zip(nodes, tables)):
-            stack[(g, *map(slice, table.shape))] = table
-            self.places[a] = g
-        stack.flags.writeable = False  # shared by every run of the plan
-        return stack
-
-    def _shape_class(self, a: int) -> tuple:
-        """What node a's rules share with those of the nodes in its stack:
-        the table's sublist, and the width of each axis of _UNPADDED states
-        or more."""
-        wide = tuple(k if k >= _UNPADDED else 0 for k in self.tensors[a].shape)
-        return tuple(self.rules[a].table), wide
-
-    def _key(self, rule: Rule, entry) -> tuple:
-        """What the members of one step share: shape class, recipient axis,
-        and whether they are beliefs or masses and whether they collect."""
-        return self.classes[rule.node], rule.out[-1], rule.slot is None, entry[3] is None
-
-    def _schedule(self, entries):
-        """Yield `entries`, each (entry number, node, recipient, normalizer
-        position) and numbered from 0 in a list where each comes after what
-        it reads, as lists of (rule, entry) that one step can compute, each
-        after the steps of everything its members read.  The message a
-        sends `to` is ready once a has heard from every neighbor but `to`,
-        and a root's mass or a belief once its node has heard from all of
-        them.  Ready entries wait in groups by `_key`.  Each time, the group
-        that holds the ready entry with the longest chain of readers ahead
-        of it is taken whole and split by `_split`; ties go to the larger
-        group, then to the lower entry number (critical-path list
-        scheduling, HLFET in Kwok & Ahmad 1999)."""
-        # the longest chain from each entry through its readers, found from
-        # each node's two longest outgoing chains: the message a sends `to`
-        # is read by every message `to` sends except the one back, and by
-        # to's mass
-        n = len(self.names)
-        tails, top, top_to, second = [1] * len(entries), [0] * n, [None] * n, [0] * n
-        sends = [[] for _ in range(n)]  # (recipient, entry number) of each node's entries
-        waiting, unheard = [0] * n, [0] * n  # each node's neighbors not heard from, ids summed
-        for e, a, to, _ in reversed(entries):
-            sends[a].append((to, e))
-            if to is not None:
-                waiting[a] += 1
-                unheard[a] += to
-                tails[e] += top[to] if top_to[to] != a else second[to]
-            if tails[e] > top[a]:
-                second[a], top[a], top_to[a] = top[a], tails[e], to
-            elif tails[e] > second[a]:
-                second[a] = tails[e]
-        del top, top_to, second
-        groups: dict = {}  # key: [longest tail, size, -lowest entry number, key, members]
-        # ready from the start: a leaf's message to its one neighbor, and
-        # the mass or belief of a node with no neighbor
-        ready = [e for a, mine in enumerate(sends) if waiting[a] <= 1
-                 for to, e in mine if waiting[a] == 0 or to is not None]
-        while True:
-            for e in ready:
-                entry = entries[e]
-                rule = self.rule(entry[1], entry[2])
-                key = self._key(rule, entry)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [tails[e], 1, -e, key, [(rule, entry)]]
-                    continue
-                if tails[e] > group[0]:
-                    group[0] = tails[e]
-                if -e > group[2]:
-                    group[2] = -e
-                group[1] += 1
-                group[4].append((rule, entry))
-            if not groups:
-                return
-            group = max(groups.values())  # entry numbers differ, so keys are never compared
-            del groups[group[3]]
-            yield from self._split(group[4])
-            ready = []
-            for _, (_, a, to, _) in group[4]:  # `to` hears from `a`
-                if to is None:
-                    continue
-                waiting[to] -= 1
-                unheard[to] -= a
-                if waiting[to] == 1:
-                    for x, e in sends[to]:
-                        if x == unheard[to]:
-                            ready.append(e)
-                            break
-                elif waiting[to] == 0:
-                    for x, e in sends[to]:
-                        if x != a:
-                            ready.append(e)
-
-    def _split(self, members) -> list:
-        """`members`, (rule, entry) pairs of one shape class and recipient
-        axis, in order of the number of diagnostic rows, as a list of
-        chunks that gather at most _STEP_FLOATS floats of tables and rows;
-        a single member as it is."""
-        if len(members) == 1:
-            return [members]
-        per_row = len(self.cases) * self.widths[self.ones]  # the all-ones row is the widest
-        table = self.stacks[self.classes[members[0][0].node]][0].size
-        chunks, chunk = [], []
-        for member in sorted(members, key=lambda member: len(member[0].lams)):
-            rows = 1 + len(member[0].lams)  # the most in the chunk, with the evidence row
-            if chunk and (len(chunk) + 1) * (table + rows * per_row) > _STEP_FLOATS:
-                chunks.append(chunk)
-                chunk = []
-            chunk.append(member)
-        return [*chunks, chunk]
-
-    def _sequence(self, members) -> list:
-        """The run of single `members`, as `_schedule` yields them: one-member
-        steps, or from _SCAN_RUN on a Sequence per wave of paths.  A member
-        reading one run member continues its path unless another did or it
-        is a pi reading a lambda; else it starts a path in a later wave."""
-        if len(members) < _SCAN_RUN:
-            return [self._step([member], alone=True) for member in members]
-        paths, waves, tails, wave_of = [], [], {}, {}  # tails: a path's last row
-        for rule, entry in members:
-            read = [slot for slot in (*(s for s, _ in rule.pis), *rule.lams) if slot in wave_of]
-            turns = rule.slot is not None and rule.out == rule.own and {*read} & {*rule.lams}
-            if len(read) == 1 and read[0] in tails and not turns:
-                path = tails.pop(read[0])
-            else:
-                path = len(paths)
-                paths.append([])
-                waves.append(1 + max((wave_of[slot] for slot in read), default=-1))
-            paths[path].append((rule, entry))
-            tails[rule.slot], wave_of[rule.slot] = path, waves[path]
-        return [self._wave([path for path, w in zip(paths, waves) if w == wave])
-                for wave in range(max(waves) + 1)]
-
-    def _wave(self, paths) -> Sequence:
-        """The Sequence of `paths`, lists of (rule, entry) pairs in which
-        each member after the first reads the one before it."""
-        paths = sorted(paths, key=len, reverse=True)
-        block = 1 << max(0, math.isqrt(len(paths[0]) // 4).bit_length() - 1)
-        blocks = -(-len(paths[0]) // block)
-        starts = np.array([[path[b * block - 1][0].slot if b * block < len(path) else -1
-                            for b in range(1, blocks)] for path in paths], dtype=np.intp)
-        at_j, opened = [{} for _ in range(block)], {}  # member j of every block, by `_key`
-        for k, path in enumerate(paths):
-            for i, (rule, entry) in enumerate(path):
-                at_j[i % block].setdefault(self._key(rule, entry), []).append((rule, entry))
-                before = path[i - 1][0].slot if i else None  # the row it reads from its path
-                if i // block < (len(path) - 1) // block:  # not in the path's last block
-                    if i:  # its transfer matrix: the read of the member before left open
-                        axis = [sub for slot, sub in rule.pis if slot == before] or [rule.own]
-                        rule = rule._replace(
-                            pis=tuple(pi for pi in rule.pis if pi[0] != before),
-                            lams=tuple(slot for slot in rule.lams if slot != before),
-                            out=(_MEMBER, _CASE, axis[0][-1], rule.out[-1]))
-                    key = self._key(rule, entry), tuple(sub for _, sub in rule.pis), rule.out
-                    opened.setdefault(key, []).append(((rule, entry), k * (blocks - 1) * block + i))
-        transfers = tuple((self._step([m for m, _ in group]), np.array([at for _, at in group]))
-                          for group in opened.values())
-        phases = self._phases([self._step(chunk) for groups in at_j for group in groups.values()
-                               for chunk in self._split(group)])
-        return Sequence(phases, block, starts, transfers)
-
-    def _phases(self, steps) -> tuple:
-        """`steps`, Steps and Sequences in schedule order, with each
-        maximal run of consecutive Steps in which no member reads a row
-        that another member writes made one Phase.  A phase gathers at
-        most _STEP_FLOATS floats of tables and rows (a Step alone may
-        gather more) and puts no result of _UNPADDED states or more beside
-        a narrower one, since numpy sums 8 or more terms in another order;
-        a Sequence stays on its own."""
-        per_row = len(self.cases) * self.widths[self.ones]  # the all-ones row is the widest
-        written = np.zeros(len(self.widths), dtype=bool)  # the rows the open phase writes
-        phases, group, floats, width = [], [], 0, 0
-        for step in steps:
-            run = type(step) is Sequence
-            if not run:
-                alone = step.stack.ndim < len(step.table)
-                size = step.stack.size if alone else len(step.index) * step.stack[0].size
-                size += step.reads.size * per_row
-            if group and (run or written.take(step.reads).any() or floats + size > _STEP_FLOATS
-                          or step.width != width and max(step.width, width) >= _UNPADDED):
-                phases.append(self._phase(group))
-                written.put(phases[-1].slots, False)
-                group, floats, width = [], 0, 0
-            if run:
-                phases.append(step)
-                continue
-            group.append(step)
-            floats, width = floats + size, max(width, step.width)
-            if step.sends:
-                written.put(step.index[:, _SLOT], True)
-        if group:
-            phases.append(self._phase(group))
-        return tuple(phases)
-
-    @staticmethod
-    def _phase(steps) -> Phase:
-        """The Phase of `steps`: the steps that send distribute messages
-        first, then those that send collect messages, then the rest
-        (masses, or beliefs), each kind in schedule order, so the members
-        that send and those that collect are each one block."""
-        steps = sorted(steps, key=lambda step: (not step.sends, step.collects))
-        rows = np.concatenate([step.reads.T.ravel() for step in steps])
-        index = np.concatenate([step.index for step in steps])
-        spans, start, first = [], 0, 0
-        for k, step in enumerate(steps):  # each step's arrays become views of the phase's
-            end, last = start + step.reads.size, first + len(step.index)
-            reads = rows[start:end].reshape(step.reads.shape[::-1]).T
-            steps[k] = Step(index[first:last], reads, *step[2:])
-            spans.append((start, end, first, last))
-            start, first = end, last
-        sent = sum(len(step.index) for step in steps if step.sends)
-        collected = sum(len(step.index) for step in steps if not step.collects)
-        return Phase(tuple(steps), rows, tuple(spans), index[:sent, _SLOT], sent,
-                     index[collected:, _POSITION], collected, max(step.width for step in steps))
-
-    def _step(self, members, alone: bool = False) -> Step:
-        """The Step of `members`, as `_schedule` yields them, over their
-        class's stack; with `alone`, of the one member over its node's own
-        table, so nothing is padded."""
-        rules, members = zip(*members)
-        first, a = rules[0], members[0][1]
-        stack = self.tensors[a] if alone else self.stacks[self.classes[a]]
-        shape = stack.shape if alone else stack.shape[1:]
-        width = dict(zip(first.table[1:], shape))  # each node axis label's padded width
-        rows = [(a, -1 if to is None else to, 0 if alone else self.places[a],
-                 -1 if rule.slot is None else rule.slot, -1 if position is None else position,
-                 *[slot for slot, _ in rule.pis], self.ones + 1 + a, *rule.lams)
-                for (_, a, to, position), rule in zip(members, rules)]
-        columns = max(map(len, rows))
-        rows = np.array([row + (self.ones,) * (columns - len(row)) for row in rows], dtype=np.int32)
-        return Step(
-            rows[:, :_POSITION + 1],
-            rows[:, _POSITION + 1:],
-            first.slot is not None,
-            stack,
-            first.table,
-            tuple(width[sub[-1]] for _, sub in first.pis),
-            width[first.own[-1]],
-            _subscripts(first.table, *[sub for _, sub in first.pis], first.own, first.out),
-            width[first.out[-1]],
-            members[0][3] is not None,
-        )
-
-    def single(self, a: int, to: int | None) -> Step:
-        """The one-member step of the message node `a` sends its neighbor
-        `to`, or of a's belief when `to` is None, over a's own table and
-        with no normalizer position."""
-        return self._step([(self.rule(a, to), (0, a, to, None))], alone=True)
-
-    def rule(self, a: int, to: int | None) -> Rule:
-        """The rule of the message node `a` sends its neighbor `to`, or of
-        a's belief when `to` is None, derived from a's belief rule.  The pi
-        of arc k is in row 2k and its lambda in row 2k+1; the arc to a
-        child is found among the child's parents."""
-        belief = self.rules[a]
-        if to is None:
-            return belief
-        _, _, table, pis, lams, own, _ = belief
-        for j, (slot, _) in enumerate(pis):  # the lambda message to parent j
-            if self.arcs[slot // 2][0] == to:
-                return Rule(a, slot + 1, table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
-        for slot, _ in self.rules[to].pis:  # the pi message to child `to`
-            if self.arcs[slot // 2][0] == a:
-                k = lams.index(slot + 1)
-                return Rule(a, slot, table, pis, lams[:k] + lams[k + 1:], own, own)
-        raise KeyError((a, to))
-
-    def live_cases(self, evidence: Evidence) -> np.ndarray:
-        """Indices of the cases that agree with the evidence on members."""
-        live = np.ones(len(self.cases), dtype=bool)
-        for j, m in enumerate(self.members):
-            if m in evidence:
-                live &= self.cases[:, j] == evidence[m]
-        return np.flatnonzero(live)
-
-    def run(self, evidence: Evidence, live: np.ndarray | None = None) -> TwoPassRun:
-        """One pass over the cases `live` (all by default)."""
-        factors = {v: _eye(self.cards[self.ids[v]])[s] for v, s in evidence.items()}
-        run = TwoPassRun(self, factors, np.arange(len(self.cases)) if live is None else live)
-        run.two_pass()
-        return run
-
-    def arc(self, slot: int) -> tuple[str, str, str]:
-        """The parent and child names of the arc of message `slot`, and the
-        message's direction ("pi" or "lambda")."""
-        arc, is_lambda = divmod(slot, 2)
-        p, c = self.arcs[arc]
-        return self.names[p], self.names[c], "lambda" if is_lambda else "pi"
-
-    def record(self, sweep: int, slot: int, old: np.ndarray, new: np.ndarray) -> TraceRecord:
-        """The TraceRecord of the message in `slot` moving from `old` to `new`."""
-        return TraceRecord(sweep, *self.arc(slot), old, new)
 
 
 class TwoPassRun:

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from beliefprop import cli, polytree
+from beliefprop import plan as plan_module
 from beliefprop.conditioning import auto_infer
 from beliefprop.netformat import serialize
 from beliefprop.polytree import two_pass_plan
@@ -211,7 +212,7 @@ def pinned_cases() -> tuple:
 def test_scan_matches_messages_sent_in_order(case):
     label, net, members, evidence = pinned_cases()[case]
     plan = two_pass_plan(net, members)
-    assert any(type(unit) is polytree.Sequence for unit in plan.steps), label
+    assert any(type(unit) is plan_module.Sequence for unit in plan.steps), label
     assert_sent_in_order(plan, evidence)
 
 
@@ -283,7 +284,7 @@ def test_slow_mixing_chain_stays_within_the_work_budget(monkeypatch):
     # the chain is one long run; its kernel passes grow as the square root
     plan = two_pass_plan(slow_chain(), [])
     members = len(plan.order) + 1  # every message and the root's mass
-    assert [type(unit) for unit in plan.steps] == [polytree.Sequence]
+    assert [type(unit) for unit in plan.steps] == [plan_module.Sequence]
     assert kernel_passes(monkeypatch, lambda: plan.run({})) <= math.sqrt(members)
 
 
@@ -300,12 +301,12 @@ def test_runs_below_the_threshold_are_sent_in_order(monkeypatch, length):
                         lambda run, *args: scanned.append(1) or scan(run, *args))
     plan.run({f"m{length - 1:04d}": 1})
     in_order = max(sizes) == 1 and not scanned
-    assert in_order == (2 * length - 1 < polytree._SCAN_RUN)
+    assert in_order == (2 * length - 1 < plan_module._SCAN_RUN)
 
 
 def steps_of(unit) -> tuple:
     """The steps that one `_compute` call runs: a phase's, or a lone step."""
-    return unit.steps if type(unit) is polytree.Phase else (unit,)
+    return unit.steps if type(unit) is plan_module.Phase else (unit,)
 
 
 DEEP = [
@@ -335,16 +336,16 @@ def test_a_long_run_plan_holds_little_memory():
     # the benchmark's chain1100, its network's own caches warmed by a
     # first plan: a plan that held a step per run member took 2.1 MiB
     net = netgen.chain(random.Random("polytree/1/9"), 1100)
-    polytree.TwoPassPlan(net, [])
+    plan_module.TwoPassPlan(net, [])
     gc.collect()
     tracemalloc.start()
     try:
-        plan = polytree.TwoPassPlan(net, [])
+        plan = plan_module.TwoPassPlan(net, [])
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert [type(unit) for unit in plan.steps] == [polytree.Sequence]
+    assert [type(unit) for unit in plan.steps] == [plan_module.Sequence]
     assert held <= 1.3 * 2**20
 
 

@@ -11,7 +11,7 @@ import pytest
 from beliefprop.cli import run
 from beliefprop.conditioning import auto_infer
 from beliefprop.netformat import parse, parse_evidence, serialize
-from beliefprop.polytree import RUN_FLOATS_GUARD
+from beliefprop.plan import RUN_FLOATS_GUARD
 
 from helpers import (
     binary_star,
@@ -501,7 +501,7 @@ def test_python_dash_m_entry_points(module):
     assert proc.stdout == "BEL(A) f=0.658537 t=0.341463\n"
 
 
-ENGINE = {"conditioning", "cutset", "dsep", "oracle", "polytree"}
+ENGINE = {"conditioning", "cutset", "dsep", "oracle", "plan", "polytree"}
 
 
 def engine_modules_after(code: str) -> set[str]:

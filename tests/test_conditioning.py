@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from beliefprop import conditioning, cutset, model, polytree
+from beliefprop import plan as plan_module
 from beliefprop.conditioning import (
     auto_infer,
     condition_network,
@@ -273,7 +274,7 @@ def count_calls(monkeypatch, *names, callers=None):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner in (model, cutset, polytree, conditioning, np):
+    for owner in (model, cutset, plan_module, polytree, conditioning, np):
         for name in names:
             if hasattr(owner, name):
                 counted(owner, name)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from beliefprop import netformat, polytree
+from beliefprop import plan as plan_module
 from beliefprop.conditioning import auto_infer, infer_conditioned
 from beliefprop.cutset import greedy_cutset
 from beliefprop.errors import ConvergenceError, ImpossibleEvidenceError
@@ -715,13 +716,13 @@ def assert_steps_match_messages(plan, run):
 
 def steps_of(unit) -> tuple:
     """The steps that one `_compute` call runs: a phase's, or a lone step."""
-    return unit.steps if type(unit) is polytree.Phase else (unit,)
+    return unit.steps if type(unit) is plan_module.Phase else (unit,)
 
 
 def plan_steps(plan) -> list:
     """Every step of the plan's phases, its messages' and its beliefs'."""
     return [step for unit in plan.steps + plan.beliefs
-            if type(unit) is polytree.Phase for step in unit.steps]
+            if type(unit) is plan_module.Phase for step in unit.steps]
 
 
 def spy_on_rescaled(monkeypatch) -> list[int]:
@@ -740,7 +741,7 @@ def spy_on_rescaled(monkeypatch) -> list[int]:
         gathered = [run.buf[step.reads[g, len(step.pis):], :, :step.own].tobytes()
                     for step, g in members]
         step, g = members[gathered.index(rows.tobytes())]
-        nodes.append(int(step.index[g, polytree._NODE]))
+        nodes.append(int(step.index[g, plan_module._NODE]))
         return rescaled(rows)
 
     monkeypatch.setattr(polytree.TwoPassRun, "_compute", computing)
@@ -787,7 +788,7 @@ class TestCompiledSteps:
         evidence = {**evidence, members[0]: seed % 2}
         live = plan.live_cases(evidence)
         assert len(live) < len(plan.cases)
-        assert any(step.table[1] == polytree._CASE for step in plan_steps(plan))
+        assert any(step.table[1] == plan_module._CASE for step in plan_steps(plan))
         assert_steps_match_messages(plan, plan.run(evidence, live))
 
     def test_only_underflowing_members_take_the_rescaled_path(self, monkeypatch):
@@ -795,7 +796,7 @@ class TestCompiledSteps:
         plan = two_pass_plan(net, [])
         ids = plan.ids
         mixed = [step for step in plan_steps(plan)
-                 if {ids["R"], ids["a0"]} <= set(step.index[:, polytree._NODE].tolist())]
+                 if {ids["R"], ids["a0"]} <= set(step.index[:, plan_module._NODE].tolist())]
         assert mixed  # the roots' masses and the roots' pi messages share steps
         rescaled = spy_on_rescaled(monkeypatch)
         run = plan.run({"a3": 1})
@@ -874,7 +875,7 @@ def units_in_order(plan):
     member: each phase's steps, and each long run's members one by one,
     each after the one it reads (the scan computes them side by side)."""
     for unit in plan.steps:
-        if type(unit) is polytree.Sequence:
+        if type(unit) is plan_module.Sequence:
             yield from (([member], True) for member in in_path_order(unit.members))
         else:
             yield list(unit.steps), False
@@ -883,7 +884,7 @@ def units_in_order(plan):
 def in_path_order(members):
     """`members`, the one-member steps of a wave, each after the wave
     member whose row it reads (it reads at most one)."""
-    writer = {int(member.index[0, polytree._SLOT]): g for g, member in enumerate(members)}
+    writer = {int(member.index[0, plan_module._SLOT]): g for g, member in enumerate(members)}
     before = [[writer[slot] for slot in member.reads[0].tolist() if slot in writer]
               for member in members]
     assert all(len(read) <= 1 for read in before)
@@ -936,11 +937,11 @@ class TestReadinessSchedule:
                 assert set(reads[reads < plan.ones].tolist()) <= written
             for step in steps:
                 if step.sends:
-                    slots = step.index[:, polytree._SLOT].tolist()
+                    slots = step.index[:, plan_module._SLOT].tolist()
                     assert written.isdisjoint(slots) and len(set(slots)) == len(slots)
                     written.update(slots)
                 if step.collects:
-                    positions += step.index[:, polytree._POSITION].tolist()
+                    positions += step.index[:, plan_module._POSITION].tolist()
         assert written == set(range(plan.ones))  # every message once
         assert sorted(positions) == list(range(1, plan.n_normalizers))
 
@@ -948,7 +949,7 @@ class TestReadinessSchedule:
     def test_no_member_reads_what_its_phase_writes(self, build):
         plan = two_pass_plan(*build())
         for phase in plan.steps:
-            if type(phase) is polytree.Phase:
+            if type(phase) is plan_module.Phase:
                 assert set(phase.rows.tolist()).isdisjoint(phase.slots.tolist())
                 for step, (start, end, _, _) in zip(phase.steps, phase.spans):
                     assert step.reads.base is phase.rows  # a view, not a copy
@@ -961,10 +962,10 @@ class TestReadinessSchedule:
         plan = two_pass_plan(*build())
         slots, positions = [], []
         for unit in plan.steps:
-            if type(unit) is polytree.Sequence:
-                slots += [int(step.index[0, polytree._SLOT])
+            if type(unit) is plan_module.Sequence:
+                slots += [int(step.index[0, plan_module._SLOT])
                           for step in unit.members if step.sends]
-                positions += [int(step.index[0, polytree._POSITION])
+                positions += [int(step.index[0, plan_module._POSITION])
                               for step in unit.members if step.collects]
                 continue
             index = np.concatenate([step.index for step in unit.steps])
@@ -972,8 +973,8 @@ class TestReadinessSchedule:
             collects = np.concatenate([[step.collects] * len(step.index) for step in unit.steps])
             assert sends.tolist() == [True] * unit.sent + [False] * (len(index) - unit.sent)
             assert collects[unit.collected:].all() and not collects[:unit.collected].any()
-            assert unit.slots.tolist() == index[:unit.sent, polytree._SLOT].tolist()
-            assert unit.positions.tolist() == index[unit.collected:, polytree._POSITION].tolist()
+            assert unit.slots.tolist() == index[:unit.sent, plan_module._SLOT].tolist()
+            assert unit.positions.tolist() == index[unit.collected:, plan_module._POSITION].tolist()
             slots += unit.slots.tolist()
             positions += unit.positions.tolist()
         assert sorted(slots) == list(range(plan.ones))
@@ -987,18 +988,18 @@ class TestReadinessSchedule:
     def test_phases_gather_a_bounded_number_of_floats(self, build, bound, monkeypatch):
         # a step alone may gather more; the small bound splits phases
         if bound is not None:
-            monkeypatch.setattr(polytree, "_STEP_FLOATS", bound)
+            monkeypatch.setattr(plan_module, "_STEP_FLOATS", bound)
         plan = two_pass_plan(*build())
         for phase in plan.steps + plan.beliefs:
-            if type(phase) is polytree.Phase and len(phase.steps) > 1:
-                assert gathered_floats(plan, phase) <= polytree._STEP_FLOATS
+            if type(phase) is plan_module.Phase and len(phase.steps) > 1:
+                assert gathered_floats(plan, phase) <= plan_module._STEP_FLOATS
 
     @pytest.mark.parametrize("build", SCHEDULED)
     def test_no_narrow_result_is_padded_to_8_states(self, build):
         # numpy sums 8 or more terms in another order than fewer
         plan = two_pass_plan(*build())
         for phase in plan.steps + plan.beliefs:
-            if type(phase) is polytree.Phase and phase.width >= polytree._UNPADDED:
+            if type(phase) is plan_module.Phase and phase.width >= plan_module._UNPADDED:
                 assert {step.width for step in phase.steps} == {phase.width}
 
     @pytest.mark.parametrize("build", SCHEDULED)
@@ -1046,8 +1047,8 @@ class TestReadinessSchedule:
         steps = [step for unit, _ in units_in_order(plan) for step in unit]
         assert len(steps) == len(plan.order) + 1  # every message and the mass
         assert all(len(step.index) == 1 for step in steps)
-        relaxed = 2 * n - 1 >= polytree._SCAN_RUN
-        assert relaxed == (len(plan.steps) == 1 and type(plan.steps[0]) is polytree.Sequence)
+        relaxed = 2 * n - 1 >= plan_module._SCAN_RUN
+        assert relaxed == (len(plan.steps) == 1 and type(plan.steps[0]) is plan_module.Sequence)
 
     @pytest.mark.parametrize("make", [lambda: bushy_polytree(5, n=80)[0],
                                       lambda: random_loopy(3)[0]])
