@@ -131,8 +131,8 @@ def infer_conditioned(
     case's TraceRecords once the pass is done, case by case.
     """
     members = list(dict.fromkeys(cutset))
-    queries = tuple(dict.fromkeys(queries))  # shared by every case's Beliefs
     mixed, run, live, values = _mix(net, evidence, members, queries, on_update)
+    queries = mixed.beliefs._queries  # shared by every case's Beliefs
     runs = [ConditionedRun(dict(zip(members, combo)), None) for combo in run.plan.cases.tolist()]
     for row, case in enumerate(live.tolist()):
         if run.possible[row]:
@@ -141,19 +141,23 @@ def infer_conditioned(
     return mixed, runs
 
 
-def _mix(net: Network, evidence: Evidence, members: list, queries: tuple, on_update):
-    """`infer_conditioned` for distinct `members` and `queries`, without
-    its per-case results: the mixed belief, the run of the live cases,
-    their indices, and their query beliefs, a row per live case laid out
-    by `Network.state_slices`."""
-    unknown = [q for q in queries if q not in net.vars_by_name]
-    if unknown:
-        net.variable(unknown[0])  # raises the unknown-variable KeyError
+def _mix(net: Network, evidence: Evidence, members: list, queries, on_update):
+    """`infer_conditioned` for distinct `members`, without its per-case
+    results: the mixed belief, the run of the live cases, their indices,
+    and their query beliefs, a row per live case laid out by
+    `Network.state_slices`.  The queries are checked in one pass, which
+    lists each once and finds its id."""
+    ids = net.ids()
+    try:
+        asked = {q: ids[q] for q in queries}
+    except KeyError as unknown:
+        net.variable(unknown.args[0])  # raises the unknown-variable KeyError
+    queries = tuple(asked)
     check_evidence(net, evidence)
     plan = two_pass_plan(net, members)
     live = plan.live_cases(evidence)
     run = plan.run(evidence, live)
-    values, masses = run.beliefs([plan.ids[q] for q in queries])  # in state_slices order
+    values, masses = run.beliefs(list(asked.values()))  # in state_slices order
     if on_update is not None:
         for row, case in enumerate(live.tolist()):
             assignment = dict(zip(members, plan.cases[case].tolist()))
@@ -184,4 +188,4 @@ def auto_infer(
 ) -> MixedBelief:
     """Greedy cutset conditioning; on a polytree the cutset is empty.  No
     per-case result is built."""
-    return _mix(net, evidence, greedy_cutset(net), tuple(dict.fromkeys(queries)), on_update)[0]
+    return _mix(net, evidence, greedy_cutset(net), queries, on_update)[0]

@@ -134,6 +134,10 @@ class Network:
     def card(self, name: str) -> int:
         return self.variable(name).card
 
+    def ids(self) -> dict[str, int]:
+        """Each variable's place in declaration order."""
+        return self.cached("ids", lambda: {v.name: i for i, v in enumerate(self.variables)})
+
     def var_names(self) -> list[str]:
         return [v.name for v in self.variables]
 
@@ -280,12 +284,13 @@ class Network:
     def cpt_tensor(self, name: str) -> np.ndarray:
         """CPT reshaped to one axis per parent (declared order) plus a final
         child axis."""
-        return self.cached(("tensor", name), lambda: self._cpt_tensor(name))
-
-    def _cpt_tensor(self, name: str) -> np.ndarray:
-        cpt = self.cpt(name)
-        shape = tuple(self.card(p) for p in cpt.parents) + (cpt.n_states,)
-        return cpt.table.reshape(shape)
+        key = "tensor", name
+        tensor = self._cache.get(key)
+        if tensor is None:  # cached as `cached` would, without a closure per call
+            cpt = self.cpt(name)
+            tensor = cpt.table.reshape([*map(self.card, cpt.parents), cpt.n_states])
+            self._cache[key] = tensor
+        return tensor
 
 
 def forest_walks(nodes, neighbors) -> tuple:

@@ -293,7 +293,7 @@ class TwoPassPlan:
         self.cases = self.cases.reshape(n_cases, len(ranges))
         self.cases.flags.writeable = False
 
-        self.ids = ids = dict(zip(names, range(len(names))))
+        self.ids = ids = net.ids()
         self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
         self.tensors = tuple(self._tensor(net, v) if v in batched else net.cpt_tensor(v)
                              for v in names)
@@ -479,7 +479,8 @@ class _Compiler:
         shapes[np.arange(n), 1 + ups] = cards
         wide = np.where(shapes >= _UNPADDED, shapes, 0)
         keys = np.column_stack([2 * ups + self.batched, wide[:, wide.any(axis=0)]])
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(keys if wide.any() else keys[:, 0], return_index=True,
+                                      return_inverse=True, axis=0)
         self.classes = classes = np.argsort(np.argsort(first))[inverse.reshape(-1)]
         counts = np.bincount(classes, minlength=len(first))
         self.places = np.empty(n, dtype=np.intp)
@@ -633,9 +634,12 @@ class _Compiler:
                 group[4].append(e)
             if not groups:
                 return chunks
-            group = max(groups.values())  # entry numbers differ, so codes are never compared
-            del groups[group[3]]
-            chunks += self._split(group[4])
+            if len(groups) == 1:
+                group = groups.popitem()[1]
+            else:  # entry numbers differ, so codes are never compared
+                group = max(groups.values())
+                del groups[group[3]]
+            chunks += self._split(group[4]) if group[1] > 1 else [group[4]]
             ready = []
             for e in group[4]:  # `to` hears from `a`
                 recipient = recipients[e]
@@ -689,16 +693,15 @@ class _Compiler:
         at = np.where(j < length, self.start[entries.index[e, _NODE]] + at, len(self.reads) - 1)
         return self.reads[at]
 
-    def _meta(self, e: int, alone: bool, before: int = -1) -> tuple:
+    def _meta(self, code: int, a: int, axis: int, alone: bool, before: int = -1) -> tuple:
         """The stack, the table sublist, the widths and the einsum
-        subscripts (see `_widths`) of the step of entry `e`, over its
-        node's own table when `alone`; with `before`, of its transfer
-        matrix, with the axis of its parent `before` (of its own for a
-        lambda) kept in the result."""
-        a = int(self.entries.index[e, _NODE])
-        key = self.entries.code[e], a if alone else -1, before
+        subscripts (see `_widths`) of a step of node `a`'s entries of
+        `code`, over recipient axis `axis`, over its own table when
+        `alone`; with `before`, of their transfer matrices, with the axis
+        of parent `before` (of a's own for a lambda) kept in the result."""
+        key = code, a if alone else -1, before
         if key not in self.metas:
-            axis, k = int(self.entries.axis[e]), int(self.ups[a])
+            k = int(self.ups[a])
             table = _axes(k, bool(self.batched[a]))
             stack = self.plan.tensors[a] if alone else self.stacks[self.classes[a]]
             pis = [sub for j, sub in enumerate(_ROW[:k]) if j != axis and j != before]
@@ -717,21 +720,27 @@ class _Compiler:
         run = np.array(members)
         owner, j = _ragged(self.entries.length[run])
         rows = self._rows(run[owner], j)
+        slots = self.entries.index[run, _SLOT]
         written = np.zeros(len(self.plan.widths), dtype=bool)
-        written[self.entries.index[run, _SLOT]] = True  # and the last row: no read of a mass
-        written[-1] = False
-        read_rows = rows[written[rows]].tolist()
-        bounds = np.searchsorted(owner[written[rows]], np.arange(len(run) + 1)).tolist()
+        written[slots[slots >= 0]] = True
+        owner, rows = owner[written[rows]], rows[written[rows]]  # the reads of run members
+        # the one run member each member reads, unless it is a pi reading a lambda
+        once = np.bincount(owner, minlength=len(run)) == 1
+        once &= (slots < 0) | (slots % 2 == 1) | (np.bincount(owner[rows % 2 == 1],
+                                                               minlength=len(run)) == 0)
+        follows = np.full(len(run), -2)
+        follows[owner] = rows
+        follows = np.where(once, follows, -2).tolist()
+        reads, bounds = rows.tolist(), np.searchsorted(owner, np.arange(len(run) + 1)).tolist()
         paths, waves, tails, wave_of = [], [], {}, {}  # tails: a path's last row
-        for g, e in enumerate(members):
-            read, slot = read_rows[bounds[g]:bounds[g + 1]], self.slots[e]
-            turns = slot >= 0 and not slot & 1 and any(row & 1 for row in read)
-            if len(read) == 1 and read[0] in tails and not turns:
-                path = tails.pop(read[0])
+        for g, (e, slot) in enumerate(zip(members, slots.tolist())):
+            if follows[g] in tails:
+                path = tails.pop(follows[g])
             else:
                 path = len(paths)
                 paths.append([])
-                waves.append(1 + max((wave_of[row] for row in read), default=-1))
+                waves.append(1 + max((wave_of[row] for row in reads[bounds[g]:bounds[g + 1]]),
+                                     default=-1))
             paths[path].append(e)
             tails[slot], wave_of[slot] = path, waves[path]
         return [self._wave([path for path, w in zip(paths, waves) if w == wave])
@@ -748,7 +757,7 @@ class _Compiler:
         lengths = np.array([len(path) for path in paths])
         k, i = _ragged(lengths)
         e = np.array([e for path in paths for e in path])
-        code = np.array(self.entries.code)[e]
+        code = np.array([self.entries.code[member] for member in e.tolist()])
         before = np.where(i > 0, self.slot[e[np.arange(len(e)) - 1]], -1)  # the row it reads
         # member j of every block, a step or a few per code in order of
         # its first member
@@ -769,7 +778,9 @@ class _Compiler:
             cols = int((self.entries.length[members] - (place[group] < _NONE)).max())
             g, j = np.divmod(np.arange(len(members) * cols), cols)
             reads = self._rows(members[g], j, place[group][g]).reshape(-1, cols)
-            stack, *meta = self._meta(members[0], False, int(label[group[0]]))
+            stack, *meta = self._meta(self.entries.code[members[0]], int(node[group[0]]),
+                                      int(self.entries.axis[members[0]]), False,
+                                      int(label[group[0]]))
             transfers.append((Step(self.entries.index[members], reads, True, stack, *meta,
                                    bool(self.entries.index[members[0], _POSITION] >= 0)),
                               k[group] * (blocks - 1) * block + i[group]))
@@ -811,20 +822,24 @@ class _Compiler:
         cols = np.maximum.reduceat(lengths, firsts)
         sends, collects = (index[firsts, _SLOT] >= 0).tolist(), (index[firsts, _POSITION] >= 0).tolist()
         per_row = len(plan.cases) * plan.widths[plan.ones]  # the all-ones row is the widest
-        groups, group, floats, width, metas, k = [], [], 0, 0, [], 0
+        heads = flat[firsts]
+        nodes, axes = index[firsts, _NODE], entries.axis[heads].tolist()
         reads = (counts * cols * per_row).tolist()
+        sizes = (counts * cols * per_row + counts * np.array(self.table)[self.classes[nodes]])
+        sizes, nodes = sizes.tolist(), nodes.tolist()
+        groups, group, floats, width, metas, k = [], [], 0, 0, [], 0
         for unit in units:
             if type(unit) is Sequence:
                 groups += [group, unit] if group else [unit]
                 group = []
                 continue
-            stack, *meta = self._meta(unit[0][0], unit[1])
-            size = reads[k] + (stack.size if unit[1] else len(unit[0]) * stack[0].size)
+            meta = self._meta(entries.code[unit[0][0]], nodes[k], axes[k], unit[1])
+            size = reads[k] + meta[0].size if unit[1] else sizes[k]
             if group and (latest[k] >= group[0] or floats + size > _STEP_FLOATS
                           or meta[-1] != width and max(meta[-1], width) >= _UNPADDED):
                 groups.append(group)
                 group, floats, width = [], 0, 0
-            metas.append((stack, meta, unit[1]))
+            metas.append((meta, unit[1]))
             group.append(k)
             floats, width, k = floats + size, max(width, meta[-1]), k + 1
         if group:
@@ -841,7 +856,7 @@ class _Compiler:
         j, g = np.divmod(at, counts[step])
         rows = self._rows(flat[(np.cumsum(counts) - counts)[step] + g], j)
         ends, stops = [0, *np.cumsum(counts * cols).tolist()], [0, *np.cumsum(counts).tolist()]
-        phases, k = [], 0
+        phases, k, cols = [], 0, cols.tolist()
         for group in groups:
             if type(group) is Sequence:
                 phases.append(group)
@@ -850,12 +865,11 @@ class _Compiler:
             block, members = rows[start:ends[k]].copy(), index[first:stops[k]]
             done, spans = [], []
             for q in range(k - len(group), k):
-                stack, meta, alone = metas[order[q]]
+                (stack, *meta), alone = metas[order[q]]
                 if alone:
                     index[stops[q], _PLACE] = 0
                 done.append(Step(index[stops[q]:stops[q + 1]],
-                                 block[ends[q] - start:ends[q + 1] - start].reshape(
-                                     int(cols[q]), -1).T,
+                                 block[ends[q] - start:ends[q + 1] - start].reshape(cols[q], -1).T,
                                  sends[order[q]], stack, *meta, collects[order[q]]))
                 spans.append((ends[q] - start, ends[q + 1] - start, stops[q] - first,
                               stops[q + 1] - first))

@@ -584,19 +584,20 @@ class TwoPassRun:
         """The beliefs of `nodes`, each normalized per case, in one array
         with a row per case over the states of every node in id order
         (zero where a node is not in `nodes`), and their row sums, row k
-        for `nodes[k]`.  The plan's belief phases compute every belief,
-        each phase's rows go in with one assignment through its compiled
-        members, states and columns (`columns`), and the columns of the
-        nodes not asked are zeroed once."""
+        for `nodes[k]`.  Only the plan's belief phases that hold an asked
+        node are computed; each phase's rows go in with one assignment
+        through its compiled members, states and columns (`columns`), and
+        the columns of the nodes not asked are zeroed once."""
         plan = self.plan
         values = np.zeros((self.n_cases, len(plan.owners)))
         masses = np.empty((len(plan.cards), self.n_cases))
-        for phase, (phase_nodes, members, states, flat) in zip(plan.beliefs, plan.columns):
-            beliefs, sums, _ = self._compute(phase)
-            values.T[flat] = beliefs[members, :, states]
-            masses[phase_nodes] = sums
         asked = np.zeros(len(plan.cards), dtype=bool)
         asked[nodes] = True
+        for phase, (phase_nodes, members, states, flat) in zip(plan.beliefs, plan.columns):
+            if asked[phase_nodes].any():
+                beliefs, sums, _ = self._compute(phase)
+                values.T[flat] = beliefs[members, :, states]
+                masses[phase_nodes] = sums
         if not asked.all():
             values[:, ~asked[plan.owners]] = 0.0
         return values, masses[nodes]

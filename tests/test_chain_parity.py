@@ -349,6 +349,26 @@ def test_a_long_run_plan_holds_little_memory():
     assert held <= 1.3 * 2**20
 
 
+def test_building_the_bench_polytree_plans_is_bounded_in_memory():
+    # the benchmark's ten seed-1 polytrees, their networks' own caches
+    # warmed by a first plan: the parent of the array compiler peaked at
+    # 6.12 MiB and held 3.45 MiB
+    slots = [(netgen.bushy_polytree, n) for n in range(200, 280, 10)]
+    slots += [(netgen.chain, 400), (netgen.chain, 1100)]
+    nets = [make(random.Random(f"polytree/1/{i}"), n) for i, (make, n) in enumerate(slots)]
+    for net in nets:
+        plan_module.TwoPassPlan(net, [])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plans = [plan_module.TwoPassPlan(net, []) for net in nets]
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plans) == 10 and peak <= 6.12 * 2**20 and held <= 3.45 * 2**20
+
+
 def test_infer_on_a_3000_variable_chain_file(tmp_path):
     path = tmp_path / "chain3000.bn"
     path.write_text(serialize(netgen.chain(random.Random(1), 3000)))

@@ -1127,6 +1127,29 @@ def test_random_polytree_above_20_nodes():
     assert 25 <= len(net.var_names()) <= 30 and net.is_singly_connected()
 
 
+def test_one_query_runs_one_belief_phase(monkeypatch):
+    # only the belief phases that hold an asked node are computed
+    net = bushy_polytree(0, n=30, max_card=12)[0]
+    plan = two_pass_plan(net, [])
+    run = plan.run({})
+    every, every_mass = run.beliefs(list(range(len(plan.names))))
+    calls, compute = [0], polytree.TwoPassRun._compute
+
+    def counted(run, unit, *args):
+        calls[0] += 1
+        return compute(run, unit, *args)
+
+    monkeypatch.setattr(polytree.TwoPassRun, "_compute", counted)
+    stops = np.cumsum(plan.cards)
+    assert len(plan.beliefs) > 1
+    for a in range(len(plan.names)):
+        calls[0] = 0
+        values, masses = run.beliefs([a])
+        columns = slice(stops[a] - plan.cards[a], stops[a])
+        assert calls[0] == 1 and values[:, columns].tobytes() == every[:, columns].tobytes()
+        assert masses.tobytes() == every_mass[[a]].tobytes()
+
+
 def test_network_without_variables_has_no_phases():
     plan = two_pass_plan(build_net([], []), [])
     assert plan.steps == () and plan.beliefs == () and len(plan.owners) == 0
