@@ -32,5 +32,5 @@ class ConvergenceError(Exception):
 
 class SizeError(ValueError):
     """A run would hold more floats than its documented guard allows
-    (`polytree.RUN_FLOATS_GUARD`); raised before anything that large is
+    (`plan.RUN_FLOATS_GUARD`); raised before anything that large is
     allocated."""

@@ -199,8 +199,6 @@ class Sequence(NamedTuple):
                 for phase in self.phases for step in phase.steps for g in range(len(step.index))]
 
 
-
-
 def _widths(table: tuple, shape: tuple, pis: list, own: tuple, out: tuple) -> tuple:
     """The padded width of each pi operand, of the diagnostic operand and
     of the result, and the einsum subscripts, of a step whose tables have
@@ -240,32 +238,20 @@ class TwoPassPlan:
 
     Each tree is rooted at its smallest name and walked as in
     `forest_walks`; a message towards the root collects, one away from it
-    distributes.  The message a node sends a neighbor is ready once the
-    node has heard from every other neighbor, and a root's belief, whose
-    row sums are its tree's mass, once the root has heard from all of
-    them.  The schedule is by readiness, not by depth (`_Compiler`): a
-    step holds ready members that share a shape class, and collect and
-    distribute messages run side by side.  `steps` computes every message
-    and mass as phases: each is a maximal run of consecutive steps in
-    which no member reads a row that another member writes, so the whole
-    run can gather first and scatter last.  Consecutive steps of one
-    message or mass each are a run of single messages, whose steps join
-    phases like any other unless the run holds _SCAN_RUN or more: then it
-    is sent as Sequences.  `beliefs` holds the phases of every node's
-    belief, with a step or a few per shape class.  The tables of a shape
-    class are zero-padded to the class's largest and stacked once.
-    `columns[i]` is about `beliefs[i]`: its first array lists the phase's
-    nodes, member by member; its second and third, the member and state
-    of each state that is its node's, member by member; its fourth, the
-    column of each such state in a vector over the states of every node in
-    id order, whose column k is a state of node `owners[k]`.  `order`
-    lists the message rows in the sequential schedule: each tree's collect
-    messages in reverse walk order, tree by tree, then each tree's
-    distribute messages in walk order.  Trace records follow it, and so do
-    the `n_normalizers` normalizer positions of the steps, with an
-    all-ones row first and each tree's root mass after its collect
-    messages.  With no members this is plain polytree propagation with
-    one case.
+    distributes.  `steps` computes every message and root mass as phases
+    and long runs (see `_Compiler`), and `beliefs` every node's belief as
+    phases of a step or a few per shape class.  `columns[i]` is about
+    `beliefs[i]`: its first array lists the phase's nodes, member by
+    member; its second and third, the member and state of each state that
+    is its node's; its fourth, the column of each such state in a vector
+    over the states of every node in id order, whose column k is a state
+    of node `owners[k]`.  `order` lists the message rows in the sequential
+    schedule: each tree's collect messages in reverse walk order, tree by
+    tree, then each tree's distribute messages in walk order.  Trace
+    records follow it, and so do the `n_normalizers` normalizer positions
+    of the steps, with an all-ones row first and each tree's root mass
+    after its collect messages.  With no members this is plain polytree
+    propagation with one case.
     """
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
@@ -435,12 +421,21 @@ class _BeliefRules(_Sequence):
 
 
 class _Compiler:
-    """What building a plan's steps needs and the plan does not keep.
+    """What building a plan's steps needs and the plan does not keep.  The
+    message a node sends a neighbor is ready once the node has heard from
+    every other neighbor, and a root's mass once the root has heard from
+    all of them.  The schedule is by readiness, not by depth: a step holds
+    ready members that share a shape class and recipient axis, and collect
+    and distribute messages run side by side (`_schedule`).  Consecutive
+    steps in which no member reads a row that another member writes form
+    a phase, which gathers first and scatters last (`_phases`); a run of
+    _SCAN_RUN single messages or more is sent as Sequences (`_sequence`).
     Node a reads `reads[start[a]:start[a] + length[a]]`: the pi row of
     each of its `ups[a]` parents in table order, its evidence row, then
     the lambda row of each child in arc order; `reads` ends with the
-    all-ones row.  Shape class k's tables, stacked, are `stacks[k]`, node
-    a's in row `places[a]` of the stack of class `classes[a]`."""
+    all-ones row.  Shape class k's tables, zero-padded to the class's
+    largest and stacked, are `stacks[k]`, node a's in row `places[a]` of
+    the stack of class `classes[a]`."""
 
     def __init__(self, plan: TwoPassPlan, ends: np.ndarray, batched: np.ndarray) -> None:
         self.plan, self.ends, self.batched = plan, ends, batched

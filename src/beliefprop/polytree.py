@@ -9,19 +9,20 @@ recipient (the pi of each parent, the evidence factor times the lambda of
 each child) and sums out every axis but the recipient's, or its own for a
 belief.  The rule has one implementation, `TwoPassRun._compute`, which
 computes a `Step` (a batch of same-shaped messages or beliefs, or a
-single one) or a `Phase` of steps.  It runs on a plan compiled per
-network and loop cutset (`TwoPassPlan`), over integer node ids and one
-buffer of zero-padded message rows with a row per cutset case; the plan
-is never written after it is built.
+single one) or a `Phase` of steps of a plan that the `plan` module
+compiles once per network and loop cutset (`TwoPassPlan`, over integer
+node ids and one buffer of zero-padded message rows with a row per
+cutset case).  This module keeps the paper's per-message functions, the
+relaxations and the run.
 
 The two-pass schedule computes each message once, as soon as its sender
-has heard from every other neighbor, in steps and phases of steps (see
-`TwoPassPlan`), each message with the bits it gets alone in the
-sequential schedule, whose order log P(evidence) and the trace keep; a
-long run of single messages, such as a chain's, is sent by a blocked
-scan (`Sequence`) to rounding of those bits.  The relaxations and
-the per-message functions compute one-member steps cut from the plan's
-steps on a one-case run, loaded from the `MessageState` they are given.
+has heard from every other neighbor, each message with the bits it gets
+alone in the sequential schedule, whose order log P(evidence) and the
+trace keep; a long run of single messages, such as a chain's, is sent by
+a blocked scan (`Sequence`) to rounding of those bits.  The relaxations
+and the per-message functions compute one-member steps cut from the
+plan's steps on a one-case run, loaded from the `MessageState` they are
+given.
 
 Evidence is applied as a per-node indicator factor, equivalent to attaching
 an instantiated dummy child.  Root priors enter through the node's own
