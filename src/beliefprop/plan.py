@@ -1,17 +1,10 @@
-"""The two-pass plan: Pearl's collect/distribute schedule, compiled once
-per network and loop cutset into steps, phases of steps and blocked scans
-over integer node ids and one buffer of message rows (`TwoPassPlan`).
-
-A node sends a neighbor its message as soon as it has heard from every
-other neighbor.  The compiler turns that readiness rule into a critical-
-path list schedule (HLFET, Kwok & Ahmad 1999) from arrays built in a few
-passes: parents and children as CSR id arrays, one column per property
-of each message (its node, recipient, written row, table place, pis and
-lambdas read), the longest chain of readers ahead of each message by one
-pass over the walk order, and each phase's arrays built once.  Only the
-choice of the next group of ready messages runs per message in Python.
-`polytree.TwoPassRun` runs a plan; nothing in a plan changes after it is
-built, so every run and relaxation of the same network shares it.
+"""The two-pass plan (`TwoPassPlan`), compiled once per network and loop
+cutset into steps, phases and blocked scans.  A node sends a neighbor
+its message once it has heard from every other neighbor; the compiler
+turns that rule into a critical-path list schedule (HLFET, Kwok & Ahmad
+1999) from arrays built in a few passes: parents and children as CSR id
+arrays, a column per property of each message, and each phase's arrays
+built once.  `polytree.TwoPassRun` runs a plan, which never changes.
 """
 
 from __future__ import annotations
@@ -27,17 +20,14 @@ import numpy as np
 from .errors import SizeError
 from .model import Evidence, Network, forest_walks, is_forest
 
-#: einsum label of the case axis; a node's own axes are labeled from 0
-_CASE = 51
-#: einsum label of the member axis of a compiled step
-_MEMBER = 50
-#: einsum sublist of a message over node axis j, one row per case, behind
-#: the member axis of a step
+#: einsum labels of the case axis and of a step's member axis; a node's
+#: own axes are labeled from 0
+_CASE, _MEMBER = 51, 50
+#: einsum sublist of a message over node axis j, behind the member axis
 _ROW = tuple((_MEMBER, _CASE, j) for j in range(_MEMBER))
 
 #: floats of tables and diagnostic rows that one step, or one phase of
-#: steps, may gather; the messages of a node with many children are spread
-#: over several steps
+#: steps, may gather
 _STEP_FLOATS = 1 << 20
 
 #: an axis this wide is never zero-padded in a step: numpy adds 8 or more
@@ -59,10 +49,9 @@ _NONE = 1 << 30
 
 @functools.cache
 def _subscripts(*sublists: tuple) -> str:
-    """The einsum subscripts of operands and then a result given as
-    sublists, each label k written as the letter numpy gives it in sublist
-    form (A to Z, then a to z), so the contraction is the same; numpy
-    parses subscripts faster than sublists."""
+    """The einsum subscripts of sublists (operands, then the result), label
+    k written as the letter numpy gives it in sublist form, which numpy
+    parses faster than sublists."""
     *operands, result = ("".join(chr(k + 65 if k < 26 else k + 71) for k in sub)
                          for sub in sublists)
     return ",".join(operands) + "->" + result
@@ -89,18 +78,16 @@ def _check_size(cases: int, floats: int) -> None:
 
 
 def two_pass_plan(net: Network, members) -> TwoPassPlan:
-    """The plan of `net` conditioned on the cutset `members` (listed once
-    each), cached in the network.  Raises KeyError on an unknown member and
-    ValueError when the members leave a loop."""
+    """The plan of `net` conditioned on the cutset `members`, cached in the
+    network.  Raises KeyError on an unknown member, ValueError on a loop."""
     return net.cached(("two-pass plan", tuple(members)), lambda: TwoPassPlan(net, members))
 
 
 class Rule(NamedTuple):
-    """How node `node` computes one message or its belief: the buffer row
-    it writes (None for a belief), the einsum sublist of its table, the
-    (row, sublist) of each pi it reads in table order, the rows of the
-    lambdas it reads in arc order, and the sublists of its diagnostic
-    vector and of the result."""
+    """How node `node` computes one message or its belief: the row it
+    writes (None for a belief), the einsum sublist of its table, the (row,
+    sublist) of each pi it reads, the rows of the lambdas it reads, and the
+    sublists of its diagnostic vector and of the result."""
 
     node: int
     slot: int | None
@@ -116,24 +103,15 @@ _NODE, _TO, _PLACE, _SLOT, _POSITION = range(5)
 
 
 class Step(NamedTuple):
-    """Messages or beliefs that share a shape class (the sublist of their
-    tables, and the width of each axis of _UNPADDED states or more) and a
-    recipient axis, computed by one einsum over a leading member axis:
-    ready ones taken together by the schedule, or a single one
-    (`TwoPassPlan.single`).  Row g of `index` is about member g: its node,
-    its recipient, its table's row in `stack`, the row it writes and its
-    normalizer position (-1 for no recipient, row or position).  Row g of
-    `reads` lists the rows member g reads: the row of each pi, then its
-    diagnostic rows (its evidence row and its lambda rows, padded with the
-    all-ones row); in a `Phase` it is a view of the phase's `rows`.
-    `sends` tells whether the members are messages or beliefs.  `table`
-    is the tables' einsum sublist, and each of `pis` the padded width of
-    one pi operand; a single message's `stack` is its node's own table,
-    without the member axis.  The diagnostic rows multiply to one operand
-    `own` states wide.  `spec` holds the einsum subscripts of the table,
-    the pis and the diagnostic operand and of the result (see
-    `_subscripts`), which is `width` states wide.  `collects` tells
-    whether its row sums are normalizers of log P(evidence)."""
+    """Messages or beliefs of one shape class (tables' sublist, and widths
+    of _UNPADDED states or more) and recipient axis, one einsum over a
+    leading member axis.  Row g of `index` holds member g's node,
+    recipient, table row in `stack` (a single message's is its own table),
+    written row and normalizer position (-1 for none); row g of `reads`
+    the row of each pi, then its evidence and lambda rows, padded with
+    the all-ones row.  `pis` and `own` are the padded operand widths,
+    `spec` the einsum subscripts, `width` the result's width; `collects`
+    tells whether row sums are normalizers of log P(evidence)."""
 
     index: np.ndarray
     reads: np.ndarray
@@ -148,21 +126,13 @@ class Step(NamedTuple):
 
 
 class Phase(NamedTuple):
-    """Consecutive steps of the schedule of which no member reads a row
-    that another member writes, computed by `TwoPassRun._compute` with one
-    gather, an einsum per step, one normalization and one scatter.  `rows`
-    lists every row the phase reads, step after step, each step's column
-    by column (the first row of every member, then the second), so that
-    a step's pis and diagnostic rows gather as whole blocks and multiply
-    along the first axis; each step's `reads` is a view of its block, and
-    its `index` a view of the phase's members' index rows, so nothing is
-    held twice.  `spans[k]` gives the first and end entry of `steps[k]` in
-    `rows` and its first and end member in the results.  The results are
-    `width` states wide, zero past a narrower step's width; a result of
-    _UNPADDED states or more is never beside a narrower one.  The steps
-    that send come first, and the first `sent` members write the rows
-    `slots`; the members from number `collected` on are normalizers, at
-    `positions`."""
+    """Consecutive steps of which no member reads a row that another member
+    writes, computed with one gather and one scatter.  `rows` lists every
+    row read, each step's column by column (its `reads` is a view of them).
+    `spans[k]` gives the first and end entry of `steps[k]` in `rows` and its
+    first and end member in the results, `width` states wide.  The first
+    `sent` members write the rows `slots`; the members from number
+    `collected` on are normalizers, at `positions`."""
 
     steps: tuple
     rows: np.ndarray
@@ -176,16 +146,12 @@ class Phase(NamedTuple):
 
 class Sequence(NamedTuple):
     """One wave of a run of _SCAN_RUN single messages or more, sent by a
-    blocked scan (`TwoPassRun._scan`): paths in which each member after
-    the first reads one run member, the one before, so its row is a linear
-    map of that member's.  Paths are cut into blocks of `block` members;
-    `phases` computes member j of every block, j after j.  Block b + 1 of
-    path k first reads row `starts[k, b]` (-1 past its end; paths from the
-    most blocks to the fewest).  Each of `transfers`, (step, at), gives the
-    transfer matrices of members outside a path's last block: their rules
-    with the read of the member before left out and its axis kept in the
-    result, behind the member and case axes; member g's matrix goes to
-    block position at[g] (path, block, member j)."""
+    blocked scan: paths in which each member reads the one before, cut
+    into blocks of `block` members; `phases` computes member j of every
+    block, j after j.  Block b + 1 of path k first reads row `starts[k, b]`
+    (-1 past its end).  Each of `transfers`, (step, at), gives the transfer
+    matrices of members outside a path's last block, member g's to block
+    position at[g] (path, block, member j)."""
 
     phases: tuple
     block: int
@@ -200,59 +166,34 @@ class Sequence(NamedTuple):
 
 
 def _widths(table: tuple, shape: tuple, pis: list, own: tuple, out: tuple) -> tuple:
-    """The padded width of each pi operand, of the diagnostic operand and
-    of the result, and the einsum subscripts, of a step whose tables have
-    sublist `table` and (padded) `shape`."""
+    """The padded widths of the pi operands and the diagnostic operand, the
+    einsum subscripts and the result's width, of tables `table` of `shape`."""
     width = dict(zip(table[1:], shape))
     return (tuple(width[sub[-1]] for sub in pis), width[own[-1]],
             _subscripts(table, *pis, own, out), width[out[-1]])
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For blocks of `counts` items laid end to end: each item's block and
-    its place in its block."""
+    """Each item's block and its place in it, for blocks of `counts` items."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
 class TwoPassPlan:
-    """Pearl's collect/distribute schedule over the forest left by
-    conditioning on a loop cutset, with integer node ids, compiled into
-    steps and phases of steps.
-
-    Every arc out of a member is cut: the member's children get a leading
-    case axis on their tables, one row per joint member assignment
-    (`cases`, in `itertools.product` order), and each member is pinned
-    per case.  So one einsum serves every case.  `arcs` are the arcs that
-    remain, as (parent id, child id) in `Network.edges` order.
-
-    A run keeps its messages in one buffer of zero-padded rows, one row
-    per case each: the pi of arc k in row 2k and its lambda in row 2k+1,
-    then the all-ones row `ones`, then each node a's evidence factor in
-    row `ones + 1 + a` (all-ones where it has none); `widths` gives each
-    row's number of states.  `rules[a]` is the `Rule` of node a's belief,
-    and `rule(a, to)` derives that of the message a sends its neighbor
-    `to`; `single(a, to)` compiles either into a one-member step.  Nothing
-    in a plan changes after it is built, so every run and relaxation of
-    the same network shares it.
-
-    Each tree is rooted at its smallest name and walked as in
-    `forest_walks`; a message towards the root collects, one away from it
-    distributes.  `steps` computes every message and root mass as phases
-    and long runs (see `_Compiler`), and `beliefs` every node's belief as
-    phases of a step or a few per shape class.  `columns[i]` is about
-    `beliefs[i]`: its first array lists the phase's nodes, member by
-    member; its second and third, the member and state of each state that
-    is its node's; its fourth, the column of each such state in a vector
-    over the states of every node in id order, whose column k is a state
-    of node `owners[k]`.  `order` lists the message rows in the sequential
-    schedule: each tree's collect messages in reverse walk order, tree by
-    tree, then each tree's distribute messages in walk order.  Trace
-    records follow it, and so do the `n_normalizers` normalizer positions
-    of the steps, with an all-ones row first and each tree's root mass
-    after its collect messages.  With no members this is plain polytree
-    propagation with one case.
-    """
+    """Pearl's collect/distribute schedule over the forest left by cutting
+    every arc out of a cutset member, over integer node ids (`arcs` remain).
+    The members' children get a leading case axis, a row per joint member
+    assignment (`cases`).  A run keeps its messages in one buffer of rows,
+    a row per case each: the pi of arc k in row 2k and its lambda in row
+    2k+1, the all-ones row `ones`, then node a's evidence factor in row
+    `ones + 1 + a`; `widths` gives each row's states.  `rules[a]` is the
+    `Rule` of a's belief.  `steps` computes every message and root mass,
+    `beliefs` every belief; `columns[i]` holds the nodes of `beliefs[i]`,
+    the member and state of each of their states, and its column in a
+    vector over every node's states (column k of node `owners[k]`).  `order`
+    lists the message rows in the sequential schedule (each tree's collect
+    messages in reverse walk order, then its distribute messages), which
+    traces and the `n_normalizers` normalizer positions follow."""
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
                  "ones", "widths", "order", "steps", "beliefs", "columns", "owners",
@@ -275,10 +216,7 @@ class TwoPassPlan:
             net.card(v) * math.prod(net.card(p) for p in net.parents(v) if p not in cut)
             for v in batched)
         _check_size(n_cases, floats)
-        self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp)
-        self.cases = self.cases.reshape(n_cases, len(ranges))
-        self.cases.flags.writeable = False
-
+        self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(n_cases, -1)
         self.ids = ids = net.ids()
         self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
         self.tensors = tuple(self._tensor(net, v) if v in batched else net.cpt_tensor(v)
@@ -296,22 +234,18 @@ class TwoPassPlan:
         del build
         offsets = np.cumsum(cards) - cards
         self.owners = np.repeat(np.arange(len(cards)), cards)
-        self.owners.flags.writeable = False
         self.columns = []
         for phase in self.beliefs:
             nodes = np.concatenate([step.index[:, _NODE] for step in phase.steps])
-            states = np.arange(phase.width)
-            columns = np.where(states < cards[nodes, None], offsets[nodes, None] + states, -1)
-            members, states = np.nonzero(columns >= 0)
-            flat = columns[members, states]
-            for array in (nodes, members, states, flat):
-                array.flags.writeable = False
-            self.columns.append((nodes, members, states, flat))
+            members, states = np.nonzero(np.arange(phase.width) < cards[nodes, None])
+            self.columns.append((nodes, members, states, offsets[nodes[members]] + states))
         self.columns = tuple(self.columns)
+        for array in (self.cases, self.owners, *itertools.chain(*self.columns)):
+            array.flags.writeable = False  # shared by every run of the plan
 
     def _tensor(self, net: Network, v: str) -> np.ndarray:
-        """v's CPT tensor with the members among its parents moved to the
-        front and indexed by the case array, giving one leading case axis."""
+        """v's CPT tensor with its member parents indexed by the cases, as
+        one leading case axis."""
         parents = net.parents(v)
         cut = [k for k, p in enumerate(parents) if p in self.members]
         columns = [self.cases[:, self.members.index(parents[k])] for k in cut]
@@ -320,9 +254,8 @@ class TwoPassPlan:
         return tensor
 
     def single(self, a: int, to: int | None) -> Step:
-        """The one-member step of the message node `a` sends its neighbor
-        `to`, or of a's belief when `to` is None, over a's own table and
-        with no normalizer position."""
+        """The one-member step of the message node `a` sends `to`, or of a's
+        belief when `to` is None, over a's own table."""
         rule = self.rule(a, to)
         slot = -1 if rule.slot is None else rule.slot
         reads = [*(slot for slot, _ in rule.pis), self.ones + 1 + a, *rule.lams]
@@ -333,10 +266,8 @@ class TwoPassPlan:
                                          rule.out), False)
 
     def rule(self, a: int, to: int | None) -> Rule:
-        """The rule of the message node `a` sends its neighbor `to`, or of
-        a's belief when `to` is None, derived from a's belief rule.  The pi
-        of arc k is in row 2k and its lambda in row 2k+1; the arc to a
-        child is found among the child's parents."""
+        """The rule of the message node `a` sends `to`, or of a's belief when
+        `to` is None, derived from a's belief rule."""
         belief = self.rules[a]
         if to is None:
             return belief
@@ -368,43 +299,22 @@ class TwoPassPlan:
         return run
 
     def arc(self, slot: int) -> tuple[str, str, str]:
-        """The parent and child names of the arc of message `slot`, and the
-        message's direction ("pi" or "lambda")."""
+        """The parent and child of the arc of message `slot`, and "pi" or
+        "lambda"."""
         arc, is_lambda = divmod(slot, 2)
         p, c = self.arcs[arc]
         return self.names[p], self.names[c], "lambda" if is_lambda else "pi"
 
     def record(self, sweep: int, slot: int, old: np.ndarray, new: np.ndarray):
-        """The `polytree.TraceRecord` of the message in `slot` moving from
-        `old` to `new`."""
+        """The `polytree.TraceRecord` of message `slot` moving to `new`."""
         from .polytree import TraceRecord
 
         return TraceRecord(sweep, *self.arc(slot), old, new)
 
 
-class _Entries(NamedTuple):
-    """Columns of the messages and masses, or of the beliefs, that a plan
-    schedules, row e about entry e: `index` as in `Step.index`, the place
-    in its node's reads that it leaves out (_NONE for none), how many rows
-    it reads, its recipient axis, a code for what it shares with the other
-    members of a step (shape class, recipient axis, and whether it is a
-    message and whether it collects), and its number of lambda rows."""
-
-    index: np.ndarray
-    drop: np.ndarray
-    length: np.ndarray
-    axis: np.ndarray
-    code: list
-    lams: list
-
-
 class _BeliefRules(_Sequence):
-    """The `Rule` of each node's belief, made when looked up from the
-    compiled reads: node a reads the rows `reads[start[a]:start[a + 1]]`,
-    the pi row of each of its `ups[a]` parents in table order, its
-    evidence row, then the lambda row of each child in arc order."""
-
-    __slots__ = ("reads", "start", "ups", "batched")
+    """The `Rule` of each node's belief, made when looked up: node a reads
+    `reads[start[a]:start[a + 1]]` (see `_Compiler`)."""
 
     def __init__(self, reads: np.ndarray, start: np.ndarray, ups: np.ndarray, batched) -> None:
         self.reads, self.start, self.ups, self.batched = reads, start, ups, batched
@@ -421,21 +331,12 @@ class _BeliefRules(_Sequence):
 
 
 class _Compiler:
-    """What building a plan's steps needs and the plan does not keep.  The
-    message a node sends a neighbor is ready once the node has heard from
-    every other neighbor, and a root's mass once the root has heard from
-    all of them.  The schedule is by readiness, not by depth: a step holds
-    ready members that share a shape class and recipient axis, and collect
-    and distribute messages run side by side (`_schedule`).  Consecutive
-    steps in which no member reads a row that another member writes form
-    a phase, which gathers first and scatters last (`_phases`); a run of
-    _SCAN_RUN single messages or more is sent as Sequences (`_sequence`).
-    Node a reads `reads[start[a]:start[a] + length[a]]`: the pi row of
-    each of its `ups[a]` parents in table order, its evidence row, then
-    the lambda row of each child in arc order; `reads` ends with the
-    all-ones row.  Shape class k's tables, zero-padded to the class's
-    largest and stacked, are `stacks[k]`, node a's in row `places[a]` of
-    the stack of class `classes[a]`."""
+    """What building a plan's steps needs and the plan does not keep.  Node
+    a reads `reads[start[a]:start[a] + length[a]]`: the pi row of each of
+    its `ups[a]` parents in table order, its evidence row, then the lambda
+    row of each child in arc order; `reads` ends with the all-ones row.
+    Shape class k's tables, zero-padded to the largest, are `stacks[k]`,
+    node a's in row `places[a]` of the stack of class `classes[a]`."""
 
     def __init__(self, plan: TwoPassPlan, ends: np.ndarray, batched: np.ndarray) -> None:
         self.plan, self.ends, self.batched = plan, ends, batched
@@ -456,13 +357,12 @@ class _Compiler:
         self.reads = np.append(reads, plan.ones).astype(np.int32)
         self.rules = _BeliefRules(self.reads, np.append(self.start, len(reads)), ups, batched)
         self.metas: dict = {}  # what the steps of one code share (see `_meta`)
+        self.per_row = len(plan.cases) * max(plan.widths)  # floats of a gathered row
         self._stack()
 
     def _stack(self) -> None:
-        """Number the shape classes (a table's sublist, and the width of
-        each axis of _UNPADDED states or more) in order of their first
-        node, and stack each class's tables, zero-padded to the largest,
-        in one buffer written with one scatter."""
+        """Number the shape classes in order of their first node, and stack
+        each class's tables in one buffer written with one scatter."""
         plan, ups, n = self.plan, self.ups, len(self.ups)
         cards = np.array(plan.cards, dtype=np.intp)
         # each table's shape: its case axis (1 for none), its parents' states,
@@ -472,7 +372,7 @@ class _Compiler:
         owner, j = _ragged(ups)
         shapes[owner, 1 + j] = cards[self.ends[:, 0]]
         shapes[np.arange(n), 1 + ups] = cards
-        wide = np.where(shapes >= _UNPADDED, shapes, 0)
+        wide = np.where(shapes[:, 1:] >= _UNPADDED, shapes[:, 1:], 0)  # cases: `batched`
         keys = np.column_stack([2 * ups + self.batched, wide[:, wide.any(axis=0)]])
         _, first, inverse = np.unique(keys if wide.any() else keys[:, 0], return_index=True,
                                       return_inverse=True, axis=0)
@@ -486,12 +386,6 @@ class _Compiler:
         self.table = sizes.tolist()
         bases = np.cumsum(counts * sizes) - counts * sizes
         buffer = np.zeros(int((counts * sizes).sum()))
-        heads = np.argsort(classes, kind="stable")[np.cumsum(counts) - counts]
-        self.stacks = []
-        for k, (a, base, count) in enumerate(zip(heads.tolist(), bases.tolist(), counts.tolist())):
-            shape = largest[k, 1 - self.batched[a]:2 + ups[a]].tolist()
-            self.stacks.append(buffer[base:base + count * sizes[k]].reshape(count, *shape))
-            self.stacks[-1].flags.writeable = False  # shared by every run of the plan
         # entry f of a table goes to its place in its padded row
         owner, f = _ragged(shapes.prod(axis=1))
         at = (bases[classes] + self.places * sizes[classes])[owner]
@@ -500,6 +394,11 @@ class _Compiler:
             f, index = np.divmod(f, shapes[owner, d])
             at += index * (strides[classes[owner], d] if d + 1 < shapes.shape[1] else 1)
         buffer[at] = np.concatenate([np.zeros(0), *plan.tensors], axis=None)
+        buffer.flags.writeable = False  # shared by every run of the plan
+        heads = np.argsort(classes, kind="stable")[np.cumsum(counts) - counts]
+        self.stacks = [buffer[base:base + count * sizes[k]].reshape(
+            count, *largest[k, 1 - self.batched[a]:2 + ups[a]].tolist()) for k, (a, base, count)
+            in enumerate(zip(heads.tolist(), bases.tolist(), counts.tolist()))]
 
     def messages(self) -> tuple:
         """The plan's `order`, `n_normalizers` and `steps`."""
@@ -513,80 +412,68 @@ class _Compiler:
         adjacent = other[np.lexsort((other, one))].tolist()
         bounds = [0, *np.cumsum(np.bincount(one, minlength=n)).tolist()]
         walks = forest_walks(rank.tolist(), lambda r: adjacent[bounds[r]:bounds[r + 1]])
-        collect = []
-        for root, walk in walks:
-            collect += walk[::-1]
-            collect.append((root, -1))
-        pairs = [*collect, *(pair[::-1] for _, walk in walks for pair in walk)]
-        pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
-                            count=2 * len(pairs)).reshape(-1, 2)
+        lengths = np.array([len(walk) for _, walk in walks], dtype=np.intp)
+        walked = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+            walk for _, walk in walks)), dtype=np.intp, count=2 * lengths.sum()).reshape(-1, 2)
+        tree, i = _ragged(lengths)
+        masses = np.cumsum(lengths + 1) - 1  # each tree's mass after its collect messages
+        pairs = np.full((len(walked) + len(walks), 2), -1)
+        pairs[masses[tree] - 1 - i] = walked
+        pairs[masses, 0] = [root for root, _ in walks]
+        pairs = np.concatenate([pairs, walked[:, ::-1]])
         pairs = np.where(pairs >= 0, np.argsort(rank)[pairs], -1)
         a, to = pairs[:, 0], pairs[:, 1]
-        # each message's arc: into its node (a lambda to a parent) or out of it
+        # each message's row: the pi of arc k (to a child) is 2k, its lambda 2k + 1
         sent = np.flatnonzero(to >= 0)
-        arc, up = np.full(len(a), -1), np.zeros(len(a), dtype=bool)
-        if len(sent):
-            keys = ends[:, 0] * n + ends[:, 1]
-            by_key = np.argsort(keys)
-            keys = keys[by_key]
-            into = to[sent] * n + a[sent]
-            found = np.searchsorted(keys, into).clip(max=len(keys) - 1)
-            up[sent] = keys[found] == into
-            out = np.searchsorted(keys, a[sent] * n + to[sent]).clip(max=len(keys) - 1)
-            arc[sent] = by_key[np.where(up[sent], found, out)]
-        slot = np.where(to >= 0, 2 * arc + up, -1)
+        keys = np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]])
+        rows = np.arange(2 * len(ends)).reshape(-1, 2).T.reshape(-1)  # 0, 2, .., 1, 3, ..
+        by_key = np.argsort(keys)
+        slot = np.full(len(a), -1)
+        slot[sent] = rows[by_key[np.searchsorted(keys[by_key], a[sent] * n + to[sent])]]
+        arc, up = slot // 2, (slot % 2 == 1) & (to >= 0)
         position = np.arange(1, len(a) + 1)
-        position[len(collect):] = -1
+        position[len(walked) + len(walks):] = -1
         axis = np.where(up, arc - self.first_up[a], ups[a])
         drop = np.where(to >= 0, np.where(up, axis, ups[a] + 1 + self.child_at[arc]), _NONE)
-        self.entries = self._entries(a, to, slot, position, axis, drop, (to >= 0) & ~up)
+        self._entries(a, to, slot, position, axis, drop, (to >= 0) & ~up)
         self.slot, self.slots = slot, slot.tolist()
-        units, alone = [], []  # alone: a run of single members
-        for chunk in self._schedule(a, to):
-            if len(chunk) == 1:
-                alone += chunk
-                continue
-            units += self._sequence(alone)
-            alone = []
-            units.append((chunk, False))
-        units += self._sequence(alone)
-        return tuple(slot[sent].tolist()), len(collect) + 1, self._phases(units)
+        units = []  # each run of single members goes through `_sequence`
+        for alone, chunks in itertools.groupby(self._schedule(a, to), lambda c: len(c) == 1):
+            units += self._sequence([c[0] for c in chunks]) if alone else [(c, False) for c in chunks]
+        return tuple(slot[sent].tolist()), len(walked) + len(walks) + 1, self._phases(units)
 
     def beliefs(self) -> tuple:
-        """The plan's `beliefs`: the phases of every node's belief, each
-        shape class's beliefs taken together, the largest class first."""
+        """The plan's `beliefs`: each shape class's beliefs together, the
+        largest class first."""
         nodes = np.arange(len(self.plan.names))
         none = np.full(len(nodes), -1)
-        self.entries = self._entries(nodes, none, none, none, self.ups, np.full(len(nodes), _NONE),
-                                     nodes < 0)
+        self._entries(nodes, none, none, none, self.ups, np.full(len(nodes), _NONE), nodes < 0)
         groups: dict = {}
-        for a, code in enumerate(self.entries.code):
+        for a, code in enumerate(self.code):
             groups.setdefault(code, []).append(a)
         groups = sorted(groups.values(), key=len, reverse=True)
         return self._phases([(chunk, False) for group in groups for chunk in self._split(group)])
 
-    def _entries(self, a, to, slot, position, axis, drop, to_child) -> _Entries:
-        """The `_Entries` of the messages node `a` sends `to` (-1 for a mass
-        or belief), writing row `slot` with normalizer `position` (each -1
-        for none), over recipient axis `axis`, leaving out read `drop`;
-        `to_child` marks the pi messages."""
-        index = np.column_stack([a, to, self.places[a], slot, position]).astype(np.int32)
+    def _entries(self, a, to, slot, position, axis, drop, to_child) -> None:
+        """A column per property of the entries, the messages `a` sends `to`
+        (-1 for a mass or belief; `to_child` marks the pi messages): `index`
+        as in `Step.index`, the read each leaves out (`drop`, _NONE for
+        none), its number of reads, its recipient axis, the `code` that the
+        members of a step share, and its number of lambda rows."""
+        self.index = np.column_stack([a, to, self.places[a], slot, position]).astype(np.int32)
         code = ((self.classes[a] * (_MEMBER + 1) + axis) * 2 + (slot < 0)) * 2 + (position < 0)
-        lams = self.length[a] - self.ups[a] - 1 - to_child
-        return _Entries(index, drop, self.length[a] - (to >= 0), axis, code.tolist(),
-                        lams.tolist())
+        self.drop, self.n_reads, self.axis = drop, self.length[a] - (to >= 0), axis
+        self.code, self.lams = code.tolist(), (self.length[a] - self.ups[a] - 1 - to_child).tolist()
 
     def _schedule(self, a: np.ndarray, to: np.ndarray) -> list:
-        """Every entry, each after everything it reads, as lists of entry
-        numbers that one step can compute: entry e is the message `a[e]`
-        sends `to[e]`, or a root's mass, and comes after what it reads.
-        The message a sends `to` is ready once a has heard from every
-        neighbor but `to`, and a root's mass once it has heard from all of
-        them.  Ready entries wait in groups by code.  Each time, the group
-        that holds the ready entry with the longest chain of readers ahead
-        of it is taken whole and split by `_split`; ties go to the larger
-        group, then to the lower entry number (critical-path list
-        scheduling, HLFET in Kwok & Ahmad 1999)."""
+        """Every entry (the message `a[e]` sends `to[e]`, or a root's mass)
+        after what it reads, as lists of entries that one step computes.
+        The message a sends `to` is ready once a has heard from every other
+        neighbor, and a mass once its root has heard from all.  Ready
+        entries wait in groups by code; each time the group holding the
+        ready entry with the longest chain of readers ahead is taken and
+        split (`_split`); ties go to the larger group, then the lower entry
+        (HLFET list scheduling)."""
         n, senders, recipients = len(self.plan.names), a.tolist(), to.tolist()
         # the longest chain from each entry through its readers, found in
         # one pass from the last entry back, from each node's two longest
@@ -614,7 +501,7 @@ class _Compiler:
         ready = np.flatnonzero((waiting[a] == 0) | (waiting[a] == 1) & (to >= 0))
         ready = ready[np.argsort(a[ready], kind="stable")].tolist()
         waiting = waiting.tolist()
-        codes, groups, chunks = self.entries.code, {}, []
+        codes, groups, chunks = self.code, {}, []
         while True:
             for e in ready:  # group: [longest tail, size, -lowest entry, code, members]
                 group = groups.get(codes[e])
@@ -651,17 +538,13 @@ class _Compiler:
                               + mine.index(message[recipient * n + senders[e]])]
 
     def _split(self, members: list) -> list:
-        """`members`, entries of one shape class and recipient axis, in
-        order of their number of lambda rows, as a list of chunks that
-        gather at most _STEP_FLOATS floats of tables and rows; a single
-        member as it is."""
+        """`members` of one code, by their number of lambda rows, in chunks
+        that gather at most _STEP_FLOATS floats of tables and rows."""
         if len(members) == 1:
             return [members]
-        lams = self.entries.lams
+        lams, per_row = self.lams, self.per_row
         members = sorted(members, key=lams.__getitem__)
-        plan = self.plan
-        per_row = len(plan.cases) * plan.widths[plan.ones]  # the all-ones row is the widest
-        table = self.table[self.classes[self.entries.index[members[0], _NODE]]]
+        table = self.table[self.classes[self.index[members[0], _NODE]]]
         if len(members) * (table + (1 + lams[members[-1]]) * per_row) <= _STEP_FLOATS:
             return [members]
         chunks, chunk = [], []
@@ -674,26 +557,23 @@ class _Compiler:
         return [*chunks, chunk]
 
     def _rows(self, e: np.ndarray, j: np.ndarray, before=None) -> np.ndarray:
-        """Read number `j` of each entry `e`, or the all-ones row past its
-        last; with `before`, also leaving out that place in its node's
-        reads (_NONE for none)."""
-        entries = self.entries
-        drop, length = entries.drop[e], entries.length[e]
+        """Read `j` of each entry `e`, or the all-ones row past its last;
+        with `before`, also leaving out that read of its node."""
+        drop, length = self.drop[e], self.n_reads[e]
         if before is not None:
             drop, before = np.minimum(drop, before), np.maximum(drop, before)
             length = length - (before < _NONE)
         at = j + (j >= drop)
         if before is not None:
             at += at >= before
-        at = np.where(j < length, self.start[entries.index[e, _NODE]] + at, len(self.reads) - 1)
+        at = np.where(j < length, self.start[self.index[e, _NODE]] + at, len(self.reads) - 1)
         return self.reads[at]
 
     def _meta(self, code: int, a: int, axis: int, alone: bool, before: int = -1) -> tuple:
-        """The stack, the table sublist, the widths and the einsum
-        subscripts (see `_widths`) of a step of node `a`'s entries of
-        `code`, over recipient axis `axis`, over its own table when
-        `alone`; with `before`, of their transfer matrices, with the axis
-        of parent `before` (of a's own for a lambda) kept in the result."""
+        """The stack, table sublist, widths and subscripts (`_widths`) of a
+        step of node `a`'s entries of `code` over recipient axis `axis`, on
+        a's own table when `alone`; with `before`, of their transfer
+        matrices, that axis kept in the result."""
         key = code, a if alone else -1, before
         if key not in self.metas:
             k = int(self.ups[a])
@@ -706,16 +586,16 @@ class _Compiler:
         return self.metas[key]
 
     def _sequence(self, members: list) -> list:
-        """The run of single `members`, as `_schedule` yields them: one-member
-        steps, or from _SCAN_RUN on a Sequence per wave of paths.  A member
-        reading one run member continues its path unless another did or it
-        is a pi reading a lambda; else it starts a path in a later wave."""
+        """The run of single `members`: one-member steps, or from _SCAN_RUN
+        on a Sequence per wave.  A member reading one run member continues
+        its path unless another did or it is a pi reading a lambda; else it
+        starts a path in a later wave."""
         if len(members) < _SCAN_RUN:
             return [([e], True) for e in members]
         run = np.array(members)
-        owner, j = _ragged(self.entries.length[run])
+        owner, j = _ragged(self.n_reads[run])
         rows = self._rows(run[owner], j)
-        slots = self.entries.index[run, _SLOT]
+        slots = self.index[run, _SLOT]
         written = np.zeros(len(self.plan.widths), dtype=bool)
         written[slots[slots >= 0]] = True
         owner, rows = owner[written[rows]], rows[written[rows]]  # the reads of run members
@@ -742,8 +622,7 @@ class _Compiler:
                 for wave in range(max(waves) + 1)]
 
     def _wave(self, paths: list) -> Sequence:
-        """The Sequence of `paths`, lists of entries in which each member
-        after the first reads the one before it."""
+        """The Sequence of `paths`, each member reading the one before."""
         paths = sorted(paths, key=len, reverse=True)
         block = 1 << max(0, math.isqrt(len(paths[0]) // 4).bit_length() - 1)
         blocks = -(-len(paths[0]) // block)
@@ -752,7 +631,7 @@ class _Compiler:
         lengths = np.array([len(path) for path in paths])
         k, i = _ragged(lengths)
         e = np.array([e for path in paths for e in path])
-        code = np.array([self.entries.code[member] for member in e.tolist()])
+        code = np.array([self.code[member] for member in e.tolist()])
         before = np.where(i > 0, self.slot[e[np.arange(len(e)) - 1]], -1)  # the row it reads
         # member j of every block, a step or a few per code in order of
         # its first member
@@ -762,7 +641,7 @@ class _Compiler:
         # each with the read of the member before left open
         opened = np.flatnonzero(i // block < (lengths[k] - 1) // block)
         e, k, i, before, code = e[opened], k[opened], i[opened], before[opened], code[opened]
-        node = self.entries.index[e, _NODE]
+        node = self.index[e, _NODE]
         pi, arc = before % 2 == 0, before // 2
         label = np.where(before < 0, -1, np.where(pi, arc - self.first_up[node], self.ups[node]))
         place = np.where(before < 0, _NONE,
@@ -770,31 +649,24 @@ class _Compiler:
         transfers = []
         for group in _groups(np.arange(len(e)), code * (_MEMBER + 2) + label + 1):
             members = e[group]
-            cols = int((self.entries.length[members] - (place[group] < _NONE)).max())
+            cols = int((self.n_reads[members] - (place[group] < _NONE)).max())
             g, j = np.divmod(np.arange(len(members) * cols), cols)
             reads = self._rows(members[g], j, place[group][g]).reshape(-1, cols)
-            stack, *meta = self._meta(self.entries.code[members[0]], int(node[group[0]]),
-                                      int(self.entries.axis[members[0]]), False,
-                                      int(label[group[0]]))
-            transfers.append((Step(self.entries.index[members], reads, True, stack, *meta,
-                                   bool(self.entries.index[members[0], _POSITION] >= 0)),
+            stack, *meta = self._meta(self.code[members[0]], int(node[group[0]]),
+                                      int(self.axis[members[0]]), False, int(label[group[0]]))
+            transfers.append((Step(self.index[members], reads, True, stack, *meta,
+                                   bool(self.index[members[0], _POSITION] >= 0)),
                               k[group] * (blocks - 1) * block + i[group]))
         return Sequence(self._phases(units), block, starts, tuple(transfers))
 
     def _phases(self, units: list) -> tuple:
-        """`units`, Sequences and steps as (members, alone) in schedule
-        order, with each maximal run of consecutive steps in which no
-        member reads a row that another member writes made one Phase.  A
-        phase gathers at most _STEP_FLOATS floats of tables and rows (a
-        step alone may gather more) and puts no result of _UNPADDED states
-        or more beside a narrower one, since numpy sums 8 or more terms in
-        another order; a Sequence stays on its own.  In a phase, the steps
-        that send distribute messages come first, then those that send
-        collect messages, then the rest (masses, or beliefs), each kind in
-        schedule order, so the members that send and those that collect
-        are each one block.  The index and read rows of all the phases are
-        built at once; each step's are views of its phase's."""
-        plan, entries = self.plan, self.entries
+        """`units`, Sequences and steps as (members, alone), with each maximal
+        run of steps in which no member reads what another writes made a
+        Phase that gathers at most _STEP_FLOATS floats (a lone step may
+        gather more) and puts no result of _UNPADDED states or more beside
+        a narrower one.  In a phase, the steps that send distribute
+        messages come first, then collect messages, then masses or beliefs,
+        so senders and collectors are each one block."""
         members = [unit[0] for unit in units if type(unit) is not Sequence]
         if not members:
             return tuple(units)
@@ -802,13 +674,13 @@ class _Compiler:
         flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
                            count=counts.sum())
         step, _ = _ragged(counts)
-        index = entries.index[flat]
+        index = self.index[flat]
         firsts = (np.cumsum(counts) - counts).tolist()
         # the last step before each step that writes a row it reads (a
         # later one writes a block input of a scan)
-        lengths = entries.length[flat]
+        lengths = self.n_reads[flat]
         owner, j = _ragged(lengths)
-        written = np.full(len(plan.widths), -1)
+        written = np.full(len(self.plan.widths), -1)
         writes = index[:, _SLOT] >= 0
         written[index[writes, _SLOT]] = step[writes]
         latest = written[self._rows(flat[owner], j)]
@@ -816,11 +688,9 @@ class _Compiler:
         latest = np.maximum.reduceat(latest, (np.cumsum(lengths) - lengths)[firsts]).tolist()
         cols = np.maximum.reduceat(lengths, firsts)
         sends, collects = (index[firsts, _SLOT] >= 0).tolist(), (index[firsts, _POSITION] >= 0).tolist()
-        per_row = len(plan.cases) * plan.widths[plan.ones]  # the all-ones row is the widest
-        heads = flat[firsts]
-        nodes, axes = index[firsts, _NODE], entries.axis[heads].tolist()
-        reads = (counts * cols * per_row).tolist()
-        sizes = (counts * cols * per_row + counts * np.array(self.table)[self.classes[nodes]])
+        nodes, axes = index[firsts, _NODE], self.axis[flat[firsts]].tolist()
+        reads = (counts * cols * self.per_row).tolist()
+        sizes = (counts * cols * self.per_row + counts * np.array(self.table)[self.classes[nodes]])
         sizes, nodes = sizes.tolist(), nodes.tolist()
         groups, group, floats, width, metas, k = [], [], 0, 0, [], 0
         for unit in units:
@@ -828,7 +698,7 @@ class _Compiler:
                 groups += [group, unit] if group else [unit]
                 group = []
                 continue
-            meta = self._meta(entries.code[unit[0][0]], nodes[k], axes[k], unit[1])
+            meta = self._meta(self.code[unit[0][0]], nodes[k], axes[k], unit[1])
             size = reads[k] + meta[0].size if unit[1] else sizes[k]
             if group and (latest[k] >= group[0] or floats + size > _STEP_FLOATS
                           or meta[-1] != width and max(meta[-1], width) >= _UNPADDED):
@@ -877,8 +747,8 @@ class _Compiler:
 
 
 def _groups(items: np.ndarray, keys: np.ndarray, major=None) -> list:
-    """`items` grouped by `keys` (and `major`), groups in order of `major`
-    and then of their first item, each in the order of `items`."""
+    """`items` grouped by `keys` (and `major`), in order of `major`, then of
+    their first item."""
     if not len(items):
         return []
     if major is not None:

@@ -1,38 +1,25 @@
 """Message-passing belief propagation for singly-connected networks.
 
-Every directed arc parent->child carries two dynamic vectors over the
-parent's states: a causal-support message (pi) flowing down the arc and a
-diagnostic-support message (lambda) flowing up.  Every message and every
-belief comes from one sum-product rule under every schedule: a node
-multiplies its CPT by what it holds from each neighbor except the
-recipient (the pi of each parent, the evidence factor times the lambda of
-each child) and sums out every axis but the recipient's, or its own for a
-belief.  The rule has one implementation, `TwoPassRun._compute`, which
-computes a `Step` (a batch of same-shaped messages or beliefs, or a
-single one) or a `Phase` of steps of a plan that the `plan` module
-compiles once per network and loop cutset (`TwoPassPlan`, over integer
-node ids and one buffer of zero-padded message rows with a row per
-cutset case).  This module keeps the paper's per-message functions, the
-relaxations and the run.
+Every directed arc parent->child carries a causal-support message (pi)
+down and a diagnostic-support message (lambda) up, both over the
+parent's states.  Every message and belief comes from one sum-product
+rule, `TwoPassRun._compute`: a node multiplies its CPT by what it holds
+from each neighbor but the recipient (each parent's pi, the evidence
+factor times each child's lambda) and sums out every axis but the
+recipient's, or its own for a belief.  It runs the steps and phases of a
+plan that the `plan` module compiles once per network and loop cutset;
+this module keeps the paper's per-message functions, the relaxations
+(one-member steps cut from the plan, on a one-case run) and the run.
 
-The two-pass schedule computes each message once, as soon as its sender
-has heard from every other neighbor, each message with the bits it gets
+The two-pass schedule computes each message once, with the bits it gets
 alone in the sequential schedule, whose order log P(evidence) and the
 trace keep; a long run of single messages, such as a chain's, is sent by
-a blocked scan (`Sequence`) to rounding of those bits.  The relaxations
-and the per-message functions compute one-member steps cut from the
-plan's steps on a one-case run, loaded from the `MessageState` they are
-given.
-
-Evidence is applied as a per-node indicator factor, equivalent to attaching
-an instantiated dummy child.  Root priors enter through the node's own
-table, equivalent to a dummy instantiated parent.  Messages are stored
-normalized; an all-zero message marks a branch that is impossible under the
-evidence and is deliberately left unnormalized.  A product of many
-children's lambdas can fall below the float range; a message or belief
-whose mass falls below 2^-500 is recomputed with its diagnostic vector
-rescaled by a power of two, which the evidence likelihood takes back out,
-unless a zero it reads makes it exactly 0.
+a blocked scan to rounding of those bits.  Evidence is an indicator
+factor per node, root priors enter through the node's own table, and
+messages are stored normalized, all-zero where a branch is impossible
+under the evidence.  A message or belief whose mass falls below 2^-500
+is recomputed with its diagnostic vector rescaled by a power of two,
+which the evidence likelihood takes back out.
 """
 
 from __future__ import annotations
@@ -95,8 +82,7 @@ class TraceRecord:
 
 @functools.cache
 def _uniform(k: int) -> np.ndarray:
-    """The read-only uniform vector over `k` states that every message
-    starts as; a message is rebound, never written into."""
+    """The read-only uniform vector over `k` states that messages start as."""
     vec = np.full(k, 1.0 / k)
     vec.flags.writeable = False
     return vec
@@ -117,9 +103,8 @@ def init_messages(net: Network, evidence: Evidence) -> MessageState:
 
 def _load(net: Network, state: MessageState, slots=None) -> TwoPassRun:
     """A one-case run of the empty-cutset plan that holds `state`'s
-    evidence factors and its messages in the rows `slots` (the pi of arc k
-    in row 2k and its lambda in row 2k+1; every row by default), and has
-    sent nothing yet."""
+    evidence factors and its messages in the rows `slots` (every row by
+    default), and has sent nothing yet."""
     plan = two_pass_plan(net, [])
     run = TwoPassRun(plan, state.evidence_factor, np.arange(1))
     for slot in range(plan.ones) if slots is None else slots:
@@ -130,9 +115,8 @@ def _load(net: Network, state: MessageState, slots=None) -> TwoPassRun:
 
 
 def _loaded(net: Network, state: MessageState, a: str, to: str | None = None):
-    """The one-member step of the message `a` sends `to`, or of a's belief
-    when `to` is None, and a one-case run (see `_load`) that holds the
-    messages of `state` it reads."""
+    """A one-case run holding the messages of `state` that the message `a`
+    sends `to` reads (a's belief when `to` is None), and its one-member step."""
     net.variable(a)  # an unknown name raises as it does everywhere else
     plan = two_pass_plan(net, [])
     step = plan.single(plan.ids[a], None if to is None else plan.ids[to])
@@ -147,9 +131,7 @@ def zero_mass(variable: str) -> str:
 
 def total_causal_support(net: Network, state: MessageState, a: str) -> np.ndarray:
     """Predicted distribution of `a` from its parents' causal messages: the
-    CPT contracted with the incoming pi vector of every parent (the prior
-    itself when `a` is a root).  This is `a`'s unnormalized belief with
-    every lambda message all-ones and no evidence."""
+    CPT contracted with the pi of every parent (the prior for a root)."""
     causal = {
         arc: LinkParameters(lp.pi, np.ones_like(lp.lam)) for arc, lp in state.messages.items()
     }
@@ -218,22 +200,17 @@ def _message_keys(net: Network, plan: TwoPassPlan) -> list[tuple[int, int]]:
 
 
 def _sending_steps(plan: TwoPassPlan) -> list[Step]:
-    """The plan's steps that send messages, each phase's steps and each
-    run's members one by one: together they send every message once."""
+    """The plan's steps that send messages, a run's members one by one."""
     return [one for step in plan.steps
             for one in (step.members if type(step) is Sequence else step.steps) if one.sends]
 
 
 def _message_steps(plan: TwoPassPlan) -> dict[tuple[int, int], Step]:
     """The one-member step of every directed message, keyed (sender id,
-    receiver id), each cut from the plan's step that sends the message
-    (see `_sending_steps`), so nothing is compiled again."""
-    alone = {}
-    for step in _sending_steps(plan):
-        for g, (a, to) in enumerate(step.index[:, :_PLACE].tolist()):
-            alone[a, to] = step if len(step.index) == 1 else step._replace(
-                index=step.index[g:g + 1], reads=step.reads[g:g + 1])
-    return alone
+    receiver id), cut from the plan's steps (see `_sending_steps`)."""
+    return {(a, to): step._replace(index=step.index[g:g + 1], reads=step.reads[g:g + 1])
+            for step in _sending_steps(plan)
+            for g, (a, to) in enumerate(step.index[:, :_PLACE].tolist())}
 
 
 def _residual(old: np.ndarray, new: np.ndarray) -> float:
@@ -241,9 +218,8 @@ def _residual(old: np.ndarray, new: np.ndarray) -> float:
 
 
 def _store(run: TwoPassRun, slot: int, new: np.ndarray, on_update, sweep: int) -> float:
-    """Write `new`, zero-padded or not, as the message in row `slot` of the
-    one-case `run` and return how far it moved (max-norm); when that
-    exceeds TOLERANCE, pass it to `on_update`."""
+    """Write `new` as the message in row `slot` of the one-case `run` and
+    return how far it moved, passed to `on_update` above TOLERANCE."""
     held = run.msg(slot)
     new = new[:, :held.shape[1]]
     residual = _residual(held, new)
@@ -254,16 +230,11 @@ def _store(run: TwoPassRun, slot: int, new: np.ndarray, on_update, sweep: int) -
 
 
 def _no_fixpoint(run: TwoPassRun, what: str, slot: int, residual: float) -> ConvergenceError:
-    """The ConvergenceError of a relaxation that ran out of budget, naming
-    the message in row `slot` and how far it moved last."""
+    """The ConvergenceError of a relaxation out of budget, naming `slot`."""
     parent, child, direction = run.plan.arc(slot)
-    return ConvergenceError(
-        f"no fixpoint after {what}; worst message: {direction} {parent}->{child} "
-        f"moved {residual:.3g}",
-        arc=(parent, child),
-        direction=direction,
-        residual=residual,
-    )
+    return ConvergenceError(f"no fixpoint after {what}; worst message: {direction} "
+                            f"{parent}->{child} moved {residual:.3g}", arc=(parent, child),
+                            direction=direction, residual=residual)
 
 
 def propagate(
@@ -273,18 +244,13 @@ def propagate(
     seed: int = 0,
     on_update=None,
 ) -> tuple[MessageState, PropagationStats]:
-    """Bring all messages to the fixpoint.
-
-    `schedule` is "synchronous" (full sweeps, every message recomputed from
-    the previous sweep's snapshot and stored in the fixed order of
-    `_message_keys`),
-    "fair-random" (repeatedly pick a random possibly-out-of-kilter message,
-    seeded by `seed`, until none is) or "two-pass" (each message computed
-    once, see `TwoPassPlan`).  The relaxations stop once every stored
-    message matches its recomputed value within TOLERANCE (max-norm) and
-    raise ImpossibleEvidenceError on impossible evidence, which two-pass
-    reports as a None log-likelihood.  All three reach the same fixpoint.
-    """
+    """Bring all messages to the fixpoint.  `schedule` is "synchronous"
+    (full sweeps from the last sweep's snapshot, stored in the order of
+    `_message_keys`), "fair-random" (a random possibly-out-of-kilter
+    message, seeded by `seed`, until none is) or "two-pass" (each message
+    once).  The relaxations stop once every message matches its recomputed
+    value within TOLERANCE and raise ImpossibleEvidenceError on impossible
+    evidence, which two-pass reports as a None log-likelihood."""
     state = init_messages(net, evidence)
     run = _load(net, state)
     if schedule == "two-pass":
@@ -365,8 +331,7 @@ def _run_fair_random(net, run, seed, on_update):
 
 
 def evidence_log_likelihood(net: Network, evidence: Evidence) -> float | None:
-    """log P(evidence), or None when the evidence has zero probability: the
-    two-pass schedule's collect normalizers."""
+    """log P(evidence) from the two-pass normalizers, or None if it is 0."""
     return propagate(net, evidence, schedule="two-pass")[1].log_likelihood
 
 
@@ -385,25 +350,15 @@ def _scaled(matrices: np.ndarray) -> np.ndarray:
 
 class TwoPassRun:
     """The messages of `plan` over the cases `live`, in the plan's buffer
-    layout with a row per case, with the evidence factor `factors[v]` (a
-    vector over v's states) on each variable v that has one.  `_compute`
-    is the one sum-product kernel under every schedule: it computes the
-    members of a `Step`, a batch of same-shaped messages or beliefs or a
-    single one, or of a `Phase` of steps, and the transfer matrices of a
-    long run.  `two_pass` runs the plan's phases, each with one gather,
-    one normalization and one scatter (`_apply`), and sends each long run
-    of single messages by its blocked scan (`_scan`); the relaxations and
-    the per-message functions compute lone one-member steps on a one-case
-    run.  A run writes only its own buffer: it reads the plan's tables in
-    place, cut to the live cases where a table has a case axis, and the
-    steps from the plan.  Each message is normalized per case; a case
-    whose normalizer is 0 is impossible and its row stays 0.  After
-    `two_pass`, a stored collect message is its unnormalized value divided
-    by its own normalizer and every normalizer below it (to rounding where
-    a scanned block starts), so all of them times the root's mass give
-    each case's P(evidence): `log_weights`, valid where `possible`.  A
-    normalizer computed from a rescaled diagnostic vector (see `_compute`)
-    comes with its power of two, which `log_weights` takes back out."""
+    layout with a row per case, with the evidence factor `factors[v]` on
+    each variable v that has one.  `two_pass` runs the plan's phases
+    (`_apply`) and sends each long run by its blocked scan (`_scan`); the
+    relaxations and per-message functions compute one-member steps on a
+    one-case run.  A run writes only its own buffer.  A case whose
+    normalizer is 0 is impossible and its rows stay 0.  The normalizers
+    of the collect messages times each root's mass give each case's
+    P(evidence): `log_weights`, valid where `possible`, with the powers of
+    two of rescaled diagnostic vectors taken back out."""
 
     __slots__ = ("plan", "n_cases", "live", "buf", "possible", "log_weights")
 
@@ -425,10 +380,9 @@ class TwoPassRun:
         return self.buf[slot, :, :self.plan.widths[slot]]
 
     def two_pass(self) -> None:
-        """Run the plan's phases and long runs, which send every message
-        once, each after the messages it reads.  The normalizers and their
-        powers of two go to their sequential positions before the log sum,
-        so `log_weights` adds them in the same order whatever the phases."""
+        """Send every message once, each after what it reads.  Normalizers
+        go to their sequential positions, so `log_weights` adds them in the
+        same order whatever the phases."""
         plan = self.plan
         scales = np.ones((plan.n_normalizers, self.n_cases))
         shifts = np.zeros(scales.shape, dtype=np.int64)
@@ -444,9 +398,8 @@ class TwoPassRun:
         self.log_weights = (np.add.accumulate(logs)[-1] - shift).tolist()
 
     def _apply(self, phase: Phase, scales: np.ndarray, shifts: np.ndarray) -> None:
-        """Compute `phase`, write its messages into their rows with one
-        scatter and its normalizers and their shifts into `scales` and
-        `shifts` by position."""
+        """Compute `phase`, scatter its messages into their rows and its
+        normalizers and shifts into `scales` and `shifts`."""
         values, sums, found = self._compute(phase)
         if len(phase.positions):
             scales[phase.positions] = sums[phase.collected:]
@@ -456,13 +409,11 @@ class TwoPassRun:
             self.buf[phase.slots, :, :phase.width] = values[:phase.sent]
 
     def _scan(self, run: Sequence, scales: np.ndarray, shifts: np.ndarray) -> None:
-        """Send the wave `run`, its normalizers and shifts into `scales` and
-        `shifts`.  Each block's transfer matrices are multiplied pairwise, a
-        level at a time, then the blocks' products into the product of all
-        up to each (Hillis & Steele), each scaled; its row 0 (a path's first
-        member has no other), normalized, is the next block's first input.
-        Then member j of every block is computed, j after j, overwriting
-        those inputs, again while one was off by over 1e-12 relative."""
+        """Send the wave `run`.  Each block's transfer matrices are multiplied
+        pairwise, then the blocks' products into the product of all up to
+        each (Hillis & Steele), each scaled; its row 0, normalized, is the
+        next block's first input.  Then member j of every block is computed,
+        j after j, again while an input was off by over 1e-12 relative."""
         written = run.starts >= 0
         if run.starts.size:
             found = [(self._compute(step, raw=True)[0], at) for step, at in run.transfers]
@@ -490,27 +441,15 @@ class TwoPassRun:
                 break
 
     def _compute(self, step: Step | Phase, raw: bool = False):
-        """The sum-product rule behind every message and belief, for every
-        member of `step`, a Step or a Phase: the member's table times the
-        pi message of each parent it reads and its diagnostic vector (its
-        evidence factor times the lambda of each child it reads, multiplied
-        left to right), summed over every axis but the recipient's, one row
-        per case.  Whatever comes from the recipient is left out; the
-        result ranges over its states when it is a parent, else over the
-        node's own (a pi message, or a belief).  Returned normalized,
-        stacked and zero-padded to the step's or the phase's width (a row
-        summing to 0 stays 0), with the row sums and the power of two by
-        which each sum exceeds the true one (0 when none does), one row per
-        member, the phase's members in the order of its steps; with `raw`,
-        a Step's results and diagnostic vectors before normalization.
-
-        A phase gathers every row it reads with one `take` and runs one
-        einsum per step into one result array, which is normalized as a
-        whole.  A row that may have underflowed is recomputed from the
-        `_rescaled` diagnostic vector of its member, by one einsum over
-        that member's operands; every other row keeps its bits and a shift
-        of 0.  The diagnostic vector enters as one operand because einsum
-        takes at most 64."""
+        """The sum-product rule for every member of a Step or Phase: its
+        table times each pi it reads and its diagnostic vector (one operand,
+        as einsum takes at most 64), summed over all but the recipient's
+        axis, a row per case.  Returned normalized and padded to the width
+        (a zero row stays 0), with the row sums and the power of two by
+        which each exceeds the true one; with `raw`, a Step's results and
+        diagnostic vectors.  A row whose sum is below 2^-500 may have
+        underflowed and is recomputed from the `_rescaled` diagnostic
+        vector, the shift taken back out of the evidence likelihood."""
         buf, live = self.buf, self.live
         if type(step) is Step:
             steps, spans, flat = (step,), ((0, 0, 0, len(step.index)),), None
@@ -567,12 +506,10 @@ class TwoPassRun:
 
     @staticmethod
     def _rescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The product of the diagnostic `rows`, stacked along axis 0 with
-        a row per case each, times 2**shift per row, and `shift`.  The
-        product is formed from mantissas and exponents kept apart, so no
-        entry underflows on the way; then each row is scaled by the power
-        of two that brings its largest entry to [0.5, 1).  An entry more
-        than 2^-1074 below its row's largest still ends as 0."""
+        """The product of the diagnostic `rows` (stacked along axis 0) times
+        2**shift per row, and `shift`, formed from mantissas and exponents
+        kept apart so that nothing underflows on the way, each row scaled
+        to bring its largest entry to [0.5, 1)."""
         mants, pows = np.frexp(rows)
         lam, power = np.ones(mants.shape[1:]), pows.sum(axis=0)
         for start in range(0, len(mants), 512):  # 512 mantissas multiply to 2^-512 or more
@@ -582,13 +519,10 @@ class TwoPassRun:
         return np.ldexp(lam, power - top[:, None]), -top
 
     def beliefs(self, nodes):
-        """The beliefs of `nodes`, each normalized per case, in one array
-        with a row per case over the states of every node in id order
-        (zero where a node is not in `nodes`), and their row sums, row k
-        for `nodes[k]`.  Only the plan's belief phases that hold an asked
-        node are computed; each phase's rows go in with one assignment
-        through its compiled members, states and columns (`columns`), and
-        the columns of the nodes not asked are zeroed once."""
+        """The beliefs of `nodes`, normalized per case, in one array with a
+        row per case over the states of every node in id order (zero where a
+        node is not asked), and their row sums, row k for `nodes[k]`.  Only
+        the belief phases that hold an asked node are computed."""
         plan = self.plan
         values = np.zeros((self.n_cases, len(plan.owners)))
         masses = np.empty((len(plan.cards), self.n_cases))
