@@ -191,9 +191,11 @@ class TwoPassPlan:
     `beliefs` every belief; `columns[i]` holds the nodes of `beliefs[i]`,
     the member and state of each of their states, and its column in a
     vector over every node's states (column k of node `owners[k]`).  `order`
-    lists the message rows in the sequential schedule (each tree's collect
-    messages in reverse walk order, then its distribute messages), which
-    traces and the `n_normalizers` normalizer positions follow."""
+    lists the message rows in the sequential schedule: each tree's collect
+    messages in reverse walk order (trees rooted at their smallest name),
+    then each tree's distribute messages in walk order.  Traces follow it,
+    and so do the `n_normalizers` normalizer positions, each root's mass
+    after its tree's collect messages."""
 
     __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
                  "ones", "widths", "order", "steps", "beliefs", "columns", "owners",
@@ -208,7 +210,7 @@ class TwoPassPlan:
         if not (is_forest(arcs, names) if cut else net.is_singly_connected()):
             raise ValueError(f"not a valid cutset: {list(self.members)}")
         n_cases = math.prod(map(len, ranges))
-        self.cards = tuple(v.card for v in net.variables)
+        self.cards = tuple(len(v.states) for v in net.variables)
         widest = max(self.cards, default=1)
         batched = {c for p, c in net.edges() if p in cut}  # the tables with a case axis
         # a case's rows, and each table with a case axis twice (its stack too)
@@ -222,7 +224,8 @@ class TwoPassPlan:
         self.tensors = tuple(self._tensor(net, v) if v in batched else net.cpt_tensor(v)
                              for v in names)
         self.ones = 2 * len(arcs)
-        ends = np.array(self.arcs, dtype=np.intp).reshape(-1, 2)
+        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
+                           count=self.ones).reshape(-1, 2)
         cards = np.array(self.cards, dtype=np.intp)
         self.widths = (*np.repeat(cards[ends[:, 0]], 2).tolist(), widest, *self.cards)
         build = _Compiler(self, ends, np.isin(np.arange(len(names)), [ids[v] for v in batched]))
@@ -378,10 +381,10 @@ class _Compiler:
                                       return_inverse=True, axis=0)
         self.classes = classes = np.argsort(np.argsort(first))[inverse.reshape(-1)]
         counts = np.bincount(classes, minlength=len(first))
+        by_class = np.argsort(classes, kind="stable")
         self.places = np.empty(n, dtype=np.intp)
-        self.places[np.argsort(classes, kind="stable")] = _ragged(counts)[1]
-        largest = np.ones((len(first), shapes.shape[1]), dtype=np.intp)
-        np.maximum.at(largest, classes, shapes)
+        self.places[by_class] = _ragged(counts)[1]
+        largest = np.maximum.reduceat(shapes[by_class], np.cumsum(counts) - counts)
         sizes = largest.prod(axis=1)
         self.table = sizes.tolist()
         bases = np.cumsum(counts * sizes) - counts * sizes
@@ -395,7 +398,7 @@ class _Compiler:
             at += index * (strides[classes[owner], d] if d + 1 < shapes.shape[1] else 1)
         buffer[at] = np.concatenate([np.zeros(0), *plan.tensors], axis=None)
         buffer.flags.writeable = False  # shared by every run of the plan
-        heads = np.argsort(classes, kind="stable")[np.cumsum(counts) - counts]
+        heads = by_class[np.cumsum(counts) - counts]
         self.stacks = [buffer[base:base + count * sizes[k]].reshape(
             count, *largest[k, 1 - self.batched[a]:2 + ups[a]].tolist()) for k, (a, base, count)
             in enumerate(zip(heads.tolist(), bases.tolist(), counts.tolist()))]
@@ -503,27 +506,32 @@ class _Compiler:
         waiting = waiting.tolist()
         codes, groups, chunks = self.code, {}, []
         while True:
-            for e in ready:  # group: [longest tail, size, -lowest entry, code, members]
-                group = groups.get(codes[e])
-                if group is None:
-                    groups[codes[e]] = [tails[e], 1, -e, codes[e], [e]]
-                    continue
-                if tails[e] > group[0]:
-                    group[0] = tails[e]
-                if -e > group[2]:
-                    group[2] = -e
-                group[1] += 1
-                group[4].append(e)
-            if not groups:
-                return chunks
-            if len(groups) == 1:
-                group = groups.popitem()[1]
-            else:  # entry numbers differ, so codes are never compared
-                group = max(groups.values())
-                del groups[group[3]]
-            chunks += self._split(group[4]) if group[1] > 1 else [group[4]]
+            if len(ready) == 1 and not groups:  # the one ready entry, alone
+                chosen = ready
+                chunks.append(chosen)
+            else:
+                for e in ready:  # group: [longest tail, size, -lowest entry, code, members]
+                    group = groups.get(codes[e])
+                    if group is None:
+                        groups[codes[e]] = [tails[e], 1, -e, codes[e], [e]]
+                        continue
+                    if tails[e] > group[0]:
+                        group[0] = tails[e]
+                    if -e > group[2]:
+                        group[2] = -e
+                    group[1] += 1
+                    group[4].append(e)
+                if not groups:
+                    return chunks
+                if len(groups) == 1:
+                    group = groups.popitem()[1]
+                else:  # entry numbers differ, so codes are never compared
+                    group = max(groups.values())
+                    del groups[group[3]]
+                chosen = group[4]
+                chunks += self._split(chosen) if group[1] > 1 else [chosen]
             ready = []
-            for e in group[4]:  # `to` hears from `a`
+            for e in chosen:  # `to` hears from `a`
                 recipient = recipients[e]
                 if recipient < 0:
                     continue
