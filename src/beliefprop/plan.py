@@ -221,14 +221,16 @@ class TwoPassPlan:
         self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(n_cases, -1)
         self.ids = ids = net.ids()
         self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
-        self.tensors = tuple(self._tensor(net, v) if v in batched else net.cpt_tensor(v)
-                             for v in names)
+        cased = {ids[v]: self._tensor(net, v) for v in batched}
+        self.tensors = _Lazy(len(names), lambda a: cased[a] if a in cased
+                             else net.cpt_tensor(names[a]))
         self.ones = 2 * len(arcs)
         ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
                            count=self.ones).reshape(-1, 2)
         cards = np.array(self.cards, dtype=np.intp)
         self.widths = (*np.repeat(cards[ends[:, 0]], 2).tolist(), widest, *self.cards)
-        build = _Compiler(self, ends, np.isin(np.arange(len(names)), [ids[v] for v in batched]))
+        build = _Compiler(self, ends, np.isin(np.arange(len(names)), list(cased)),
+                          [cased[a] if a in cased else net.cpts[v].table for a, v in enumerate(names)])
         self.rules = build.rules
         self.order, self.n_normalizers, self.steps = build.messages()
         transfers = sum(run.starts.size * run.block for run in self.steps if type(run) is Sequence)
@@ -315,22 +317,25 @@ class TwoPassPlan:
         return TraceRecord(sweep, *self.arc(slot), old, new)
 
 
-class _BeliefRules(_Sequence):
-    """The `Rule` of each node's belief, made when looked up: node a reads
-    `reads[start[a]:start[a + 1]]` (see `_Compiler`)."""
+class _Lazy(_Sequence):
+    """`length` items, item a made by `make(a)` when looked up."""
 
-    def __init__(self, reads: np.ndarray, start: np.ndarray, ups: np.ndarray, batched) -> None:
-        self.reads, self.start, self.ups, self.batched = reads, start, ups, batched
+    def __init__(self, length: int, make) -> None:
+        self.length, self.make = length, make
 
     def __len__(self) -> int:
-        return len(self.ups)
+        return self.length
 
-    def __getitem__(self, a: int) -> Rule:
-        a = range(len(self.ups))[a]
-        k = int(self.ups[a])
-        rows = self.reads[self.start[a]:self.start[a + 1]].tolist()
-        return Rule(a, None, _axes(k, bool(self.batched[a])), tuple(zip(rows[:k], _ROW)),
-                    tuple(rows[k + 1:]), _ROW[k], _ROW[k])
+    def __getitem__(self, a: int):
+        return self.make(range(self.length)[a])
+
+
+def _belief_rule(reads: np.ndarray, start: np.ndarray, ups: np.ndarray, batched, a: int) -> Rule:
+    """The `Rule` of node a's belief: a reads `reads[start[a]:start[a + 1]]`."""
+    k = int(ups[a])
+    rows = reads[start[a]:start[a + 1]].tolist()
+    return Rule(a, None, _axes(k, bool(batched[a])), tuple(zip(rows[:k], _ROW)),
+                tuple(rows[k + 1:]), _ROW[k], _ROW[k])
 
 
 class _Compiler:
@@ -341,7 +346,7 @@ class _Compiler:
     Shape class k's tables, zero-padded to the largest, are `stacks[k]`,
     node a's in row `places[a]` of the stack of class `classes[a]`."""
 
-    def __init__(self, plan: TwoPassPlan, ends: np.ndarray, batched: np.ndarray) -> None:
+    def __init__(self, plan: TwoPassPlan, ends: np.ndarray, batched: np.ndarray, tables) -> None:
         self.plan, self.ends, self.batched = plan, ends, batched
         n, arcs = len(plan.names), len(ends)
         self.ups = ups = np.bincount(ends[:, 1], minlength=n)  # arcs come grouped by child
@@ -358,12 +363,13 @@ class _Compiler:
         first_down = (np.cumsum(downs) - downs)[node[lam]]
         reads[lam] = 2 * by_parent[first_down + at[lam] - ups[node[lam]] - 1] + 1
         self.reads = np.append(reads, plan.ones).astype(np.int32)
-        self.rules = _BeliefRules(self.reads, np.append(self.start, len(reads)), ups, batched)
+        self.rules = _Lazy(n, functools.partial(_belief_rule, self.reads,
+                                                np.append(self.start, len(reads)), ups, batched))
         self.metas: dict = {}  # what the steps of one code share (see `_meta`)
         self.per_row = len(plan.cases) * max(plan.widths)  # floats of a gathered row
-        self._stack()
+        self._stack(tables)
 
-    def _stack(self) -> None:
+    def _stack(self, tables: list) -> None:
         """Number the shape classes in order of their first node, and stack
         each class's tables in one buffer written with one scatter."""
         plan, ups, n = self.plan, self.ups, len(self.ups)
@@ -396,7 +402,7 @@ class _Compiler:
         for d in np.flatnonzero((shapes > 1).any(axis=0)).tolist()[::-1]:
             f, index = np.divmod(f, shapes[owner, d])
             at += index * (strides[classes[owner], d] if d + 1 < shapes.shape[1] else 1)
-        buffer[at] = np.concatenate([np.zeros(0), *plan.tensors], axis=None)
+        buffer[at] = np.concatenate([np.zeros(0), *tables], axis=None)
         buffer.flags.writeable = False  # shared by every run of the plan
         heads = by_class[np.cumsum(counts) - counts]
         self.stacks = [buffer[base:base + count * sizes[k]].reshape(
