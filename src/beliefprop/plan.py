@@ -457,11 +457,9 @@ class _Compiler:
         nodes = np.arange(len(self.plan.names))
         none = np.full(len(nodes), -1)
         self._entries(nodes, none, none, none, self.ups, np.full(len(nodes), _NONE), nodes < 0)
-        groups: dict = {}
-        for a, code in enumerate(self.code):
-            groups.setdefault(code, []).append(a)
-        groups = sorted(groups.values(), key=len, reverse=True)
-        return self._phases([(chunk, False) for group in groups for chunk in self._split(group)])
+        groups = sorted(_groups(nodes, np.array(self.code)), key=len, reverse=True)
+        return self._phases([(chunk, False) for group in groups
+                             for chunk in self._split(group.tolist())])
 
     def _entries(self, a, to, slot, position, axis, drop, to_child) -> None:
         """A column per property of the entries, the messages `a` sends `to`
