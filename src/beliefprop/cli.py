@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 validation error,
 4 impossible evidence, 5 internal non-convergence.
 
 Each command imports the engine modules it uses when it runs, so
-`validate` loads none of them and `dsep` only `dsep`.
+`validate` loads none of them and `dsep` only `dsep`.  numpy is loaded by
+`infer`, and by the other commands only to screen a table whose rows
+`parse` could not certify (see `netformat`).
 """
 
 from __future__ import annotations

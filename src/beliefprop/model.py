@@ -3,7 +3,13 @@
 A network is a DAG in which every variable carries exactly one CPT over its
 parent set; the product of all CPT entries selected by a full assignment is
 the joint probability of that assignment.  Network and Cpt are immutable
-after construction, so they can be shared freely across threads.
+after construction, so they can be shared freely across threads: a parsed
+network's tables are made once, under a lock, when the first of them is
+read (`stacked_cpts`).
+
+numpy is imported by the functions that compute with tables, not by this
+module, so the structure of a network (parents, children, topology) can be
+read without it.
 """
 
 from __future__ import annotations
@@ -11,10 +17,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from array import array
+
+    import numpy as np
 
 # Observed state index per variable name.
 Evidence = dict[str, int]
@@ -47,10 +58,16 @@ class Cpt:
     declared parent list (last parent varies fastest); one column per child
     state.  Rows whose sum is within ROW_SUM_RENORM_TOL of 1 are rescaled to
     sum exactly 1 on construction; worse rows are kept as-is so validate()
-    can report them.
+    can report them.  The Cpts of a parsed network get their tables when
+    the first of them is read (`stacked_cpts`).
     """
 
+    #: whether every row is known to pass validate's row checks
+    _certified = False
+
     def __init__(self, child: str, parents: tuple[str, ...] | list[str], table) -> None:
+        import numpy as np
+
         self.child = child
         self.parents = tuple(parents)
         arr = np.array(table, dtype=float)
@@ -59,13 +76,6 @@ class Cpt:
         _renormalize(arr)
         arr.flags.writeable = False
         self.table = arr
-
-    @classmethod
-    def _of(cls, child: str, parents, table: np.ndarray) -> Cpt:
-        """A Cpt over `table` as it is: renormalized and read-only already."""
-        cpt = cls.__new__(cls)
-        cpt.child, cpt.parents, cpt.table = child, tuple(parents), table
-        return cpt
 
     @property
     def n_states(self) -> int:
@@ -76,34 +86,85 @@ class Cpt:
         return self.table.shape[0]
 
 
+class _StackedCpt(Cpt):
+    """A Cpt of `stacked_cpts`: its shape is known, and its table is made
+    with the others of its stack when the first of them is read."""
+
+    def __init__(self, child: str, parents, shape: tuple[int, int], stack: _Stack,
+                 certified: bool) -> None:
+        self.child, self.parents, self._shape = child, tuple(parents), shape
+        self._stack, self._certified = stack, certified
+
+    def __getattr__(self, name: str):  # called only while `table` is not set
+        if name != "table":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._stack.build()
+        return self.table
+
+    @property
+    def n_states(self) -> int:
+        return self._shape[1]
+
+    @property
+    def n_rows(self) -> int:
+        return self._shape[0]
+
+
 def _renormalize(arr: np.ndarray) -> None:
     """Rescale in place each row of `arr` whose sum is positive and within
     ROW_SUM_RENORM_TOL of 1 (dividing the others by 1.0 keeps their bits)."""
+    import numpy as np
+
     sums = arr.sum(axis=1)
     fixable = (np.abs(sums - 1.0) <= ROW_SUM_RENORM_TOL) & (sums > 0)
     arr /= np.where(fixable, sums, 1.0)[:, None]
 
 
-def stacked_cpts(specs) -> list[Cpt]:
-    """`[Cpt(child, parents, rows) for child, parents, rows in specs]`, bit
-    for bit, with one array and one renormalization per row width instead
-    of one per table.  Every table needs at least one row.  numpy sums
-    each row of a C-contiguous array on its own, so a row's sum does not
-    depend on the rows stacked with it; each table is a read-only view of
-    its rows."""
-    groups: dict[int, list[int]] = {}
-    for i, (_, _, rows) in enumerate(specs):
-        groups.setdefault(len(rows[0]), []).append(i)
-    tables: list = [None] * len(specs)
-    for members in groups.values():
-        arr = np.array([row for i in members for row in specs[i][2]], dtype=float)
-        _renormalize(arr)
-        arr.flags.writeable = False
-        start = 0
-        for i in members:
-            stop = start + len(specs[i][2])
-            tables[i], start = arr[start:stop], stop
-    return [Cpt._of(child, parents, table) for (child, parents, _), table in zip(specs, tables)]
+def stacked_cpts(specs, rows: dict[int, array]) -> list[Cpt]:
+    """One Cpt per `(child, parents, n_rows, width, certified)` of `specs`,
+    whose rows lie one after another in `rows[width]`, in the order of
+    `specs`.  No table is made until one of them is read: then each row
+    width's array becomes one numpy array (`np.frombuffer`, no copy),
+    renormalized once, and each table a read-only view of its rows, bit
+    for bit `Cpt(child, parents, its rows)`, since numpy sums each row of a
+    C-contiguous array on its own.  `certified` marks a table whose rows
+    pass validate's row checks, which validate then skips."""
+    stack = _Stack(rows)
+    shapes: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per shape
+    for child, parents, n_rows, width, certified in specs:
+        shape = shapes.setdefault((n_rows, width), (n_rows, width))
+        stack.cpts.append(_StackedCpt(child, parents, shape, stack, certified))
+    return stack.cpts
+
+
+class _Stack:
+    """The rows of the tables of `stacked_cpts`, made into the tables once,
+    by the first reader, and then released."""
+
+    def __init__(self, rows: dict[int, array]) -> None:
+        self.rows: dict[int, array] | None = rows
+        self.cpts: list[_StackedCpt] = []
+        self._lock = threading.Lock()
+
+    def build(self) -> None:
+        with self._lock:
+            if self.rows is None:  # made by another reader
+                return
+            import numpy as np
+
+            stacked = {}
+            for width, flat in self.rows.items():
+                arr = np.frombuffer(flat).reshape(-1, width)
+                _renormalize(arr)
+                arr.flags.writeable = False
+                stacked[width] = arr
+            starts = dict.fromkeys(stacked, 0)
+            for cpt in self.cpts:
+                n_rows, width = cpt._shape
+                start = starts[width]
+                cpt.table = stacked[width][start : start + n_rows]
+                starts[width] = start + n_rows
+            self.rows = self.cpts = None
 
 
 class Network:
@@ -314,7 +375,9 @@ def _walk(start, neighbors) -> tuple:
     while stack:
         node, towards = stack.pop()
         walk.append((node, towards))
-        stack += [(m, node) for m in neighbors(node) if m != towards]
+        for m in neighbors(node):
+            if m != towards:
+                stack.append((m, node))
     return tuple(walk)
 
 
@@ -385,8 +448,10 @@ def validate(net: Network) -> list[str]:
                 f"{tag}: rows have {cpt.n_states} entries, expected {net.card(cpt.child)}"
             )
             continue
-        if _rows_pass(cpt.table):
+        if cpt._certified or _rows_pass(cpt.table):
             continue
+        import numpy as np  # a table that fails the screen is walked row by row
+
         for i, row in enumerate(cpt.table):
             if np.any(row < 0) or not np.all(np.isfinite(row)):
                 problems.append(f"{tag}: row {i} has a negative or non-finite entry")
@@ -409,6 +474,8 @@ def _rows_pass(table: np.ndarray) -> bool:
     checks: no entry is negative and every row sums to 1 within half the
     tolerance, since the row-by-row sum may round differently.  NaN fails
     both tests and inf the second, so such a table is walked row by row."""
+    import numpy as np
+
     return bool(
         (table >= 0.0).all()
         and (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_CHECK_TOL / 2).all()

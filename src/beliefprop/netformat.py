@@ -17,8 +17,11 @@ underscore first); state labels may also be bare digits.
 The parser splits each line once with `str.split` and checks its words as
 plain strings; numbers are Python floats.  A word's `line:column` span is
 worked out only when a ParseError is raised, by finding that word again in
-its line, so valid input builds no per-word object.  Parsed tables are
-built with one array per row width (`model.stacked_cpts`).
+its line, so valid input builds no per-word object.  The checked
+probabilities of each row width go into one stdlib `array("d")`, which
+`model.stacked_cpts` makes into numpy tables when a table is first read.
+So parsing needs no numpy, and neither does validating a table whose
+every row sum `parse` found within `_CERTIFIED_TOL` of 1.
 """
 
 from __future__ import annotations
@@ -26,15 +29,18 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import Evidence, Network, Variable, stacked_cpts
+from .model import ROW_SUM_RENORM_TOL, Evidence, Network, Variable, stacked_cpts
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 TOKEN_RE = re.compile(r"\S+")
+#: a table whose every row sums to 1 within this, as parsed, is certified:
+#: numpy's row sum, in any order, then renormalizes each row, so the table
+#: passes validate's row checks
+_CERTIFIED_TOL = ROW_SUM_RENORM_TOL / 2
 
 
 @dataclass(frozen=True)
@@ -79,17 +85,20 @@ def _parse_prob(text: str, i: int) -> float:
 class _CptBlock:
     """An open `cpt` statement waiting for its configuration rows."""
 
-    def __init__(self, header: tuple[str, int], child: Variable, parents: list[Variable]):
+    def __init__(self, header: tuple[str, int], child: Variable, parents: list[Variable],
+                 flat: array):
         self.header = header  # (line, line number) of the statement
         self.child = child
         self.parents = parents
         # each row's parent states, in row-major order of the parent list
         self.labels = list(map(list, itertools.product(*(p.states for p in parents))))
-        self.rows: list[list[float]] = []
+        self.flat = flat  # the probabilities of every row of this width so far
+        self.n_rows = 0
+        self.certified = True
 
     @property
     def complete(self) -> bool:
-        return len(self.rows) == len(self.labels)
+        return self.n_rows == len(self.labels)
 
     def describe_config(self, idx: int) -> str:
         return " ".join(self.labels[idx]) if self.parents else "(root)"
@@ -100,7 +109,8 @@ def parse(text: str) -> Network:
     name: str | None = None
     variables: list[Variable] = []
     by_name: dict[str, Variable] = {}
-    cpts: list[tuple] = []  # (child, parents, rows) in declaration order
+    cpts: list[tuple] = []  # (child, parents, n_rows, width, certified) in declaration order
+    rows: dict[int, array] = {}  # each row width's probabilities, row after row
     tabled: set[str] = set()  # children with a cpt
     block: _CptBlock | None = None
     saw_statement = False
@@ -113,9 +123,10 @@ def parse(text: str) -> Network:
             raise ParseError(
                 _span(*block.header, 1),
                 f"missing configuration row for {block.child.name} "
-                f"(expected {block.describe_config(len(block.rows))!r} next)",
+                f"(expected {block.describe_config(block.n_rows)!r} next)",
             )
-        cpts.append((block.child.name, [p.name for p in block.parents], block.rows))
+        cpts.append((block.child.name, [p.name for p in block.parents], block.n_rows,
+                     block.child.card, block.certified))
         tabled.add(block.child.name)
         block = None
 
@@ -129,7 +140,7 @@ def parse(text: str) -> Network:
                     raise _WordError(0, "row outside of a cpt statement")
                 if block.complete:
                     raise _WordError(0, f"too many rows for cpt {block.child.name}")
-                block.rows.append(_parse_row(block, words))
+                _parse_row(block, words)
                 continue
 
             close_block()
@@ -145,7 +156,7 @@ def parse(text: str) -> Network:
                 variables.append(v)
                 by_name[v.name] = v
             elif keyword == "cpt":
-                block = _open_cpt(words, (raw, lineno), by_name, tabled)
+                block = _open_cpt(words, (raw, lineno), by_name, tabled, rows)
             else:
                 raise _WordError(0, f"unknown statement {keyword!r}")
             saw_statement = True
@@ -154,7 +165,7 @@ def parse(text: str) -> Network:
             raise ParseError(_span(raw, lineno, i), message) from None
 
     close_block()
-    return Network(variables, stacked_cpts(cpts), name=name)
+    return Network(variables, stacked_cpts(cpts, rows), name=name)
 
 
 def _parse_var(words: list[str], by_name: dict[str, Variable]) -> Variable:
@@ -179,7 +190,8 @@ def _parse_var(words: list[str], by_name: dict[str, Variable]) -> Variable:
 
 
 def _open_cpt(
-    words: list[str], header: tuple[str, int], by_name: dict[str, Variable], tabled: set[str]
+    words: list[str], header: tuple[str, int], by_name: dict[str, Variable], tabled: set[str],
+    rows: dict[int, array],
 ) -> _CptBlock:
     if len(words) < 2:
         raise _WordError(0, "expected: cpt <child> [| <parents>] :")
@@ -205,16 +217,17 @@ def _open_cpt(
             parents.append(by_name[t])
         if not parents:
             raise _WordError(2, "parent list after '|' is empty")
-    return _CptBlock(header, by_name[child], parents)
+    card = by_name[child].card
+    return _CptBlock(header, by_name[child], parents, rows.setdefault(card, array("d")))
 
 
-def _parse_row(block: _CptBlock, words: list[str]) -> list[float]:
-    """A row's probabilities.  The common case is screened with whole-row
-    tests; any row that fails them is walked word by word, in the order of
-    the checks, so that the walk alone picks the message."""
+def _parse_row(block: _CptBlock, words: list[str]) -> None:
+    """Add a row's probabilities to `block`.  The common case is screened
+    with whole-row tests; any row that fails them is walked word by word,
+    in the order of the checks, so that the walk alone picks the message."""
     k = block.child.card
     n = len(block.parents)
-    if n and (len(words) <= n or words[n] != ":" or words[:n] != block.labels[len(block.rows)]):
+    if n and (len(words) <= n or words[n] != ":" or words[:n] != block.labels[block.n_rows]):
         _check_config(block, words)
     probs = words[n + 1 :] if n else words
     if len(probs) != k:
@@ -229,7 +242,10 @@ def _parse_row(block: _CptBlock, words: list[str]) -> list[float]:
         for i, t in enumerate(probs, start=len(words) - k):
             _parse_prob(t, i)
         raise _WordError(0, f"row sum is {total:.9g}, not 1")
-    return row
+    if abs(total - 1.0) > _CERTIFIED_TOL:
+        block.certified = False
+    block.flat.fromlist(row)
+    block.n_rows += 1
 
 
 def _check_config(block: _CptBlock, words: list[str]) -> None:
@@ -243,11 +259,11 @@ def _check_config(block: _CptBlock, words: list[str]) -> None:
     for i, (parent, t) in enumerate(zip(block.parents, words)):
         if t not in parent.states:
             raise _WordError(i, f"unknown state {t!r} of {parent.name}")
-    if words[:sep] != block.labels[len(block.rows)]:  # state labels are distinct
+    if words[:sep] != block.labels[block.n_rows]:  # state labels are distinct
         raise _WordError(
             0,
             f"configuration out of order: expected "
-            f"{block.describe_config(len(block.rows))!r}",
+            f"{block.describe_config(block.n_rows)!r}",
         )
 
 
@@ -269,20 +285,22 @@ def serialize(net: Network) -> str:
             lines.append(f"cpt {v.name} | {' '.join(cpt.parents)} :")
             parent_vars = [net.variable(p) for p in cpt.parents]
             configs = itertools.product(*(range(p.card) for p in parent_vars))
+            rows = cpt.table.tolist()  # Python floats format faster than numpy's
             for i, config in enumerate(configs):
                 labels = " ".join(
                     p.states[s] for p, s in zip(parent_vars, config)
                 )
-                probs = " ".join(_fmt(x) for x in cpt.table[i])
-                lines.append(f"  {labels} : {probs}")
+                lines.append(f"  {labels} : {' '.join(map(_fmt, rows[i]))}")
         else:
             lines.append(f"cpt {v.name} :")
-            lines.append("  " + " ".join(_fmt(x) for x in cpt.table[0]))
+            lines.append("  " + " ".join(map(_fmt, cpt.table[0].tolist())))
     return "\n".join(lines) + "\n"
 
 
 def structurally_equal(a: Network, b: Network, tol: float = 1e-9) -> bool:
     """Same name, variables, states, and parent lists; tables within tol."""
+    import numpy as np
+
     if a.name != b.name or a.var_names() != b.var_names():
         return False
     for va, vb in zip(a.variables, b.variables):

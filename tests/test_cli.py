@@ -505,11 +505,12 @@ ENGINE = {"conditioning", "cutset", "dsep", "oracle", "plan", "polytree"}
 
 
 def engine_modules_after(code: str) -> set[str]:
-    """The engine modules that a fresh interpreter holds after `code`."""
+    """The engine modules, and numpy, that a fresh interpreter holds after
+    `code`."""
     src = str(Path(__file__).parent.parent / "src")
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code += "\nimport sys\nprint(*(m.split('.')[-1] for m in sys.modules" \
-            " if m.startswith('beliefprop.')))"
+            " if m.startswith('beliefprop.') or m == 'numpy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -517,17 +518,35 @@ def engine_modules_after(code: str) -> set[str]:
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    return set(proc.stdout.split()) & ENGINE
+    return set(proc.stdout.split()) & (ENGINE | {"numpy"})
+
+
+@pytest.fixture(scope="module")
+def big_file(tmp_path_factory) -> str:
+    """The bench's 3,000-node bushy polytree, serialized."""
+    net = netgen.bushy_polytree(random.Random("b"), 3000, max_card=3)
+    path = tmp_path_factory.mktemp("big") / "big.bn"
+    path.write_text(serialize(net), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("code", ["import beliefprop", "import beliefprop.cli"])
+def test_importing_loads_no_engine_module_and_no_numpy(code):
+    assert engine_modules_after(code) == set()
 
 
 @pytest.mark.parametrize(("argv", "loaded"), [
-    (["validate", FIG1], set()),
-    (["dsep", FIG1, "--x", "x2", "--y", "x3"], {"dsep"}),
-    (["cutset", FIG1], {"cutset"}),
+    (["validate"], set()),
+    (["dsep", "--x", "{x}", "--y", "{y}"], {"dsep"}),
+    (["cutset"], {"cutset"}),
+    (["infer"], {"conditioning", "cutset", "plan", "polytree", "numpy"}),
 ])
-def test_commands_load_only_the_engine_modules_they_use(argv, loaded):
-    code = f"import io\nfrom beliefprop import cli\nassert cli.run({argv!r}, io.StringIO()) == 0"
-    assert engine_modules_after(code) == loaded
+def test_commands_load_only_the_engine_modules_they_use(argv, loaded, big_file):
+    """No command loads numpy but `infer`, on fig1 and on a large file."""
+    for path, x, y in [(FIG1, "x2", "x3"), (big_file, "v0001", "v2999")]:
+        line = [argv[0], path, *(a.format(x=x, y=y) for a in argv[1:])]
+        code = f"import io\nfrom beliefprop import cli\nassert cli.run({line!r}, io.StringIO()) == 0"
+        assert engine_modules_after(code) == loaded, path
 
 
 def test_every_exported_name_resolves():
@@ -544,4 +563,4 @@ def test_every_exported_name_resolves():
         "assert set(beliefprop.__all__) <= set(dir(beliefprop))",
         "assert beliefprop.cli is importlib.import_module('beliefprop.cli')",
     ])
-    assert engine_modules_after(code) == ENGINE
+    assert engine_modules_after(code) == ENGINE | {"numpy"}

@@ -26,6 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
+from array import array
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -227,23 +231,129 @@ def test_valid_network_walks_no_rows(monkeypatch):
     cpts = [Cpt(c.child, c.parents, -c.table) if c.child == "b07" else c for c in net.cpt_list]
     assert len(validate(Network(net.variables, cpts))) == cpts[7].n_rows
     assert screened.count(False) == 1
+    screened.clear()
+    parsed = parse(serialize(net))  # certified by parse: not even screened
+    assert validate(parsed) == [] and not screened
+    assert not any("table" in vars(cpt) for cpt in parsed.cpt_list)
+
+
+def _stacked(tables) -> list[Cpt]:
+    """`model.stacked_cpts` over `tables`, a list of 2-D arrays."""
+    rows, specs = {}, []
+    for i, table in enumerate(tables):
+        n_rows, width = table.shape
+        rows.setdefault(width, array("d")).extend(table.ravel().tolist())
+        specs.append((f"v{i}", [f"p{i}"], n_rows, width, False))
+    return model.stacked_cpts(specs, rows)
 
 
 def test_stacked_tables_are_the_tables_built_one_by_one():
     rng = np.random.default_rng(5)
-    specs = []
-    for i in range(400):
+    tables = []
+    for _ in range(400):
         rows, width = int(rng.integers(1, 30)), int(rng.integers(1, 21))
         table = rng.random((rows, width)) ** 3
         table /= table.sum(axis=1, keepdims=True) * (1 + rng.uniform(-2e-6, 2e-6, (rows, 1)))
         spoil = rng.random(table.shape) < 0.02
         table[spoil] = rng.choice([0.0, -0.0, -0.5, 1.5, np.nan, np.inf], spoil.sum())
-        specs.append((f"v{i}", [f"p{i}"], table.tolist()))
-    stacked = model.stacked_cpts(specs)
-    for (child, parents, rows), cpt in zip(specs, stacked):
-        alone = Cpt(child, parents, rows)
-        assert (cpt.child, cpt.parents) == (alone.child, alone.parents)
-        assert cpt.table.shape == alone.table.shape
+        tables.append(table)
+    for table, cpt in zip(tables, _stacked(tables)):
+        alone = Cpt(cpt.child, cpt.parents, table.tolist())
+        assert (cpt.n_rows, cpt.n_states) == alone.table.shape == cpt.table.shape
+        assert cpt.table.tobytes() == alone.table.tobytes()
+        assert not cpt.table.flags.writeable
+
+
+def _parse_valid_rows(rng: np.random.Generator, n_rows: int, width: int, total: float):
+    """`n_rows` rows of `width` entries in [0, 1] whose Python sums are
+    `total` to within an ulp or so (None where that cannot be done)."""
+    rows = []
+    for _ in range(n_rows):
+        head = rng.random(width - 1) ** 3
+        head *= total * rng.uniform(0.2, 0.95) / max(head.sum(), 1e-300)
+        head = head.tolist()
+        last = total - sum(head)
+        if not 0.0 <= last <= 1.0:
+            return None
+        rows.append([*head, last])
+    return rows
+
+
+def _text(tables: dict[str, list]) -> str:
+    """A network of one child per table below a parent `P` of as many
+    states as each table has rows, every float written exactly."""
+    n_rows = len(next(iter(tables.values())))
+    lines = [f"var P : {' '.join(f'p{r}' for r in range(n_rows))}"]
+    lines += [f"var {name} : {' '.join(f's{j}' for j in range(len(rows[0])))}"
+              for name, rows in tables.items()]
+    lines += ["cpt P :", "  " + " ".join([repr(1 / n_rows)] * n_rows)]
+    for name, rows in tables.items():
+        lines.append(f"cpt {name} | P :")
+        lines += [f"  p{r} : {' '.join(map(repr, row))}" for r, row in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def test_certified_tables_would_pass_the_row_screen():
+    """Rows at and beside the certification margin (1 +- 5e-7) and the
+    parse tolerance (1 +- 1e-6): each certified table passes the numpy row
+    screen, and `validate` gives what it gives when every table is
+    screened.  From 8 entries on numpy sums a row pairwise, not in order.
+    A variable has at least two states, so no parsed table is narrower."""
+    rng = np.random.default_rng(23)
+    for width in range(2, 41):
+        tables = {}
+        for base in (1 - 1e-6, 1 - 5e-7, 1 + 5e-7, 1 + 1e-6):
+            for ulps in range(-3, 4):
+                total = base
+                for _ in range(abs(ulps)):
+                    total = np.nextafter(total, 2.0 if ulps > 0 else 0.0)
+                rows = _parse_valid_rows(rng, 6, width, float(total))
+                if rows is not None and all(abs(sum(r) - 1.0) <= 1e-6 for r in rows):
+                    tables[f"w{width}_{len(tables)}"] = rows
+        net = parse(_text(tables))
+        certified = [cpt for cpt in net.cpt_list[1:] if cpt._certified]
+        assert 0 < len(certified) < len(tables)
+        for cpt in certified:
+            assert model._rows_pass(cpt.table)
+        screened = Network(net.variables, [Cpt(c.child, c.parents, c.table) for c in net.cpt_list])
+        assert validate(net) == validate(screened)
+
+
+def test_lazily_stacked_tables_are_made_once_under_threads(monkeypatch):
+    """Eight threads read a parsed network's tables first, at once: the
+    tables are made once (one renormalization per row width), every thread
+    gets the same objects, and they are the tables built one by one."""
+    rng = np.random.default_rng(9)
+    tables = {}
+    for i in range(120):
+        width = int(rng.integers(2, 21))
+        rows = _parse_valid_rows(rng, 6, width, 1 + float(rng.uniform(-9e-7, 9e-7)))
+        if rows is not None:
+            tables[f"c{i}"] = rows
+    text = _text(tables)
+    widths = len({len(rows[0]) for rows in tables.values()} | {6})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            net = parse(text)
+            made = _counting(monkeypatch, model, "_renormalize")
+            start = threading.Barrier(8, timeout=30)
+
+            def read(k):
+                start.wait()
+                return [cpt.table for cpt in net.cpt_list[k::8] + net.cpt_list]
+
+            with ThreadPoolExecutor(8) as pool:
+                seen = list(pool.map(read, range(8), timeout=60))
+            assert len(made) == widths
+            monkeypatch.undo()
+            for k, got in enumerate(seen):
+                assert all(a is cpt.table for a, cpt in zip(got, net.cpt_list[k::8] + net.cpt_list))
+    finally:
+        sys.setswitchinterval(interval)
+    for cpt in net.cpt_list[1:]:
+        alone = Cpt(cpt.child, cpt.parents, tables[cpt.child])
         assert cpt.table.tobytes() == alone.table.tobytes()
         assert not cpt.table.flags.writeable
 
