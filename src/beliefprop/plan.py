@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence as _Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -81,21 +80,6 @@ def two_pass_plan(net: Network, members) -> TwoPassPlan:
     """The plan of `net` conditioned on the cutset `members`, cached in the
     network.  Raises KeyError on an unknown member, ValueError on a loop."""
     return net.cached(("two-pass plan", tuple(members)), lambda: TwoPassPlan(net, members))
-
-
-class Rule(NamedTuple):
-    """How node `node` computes one message or its belief: the row it
-    writes (None for a belief), the einsum sublist of its table, the (row,
-    sublist) of each pi it reads, the rows of the lambdas it reads, and the
-    sublists of its diagnostic vector and of the result."""
-
-    node: int
-    slot: int | None
-    table: tuple
-    pis: tuple
-    lams: tuple[int, ...]
-    own: tuple
-    out: tuple
 
 
 #: the columns of `Step.index`
@@ -186,18 +170,19 @@ class TwoPassPlan:
     assignment (`cases`).  A run keeps its messages in one buffer of rows,
     a row per case each: the pi of arc k in row 2k and its lambda in row
     2k+1, the all-ones row `ones`, then node a's evidence factor in row
-    `ones + 1 + a`; `widths` gives each row's states.  `rules[a]` is the
-    `Rule` of a's belief.  `steps` computes every message and root mass,
-    `beliefs` every belief; `columns[i]` holds the nodes of `beliefs[i]`,
-    the member and state of each of their states, and its column in a
-    vector over every node's states (column k of node `owners[k]`).  `order`
-    lists the message rows in the sequential schedule: each tree's collect
-    messages in reverse walk order (trees rooted at their smallest name),
-    then each tree's distribute messages in walk order.  Traces follow it,
-    and so do the `n_normalizers` normalizer positions, each root's mass
-    after its tree's collect messages."""
+    `ones + 1 + a`; `widths` gives each row's states.  `reads` holds the
+    `reads`, `start` and `ups` of `_Compiler`, from which `single` makes the
+    step of one message or belief.  `steps` computes every message and root
+    mass, `beliefs` every belief; `columns[i]` holds the nodes of
+    `beliefs[i]`, the member and state of each of their states, and its
+    column in a vector over every node's states (column k of node
+    `owners[k]`).  `order` lists the message rows in the sequential
+    schedule: each tree's collect messages in reverse walk order (trees
+    rooted at their smallest name), then each tree's distribute messages in
+    walk order.  Traces follow it, and so do the `n_normalizers` normalizer
+    positions, each root's mass after its tree's collect messages."""
 
-    __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "rules", "tensors",
+    __slots__ = ("names", "ids", "cards", "members", "cases", "arcs", "reads", "_net", "_cased",
                  "ones", "widths", "order", "steps", "beliefs", "columns", "owners",
                  "n_normalizers")
 
@@ -221,9 +206,8 @@ class TwoPassPlan:
         self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(n_cases, -1)
         self.ids = ids = net.ids()
         self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
-        cased = {ids[v]: self._tensor(net, v) for v in batched}
-        self.tensors = _Lazy(len(names), lambda a: cased[a] if a in cased
-                             else net.cpt_tensor(names[a]))
+        self._net = net
+        self._cased = cased = {ids[v]: self._case_tensor(net, v) for v in batched}
         self.ones = 2 * len(arcs)
         ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
                            count=self.ones).reshape(-1, 2)
@@ -231,7 +215,7 @@ class TwoPassPlan:
         self.widths = (*np.repeat(cards[ends[:, 0]], 2).tolist(), widest, *self.cards)
         build = _Compiler(self, ends, np.isin(np.arange(len(names)), list(cased)),
                           [cased[a] if a in cased else net.cpts[v].table for a, v in enumerate(names)])
-        self.rules = build.rules
+        self.reads = build.reads, build.start, build.ups
         self.order, self.n_normalizers, self.steps = build.messages()
         transfers = sum(run.starts.size * run.block for run in self.steps if type(run) is Sequence)
         _check_size(n_cases, floats + transfers * widest ** 2)
@@ -245,10 +229,10 @@ class TwoPassPlan:
             members, states = np.nonzero(np.arange(phase.width) < cards[nodes, None])
             self.columns.append((nodes, members, states, offsets[nodes[members]] + states))
         self.columns = tuple(self.columns)
-        for array in (self.cases, self.owners, *itertools.chain(*self.columns)):
+        for array in (self.cases, self.owners, *self.reads, *itertools.chain(*self.columns)):
             array.flags.writeable = False  # shared by every run of the plan
 
-    def _tensor(self, net: Network, v: str) -> np.ndarray:
+    def _case_tensor(self, net: Network, v: str) -> np.ndarray:
         """v's CPT tensor with its member parents indexed by the cases, as
         one leading case axis."""
         parents = net.parents(v)
@@ -258,33 +242,35 @@ class TwoPassPlan:
         tensor.flags.writeable = False  # shared by every run of the plan
         return tensor
 
+    def tensor(self, a: int) -> np.ndarray:
+        """Node a's CPT tensor, with a leading case axis if a member is its parent."""
+        return self._cased[a] if a in self._cased else self._net.cpt_tensor(self.names[a])
+
     def single(self, a: int, to: int | None) -> Step:
         """The one-member step of the message node `a` sends `to`, or of a's
-        belief when `to` is None, over a's own table."""
-        rule = self.rule(a, to)
-        slot = -1 if rule.slot is None else rule.slot
-        reads = [*(slot for slot, _ in rule.pis), self.ones + 1 + a, *rule.lams]
-        pis = [sub for _, sub in rule.pis]
+        belief when `to` is None, over a's own table: a's reads with the
+        read of the recipient's message left out.  Raises KeyError if `to`
+        is not a neighbor of `a`."""
+        reads, start, ups = self.reads
+        k, tensor = int(ups[a]), self.tensor(a)
+        rows, axis, slot = reads[start[a]:start[a + 1]].tolist(), k, -1
+        if to is not None:
+            parents = [self.arcs[row // 2][0] for row in rows[:k]]
+            if to in parents:  # the lambda message to a parent
+                axis = parents.index(to)
+                slot = rows.pop(axis) + 1
+            else:  # the pi message to a child: a's row among the child's pis
+                found = [row for row in reads[start[to]:start[to] + ups[to]].tolist()
+                         if self.arcs[row // 2][0] == a]
+                if not found:
+                    raise KeyError((a, to))
+                slot = found[0]
+                rows.remove(slot + 1)
+        table = _axes(k, tensor.ndim > k + 1)
+        pis = [sub for j, sub in enumerate(_ROW[:k]) if j != axis]
         return Step(np.array([[a, -1 if to is None else to, 0, slot, -1]], dtype=np.int32),
-                    np.array([reads], dtype=np.int32), rule.slot is not None, self.tensors[a],
-                    rule.table, *_widths(rule.table, self.tensors[a].shape, pis, rule.own,
-                                         rule.out), False)
-
-    def rule(self, a: int, to: int | None) -> Rule:
-        """The rule of the message node `a` sends `to`, or of a's belief when
-        `to` is None, derived from a's belief rule."""
-        belief = self.rules[a]
-        if to is None:
-            return belief
-        _, _, table, pis, lams, own, _ = belief
-        for j, (slot, _) in enumerate(pis):  # the lambda message to parent j
-            if self.arcs[slot // 2][0] == to:
-                return Rule(a, slot + 1, table, pis[:j] + pis[j + 1:], lams, own, _ROW[j])
-        for slot, _ in self.rules[to].pis:  # the pi message to child `to`
-            if self.arcs[slot // 2][0] == a:
-                k = lams.index(slot + 1)
-                return Rule(a, slot, table, pis, lams[:k] + lams[k + 1:], own, own)
-        raise KeyError((a, to))
+                    np.array([rows], dtype=np.int32), slot >= 0, tensor, table,
+                    *_widths(table, tensor.shape, pis, _ROW[k], _ROW[axis]), False)
 
     def live_cases(self, evidence: Evidence) -> np.ndarray:
         """Indices of the cases that agree with the evidence on members."""
@@ -317,34 +303,14 @@ class TwoPassPlan:
         return TraceRecord(sweep, *self.arc(slot), old, new)
 
 
-class _Lazy(_Sequence):
-    """`length` items, item a made by `make(a)` when looked up."""
-
-    def __init__(self, length: int, make) -> None:
-        self.length, self.make = length, make
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, a: int):
-        return self.make(range(self.length)[a])
-
-
-def _belief_rule(reads: np.ndarray, start: np.ndarray, ups: np.ndarray, batched, a: int) -> Rule:
-    """The `Rule` of node a's belief: a reads `reads[start[a]:start[a + 1]]`."""
-    k = int(ups[a])
-    rows = reads[start[a]:start[a + 1]].tolist()
-    return Rule(a, None, _axes(k, bool(batched[a])), tuple(zip(rows[:k], _ROW)),
-                tuple(rows[k + 1:]), _ROW[k], _ROW[k])
-
-
 class _Compiler:
-    """What building a plan's steps needs and the plan does not keep.  Node
-    a reads `reads[start[a]:start[a] + length[a]]`: the pi row of each of
-    its `ups[a]` parents in table order, its evidence row, then the lambda
-    row of each child in arc order; `reads` ends with the all-ones row.
-    Shape class k's tables, zero-padded to the largest, are `stacks[k]`,
-    node a's in row `places[a]` of the stack of class `classes[a]`."""
+    """What building a plan's steps needs; the plan keeps `reads`, `start`
+    and `ups`.  Node a reads `reads[start[a]:start[a + 1]]`: the pi row
+    of each of its `ups[a]` parents in table order, its evidence row, then
+    the lambda row of each child in arc order; `reads` ends with the
+    all-ones row.  Shape class k's tables, zero-padded to the largest, are
+    `stacks[k]`, node a's in row `places[a]` of the stack of class
+    `classes[a]`."""
 
     def __init__(self, plan: TwoPassPlan, ends: np.ndarray, batched: np.ndarray, tables) -> None:
         self.plan, self.ends, self.batched = plan, ends, batched
@@ -356,15 +322,13 @@ class _Compiler:
         self.child_at = np.zeros(arcs + 1, dtype=np.intp)  # each arc's place among its parent's
         self.child_at[by_parent] = _ragged(downs)[1]
         self.length = ups + 1 + downs
-        self.start = np.cumsum(self.length) - self.length
+        self.start = np.cumsum(np.append(0, self.length))  # and the end of the last node's
         node, at = _ragged(self.length)
         reads = np.where(at < ups[node], 2 * (self.first_up[node] + at), plan.ones + 1 + node)
         lam = np.flatnonzero(at > ups[node])
         first_down = (np.cumsum(downs) - downs)[node[lam]]
         reads[lam] = 2 * by_parent[first_down + at[lam] - ups[node[lam]] - 1] + 1
         self.reads = np.append(reads, plan.ones).astype(np.int32)
-        self.rules = _Lazy(n, functools.partial(_belief_rule, self.reads,
-                                                np.append(self.start, len(reads)), ups, batched))
         self.metas: dict = {}  # what the steps of one code share (see `_meta`)
         self.per_row = len(plan.cases) * max(plan.widths)  # floats of a gathered row
         self._stack(tables)
@@ -590,7 +554,7 @@ class _Compiler:
         if key not in self.metas:
             k = int(self.ups[a])
             table = _axes(k, bool(self.batched[a]))
-            stack = self.plan.tensors[a] if alone else self.stacks[self.classes[a]]
+            stack = self.plan.tensor(a) if alone else self.stacks[self.classes[a]]
             pis = [sub for j, sub in enumerate(_ROW[:k]) if j != axis and j != before]
             out = _ROW[axis] if before < 0 else (_MEMBER, _CASE, before, axis)
             self.metas[key] = (stack, table,

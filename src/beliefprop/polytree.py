@@ -281,7 +281,8 @@ def propagate(
 
 def _run_synchronous(net, run, on_update):
     steps = _sending_steps(run.plan)
-    slots = [run.plan.rule(*key).slot for key in _message_keys(net, run.plan)]
+    slot_of = {(a, to): slot for step in steps for a, to, _, slot, _ in step.index.tolist()}
+    slots = [slot_of[key] for key in _message_keys(net, run.plan)]
     max_sweeps = 4 * (net.underlying_diameter() + 2) + 16
     updates = 0
     for sweep in range(1, max_sweeps + 1):
@@ -304,7 +305,7 @@ def _run_fair_random(net, run, seed, on_update):
     for key in keys:
         sends.setdefault(key[0], []).append(key)
     dirty = set(keys)
-    pool = list(keys)  # work list; may hold entries already cleaned
+    pool = list(keys)  # work list: the keys of `dirty`
     rng = random.Random(seed)
     updates = 0
     budget = 1000 + 200 * len(keys) * (net.underlying_diameter() + 2)
@@ -314,8 +315,6 @@ def _run_fair_random(net, run, seed, on_update):
         i = rng.randrange(len(pool))
         pool[i], pool[-1] = pool[-1], pool[i]
         key = pool.pop()
-        if key not in dirty:
-            continue
         dirty.remove(key)
         s, r = key
         slot = int(steps[key].index[0, _SLOT])

@@ -117,7 +117,8 @@ class TestConditionNetwork:
         plan = polytree.two_pass_plan(net, members)
         for k, combo in enumerate(plan.cases.tolist()):
             reduced, _ = condition_network(net, members, dict(zip(members, combo)))
-            for v, tensor in zip(plan.names, plan.tensors):
+            for a, v in enumerate(plan.names):
+                tensor = plan.tensor(a)
                 if any(p in members for p in net.parents(v)):
                     np.testing.assert_allclose(tensor[k], reduced.cpt_tensor(v), rtol=0, atol=1e-15)
                 else:

@@ -81,6 +81,10 @@ class TestIsBlocked:
         with pytest.raises(ValueError):
             is_blocked(fig1_net(), UndirectedPath(("x1", "x6")), set())
 
+    def test_path_through_a_node_twice_rejected(self):
+        with pytest.raises(ValueError, match="^not a simple path$"):
+            blocking_nodes(chain_net(), UndirectedPath(("A", "B", "A")), set())
+
 
 class TestDSeparated:
     def test_fig1_claims(self):

@@ -118,6 +118,19 @@ class TestValidate:
         net = build_net([("A", ("f", "t"))], [("A", (), [[1.5, -0.5]])])
         assert any("negative" in p for p in validate(net))
 
+    @pytest.mark.parametrize("variables, cpts, problem", [
+        ([("A", "ft"), ("A", "ft")], [("A", (), [[0.5, 0.5]])],
+         "variable A: duplicate declaration"),
+        ([("A", "ff")], [("A", (), [[0.5, 0.5]])], "variable A: duplicate state labels"),
+        ([("A", "ft")], [("A", (), [[0.5, 0.5]]), ("Z", (), [[0.5, 0.5]])],
+         "cpt Z: child is not a declared variable"),
+        ([("A", "ft"), ("B", "ft")], [("A", (), [[0.5, 0.5]]), ("B", ("A", "A"), [[0.5, 0.5]] * 4)],
+         "cpt B: duplicate parent in parent list"),
+    ])
+    def test_networks_that_parse_would_refuse(self, variables, cpts, problem):
+        # built in Python, so only `validate` stands between them and the engines
+        assert validate(build_net(variables, cpts)) == [problem]
+
 
 class TestJointProbability:
     def test_chain_example(self):

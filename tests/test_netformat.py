@@ -12,7 +12,7 @@ from beliefprop.netformat import (
     structurally_equal,
 )
 
-from helpers import chain_net, random_polytree
+from helpers import build_net, chain_net, random_polytree
 
 MINIMAL = "var A : f t\ncpt A :\n  0.3 0.7\n"
 
@@ -122,6 +122,10 @@ class TestParse:
     def test_unknown_statement(self):
         assert "unknown statement" in err("frob A\n").message
 
+    def test_cpt_header_without_child(self):
+        e = err("var A : f t\ncpt\n")
+        assert str(e) == "2:1: expected: cpt <child> [| <parents>] :"
+
     def test_near_one_row_is_renormalized(self):
         net = parse("var A : f t\ncpt A :\n  0.3 0.6999995\n")
         assert net.cpts["A"].table.sum() == pytest.approx(1.0, abs=1e-15)
@@ -176,6 +180,44 @@ class TestSerialize:
         first = parse(serialize(parse(CHAIN)))
         second = parse(serialize(first))
         assert structurally_equal(first, second)
+
+
+class TestStructurallyEqual:
+    TABLES = [("A", (), [[0.3, 0.7]]), ("B", ("A",), [[0.9, 0.1], [0.2, 0.8]])]
+
+    @pytest.mark.parametrize("variables, tables, name", [
+        ([("A", "ft"), ("B", "ft")], TABLES, "other"),
+        ([("B", "ft"), ("A", "ft")], TABLES, "chain"),
+        ([("A", "ft"), ("B", "fT")], TABLES, "chain"),
+        ([("A", "ft"), ("B", "ft")], TABLES[:1], "chain"),
+    ])
+    def test_a_difference_is_not_equal(self, variables, tables, name):
+        # the name, the variable order, a state label, a missing table
+        chain = build_net([("A", "ft"), ("B", "ft")], self.TABLES, "chain")
+        other = build_net(variables, tables, name)
+        assert not structurally_equal(chain, other) and not structurally_equal(other, chain)
+
+    def test_other_parents_of_the_same_shape_are_not_equal(self):
+        variables = [("A", "ft"), ("B", "ft"), ("C", "ft")]
+        roots = [("A", (), [[0.3, 0.7]]), ("B", (), [[0.4, 0.6]])]
+        a, b = (build_net(variables, roots + [("C", (p,), [[0.9, 0.1], [0.2, 0.8]])])
+                for p in "AB")
+        assert a.cpts["C"].table.shape == b.cpts["C"].table.shape
+        assert not structurally_equal(a, b)
+
+    def test_a_table_of_another_shape_is_not_equal(self):
+        # one row that would broadcast against two equal rows
+        a, b = (build_net([("A", "ft"), ("B", "ft")], [("A", (), [[0.3, 0.7]]), ("B", ("A",), rows)])
+                for rows in ([[0.5, 0.5]] * 2, [[0.5, 0.5]]))
+        assert not structurally_equal(a, b) and not structurally_equal(b, a)
+
+    @pytest.mark.parametrize("moved, equal", [(2e-9, False), (5e-10, True), (0.0, True)])
+    def test_tables_equal_within_tol(self, moved, equal):
+        chain = build_net([("A", "ft")], [("A", (), [[0.3, 0.7]])])
+        other = build_net([("A", "ft")], [("A", (), [[0.3 + moved, 0.7 - moved]])])
+        gap = np.abs(chain.cpts["A"].table - other.cpts["A"].table).max()  # after renormalizing
+        assert (gap <= 1e-9) == equal and (gap > 0) == (moved > 0)
+        assert structurally_equal(chain, other) == equal
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,12 +8,16 @@ exception type and message instead.  The digest was captured before the
 message rules were compiled into the plan's rule table; any change that
 moves a single bit of these outputs has to say so by updating it.
 
-`PYTHONPATH=src python tests/test_parity.py` prints the current digest.
+`PYTHONPATH=src python tests/test_parity.py` prints the current digest;
+with `--each`, one short sha256 per network and per schedule over the
+same inputs, so that the listings of two checkouts can be diffed to find
+the first output that moved.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 
 from beliefprop.conditioning import auto_infer
 from beliefprop.polytree import propagate
@@ -69,9 +73,28 @@ def parity_digest() -> str:
     return h.hexdigest()
 
 
+def each_digest():
+    """A label and a short sha256 per input of `parity_digest`, in its order."""
+    for seed in range(60):
+        for kind, make in (("polytree", random_polytree), ("loopy", random_loopy)):
+            h = hashlib.sha256()
+            _auto_infer(h, *make(seed))
+            yield f"auto_infer {kind} {seed}", h.hexdigest()[:16]
+    for seed in range(20):
+        net, evidence = random_polytree(seed)
+        for schedule in ("two-pass", "synchronous", "fair-random"):
+            h = hashlib.sha256()
+            _propagate(h, net, evidence, schedule)
+            yield f"propagate polytree {seed} {schedule}", h.hexdigest()[:16]
+
+
 def test_engine_outputs_are_bit_identical():
     assert parity_digest() == DIGEST
 
 
 if __name__ == "__main__":
-    print(parity_digest())
+    if sys.argv[1:] == ["--each"]:
+        for label, digest in each_digest():
+            print(digest, label)
+    else:
+        print(parity_digest())

@@ -648,25 +648,40 @@ class TestTwoPassPlan:
         kept = [(p, c) for p, c in net.edges() if p not in members]
         assert [(plan.names[i], plan.names[j]) for i, j in plan.arcs] == kept
         old, new = np.zeros(2), np.ones(2)
-        rules = {(a, None): rule for a, rule in enumerate(plan.rules)}
-        for i, j in plan.arcs:  # a message's rule is derived when asked for
-            rules[i, j], rules[j, i] = plan.rule(i, j), plan.rule(j, i)
+        singles = {(a, None): plan.single(a, None) for a in range(len(plan.names))}
+        for i, j in plan.arcs:  # a message's step is made when asked for
+            singles[i, j], singles[j, i] = plan.single(i, j), plan.single(j, i)
         slots = []
-        for (a, to), rule in rules.items():
+        for (a, to), step in singles.items():
+            assert step.index[0, :2].tolist() == [a, -1 if to is None else to]
+            slot = int(step.index[0, plan_module._SLOT])
+            assert step.sends == (to is not None) == (slot >= 0)
             if to is None:
-                assert rule.slot is None
                 continue
             sender, receiver = plan.names[a], plan.names[to]
             if receiver in net.parents(sender):
                 expected = (receiver, sender, "lambda")
             else:
                 expected = (sender, receiver, "pi")
-            rec = plan.record(3, rule.slot, old, new)
+            rec = plan.record(3, slot, old, new)
             assert (rec.sweep, rec.parent, rec.child, rec.direction) == (3, *expected)
             assert rec.old is old and rec.new is new
-            slots.append(rule.slot)
+            slots.append(slot)
         assert sorted(slots) == list(range(2 * len(kept)))
-        assert len(plan.rules) == len(plan.names)
+        reads, start, _ = plan.reads  # every node's reads, then the all-ones row
+        assert len(start) == len(plan.names) + 1 and start[-1] == len(reads) - 1
+
+    def test_single_refuses_a_pair_that_is_not_adjacent(self):
+        star = two_pass_plan(star_net(), [])
+        s, t = star.ids["S"], star.ids["T"]
+        net, _ = random_loopy(1)
+        members = greedy_cutset(net)
+        cut = two_pass_plan(net, members)
+        m = next(m for m in members if net.children(m))  # its arcs are cut out of the forest
+        arc = cut.ids[m], cut.ids[net.children(m)[0]]
+        for plan, a, to in ((star, s, t), (star, t, s), (star, s, s), (cut, *arc), (cut, *arc[::-1])):
+            with pytest.raises(KeyError):
+                plan.single(a, to)
 
 
 def star_and_small_tree():
@@ -698,6 +713,12 @@ def hub_net():
     )
 
 
+def slot_of(plan, a: int, to: int) -> int:
+    """The row that the message node `a` sends `to` writes, read from its
+    `TwoPassPlan.single` step."""
+    return int(plan.single(a, to).index[0, plan_module._SLOT])
+
+
 def assert_steps_match_messages(plan, run):
     """Every message and belief that `run`'s steps computed is bit for bit
     what its unpadded one-member step (`TwoPassPlan.single`) gives for it
@@ -705,7 +726,7 @@ def assert_steps_match_messages(plan, run):
     for i, j in plan.arcs:
         for a, to in ((i, j), (j, i)):
             alone = run._compute(plan.single(a, to))[0][0]
-            assert run.msg(plan.rule(a, to).slot).tobytes() == alone.tobytes()
+            assert run.msg(slot_of(plan, a, to)).tobytes() == alone.tobytes()
     values, masses = run.beliefs(list(range(len(plan.names))))
     stops = np.cumsum(plan.cards)
     for a in range(len(plan.names)):
@@ -821,9 +842,9 @@ class TestCompiledSteps:
         net, evidence = bushy_polytree(3)
         plan = two_pass_plan(net, [])
         records = list(plan.run(evidence).records(0))
-        slots = [plan.order.index(plan.rule(plan.ids[r.parent], plan.ids[r.child]).slot
+        slots = [plan.order.index(slot_of(plan, plan.ids[r.parent], plan.ids[r.child])
                                   if r.direction == "pi" else
-                                  plan.rule(plan.ids[r.child], plan.ids[r.parent]).slot)
+                                  slot_of(plan, plan.ids[r.child], plan.ids[r.parent]))
                  for r in records]
         assert slots == sorted(slots) and len(records) > len(plan.steps)
 
@@ -1073,7 +1094,7 @@ def test_plan_is_not_written_by_runs_or_relaxations():
         gc.collect()
         built = tracemalloc.get_traced_memory()[0]
         plan = two_pass_plan(net, [])
-        rules, steps = plan.rules, plan.steps
+        reads, steps = plan.reads, plan.steps
         for schedule in ("synchronous", "fair-random"):
             propagate(net, {}, schedule)
         fuse_belief(net, state, "R")
@@ -1085,8 +1106,9 @@ def test_plan_is_not_written_by_runs_or_relaxations():
     finally:
         tracemalloc.stop()
     assert two_pass_plan(net, []) is plan
-    assert plan.rules is rules and plan.steps is steps and len(rules) == len(plan.names)
-    # a kept rule per message to a child would hold 1,099 rows each, 9 MiB
+    assert plan.reads is reads and plan.steps is steps
+    assert not any(array.flags.writeable for array in reads)
+    # a kept read list per message to a child would hold 1,099 rows each, 9 MiB
     assert built < 8 << 20 and grown < 1 << 20
 
 
