@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 
 from . import model, netformat
@@ -201,13 +202,11 @@ def _cmd_dsep(args, out) -> int:
         if name not in net.vars_by_name:
             raise _UsageError(f"unknown variable {name!r}")
     try:
-        separated = dsep.d_separated(net, args.x, args.y, given)
+        paths = dsep.explain(net, args.x, args.y, given)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    print("d-separated" if separated else "connected", file=out)
-    given = set(given)
-    for path in dsep.list_paths(net, args.x, args.y):  # simple paths: no need to check them
-        blockers = dsep._blocking_nodes(net, path, given)
+    print("d-separated" if all(blockers for _, blockers in paths) else "connected", file=out)
+    for path, blockers in paths:
         label = f"blocked at {', '.join(blockers)}" if blockers else "open"
         print(f"path {'-'.join(path.nodes)}: {label}", file=out)
     return EXIT_OK
@@ -263,6 +262,10 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (`| head`) ends the command
+    # silently, as it ends `cat`, instead of in a BrokenPipeError
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -32,11 +32,9 @@ class UndirectedPath:
 
     def kinds(self, net: Network) -> tuple[str, ...]:
         """Connection kind of each interior node, from arc directions."""
-        out = []
-        for i in range(1, len(self.nodes) - 1):
-            left, mid, right = self.nodes[i - 1], self.nodes[i], self.nodes[i + 1]
-            parents = net.parents(mid)
-            in_left, in_right = left in parents, right in parents
+        out, parents = [], _parent_sets(net)
+        for left, mid, right in zip(self.nodes, self.nodes[1:], self.nodes[2:]):
+            in_left, in_right = left in parents[mid], right in parents[mid]
             if in_left and in_right:
                 out.append(CONVERGING)
             elif in_left or in_right:
@@ -96,9 +94,9 @@ def blocking_nodes(net: Network, path: UndirectedPath, given) -> list[str]:
 def _blocking_nodes(net: Network, path: UndirectedPath, s: set) -> list[str]:
     """`blocking_nodes` of a path known to be simple in `net`, such as one
     that `_walk_paths` produced."""
-    out = []
-    for node, kind in zip(path.interior(), path.kinds(net)):
-        if kind == CONVERGING:
+    out, parents, nodes = [], _parent_sets(net), path.nodes
+    for left, node, right in zip(nodes, nodes[1:], nodes[2:]):
+        if left in parents[node] and right in parents[node]:  # converging
             if node not in s and not (net.descendants(node) & s):
                 out.append(node)
         elif node in s:
@@ -110,8 +108,13 @@ def is_blocked(net: Network, path: UndirectedPath, given) -> bool:
     return bool(blocking_nodes(net, path, given))
 
 
-def d_separated(net: Network, x: str, y: str, given) -> bool:
-    """True iff every underlying path between x and y is blocked by `given`."""
+def _parent_sets(net: Network) -> dict[str, frozenset[str]]:
+    """Each variable's parents as a set, made once per network."""
+    return net.cached("parent sets", lambda: {v: frozenset(net.parents(v)) for v in net.var_names()})
+
+
+def _query(net: Network, x: str, y: str, given) -> set:
+    """The conditioning set of a query, after checking the query."""
     s = set(given)
     if x == y:
         raise ValueError("endpoints must differ")
@@ -119,4 +122,19 @@ def d_separated(net: Network, x: str, y: str, given) -> bool:
         raise ValueError("the conditioning set may not contain an endpoint")
     for v in (x, y, *s):
         net.variable(v)
+    return s
+
+
+def d_separated(net: Network, x: str, y: str, given) -> bool:
+    """True iff every underlying path between x and y is blocked by
+    `given`; the walk stops at the first open path."""
+    s = _query(net, x, y, given)
     return all(_blocking_nodes(net, p, s) for p in _walk_paths(net, x, y))
+
+
+def explain(net: Network, x: str, y: str, given) -> list[tuple[UndirectedPath, list[str]]]:
+    """Every simple path from x to y, as `list_paths` orders them, with its
+    `blocking_nodes` under `given`: x and y are d-separated iff each path
+    has one.  Raises as `d_separated` does."""
+    s = _query(net, x, y, given)
+    return [(p, _blocking_nodes(net, p, s)) for p in _walk_paths(net, x, y)]

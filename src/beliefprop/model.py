@@ -73,7 +73,13 @@ class Cpt:
         arr = np.array(table, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        _renormalize(arr)
+        sums = arr.sum(axis=1)
+        # one check in Python is cheaper than `_renormalize`'s numpy calls on
+        # a small table; dividing by each row's sum is what it would do
+        if all(0.0 < s and abs(s - 1.0) <= ROW_SUM_RENORM_TOL for s in sums.tolist()):
+            arr /= sums[:, None]
+        else:
+            _renormalize(arr)
         arr.flags.writeable = False
         self.table = arr
 

@@ -26,6 +26,7 @@ every row sum `parse` found within `_CERTIFIED_TOL` of 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -267,13 +268,22 @@ def _check_config(block: _CptBlock, words: list[str]) -> None:
         )
 
 
-def _fmt(p: float) -> str:
-    return format(p, ".12g")
+@functools.lru_cache(maxsize=1024)
+def _template(labels: tuple, width: int) -> str:
+    """The `%` template of a table's rows below parents of state labels
+    `labels`, one line per parent configuration and none without one, each
+    entry to 12 significant digits (`%.12g`, as `format(p, ".12g")`)."""
+    probs = " ".join(["%.12g"] * width)
+    if not labels:
+        return "  " + probs
+    return "".join(f"\n  {' '.join(config).replace('%', '%%')} : {probs}"
+                   for config in itertools.product(*labels))
 
 
 def serialize(net: Network) -> str:
     """Canonical text form; parse(serialize(net)) is structurally equal to
-    net (tables compared within 1e-9)."""
+    net (tables compared within 1e-9).  A root's table is written as its
+    first row; any other table as one row per parent configuration."""
     lines: list[str] = []
     if net.name:
         lines.append(f"net {net.name}")
@@ -282,18 +292,16 @@ def serialize(net: Network) -> str:
     for v in net.variables:
         cpt = net.cpts[v.name]
         if cpt.parents:
-            lines.append(f"cpt {v.name} | {' '.join(cpt.parents)} :")
-            parent_vars = [net.variable(p) for p in cpt.parents]
-            configs = itertools.product(*(range(p.card) for p in parent_vars))
-            rows = cpt.table.tolist()  # Python floats format faster than numpy's
-            for i, config in enumerate(configs):
-                labels = " ".join(
-                    p.states[s] for p, s in zip(parent_vars, config)
-                )
-                lines.append(f"  {labels} : {' '.join(map(_fmt, rows[i]))}")
+            labels = tuple(net.variable(p).states for p in cpt.parents)
+            n_rows = math.prod(map(len, labels))
+            if cpt.n_rows < n_rows:  # no row for a configuration
+                raise IndexError("list index out of range")
+            rows = cpt.table[:n_rows].ravel().tolist()  # Python floats format faster
+            lines.append(f"cpt {v.name} | {' '.join(cpt.parents)} :"
+                         + _template(labels, cpt.n_states) % tuple(rows))
         else:
             lines.append(f"cpt {v.name} :")
-            lines.append("  " + " ".join(map(_fmt, cpt.table[0].tolist())))
+            lines.append(_template((), cpt.n_states) % tuple(cpt.table[0].tolist()))
     return "\n".join(lines) + "\n"
 
 

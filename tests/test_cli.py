@@ -2,6 +2,7 @@ import io
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from beliefprop.cli import run
 from beliefprop.conditioning import auto_infer
+from beliefprop.dsep import blocking_nodes, d_separated, list_paths
 from beliefprop.netformat import parse, parse_evidence, serialize
 from beliefprop.plan import RUN_FLOATS_GUARD
 
@@ -442,6 +444,79 @@ class TestDsep:
         lines = out.splitlines()
         assert lines[0] == "connected"
         assert lines[1:] == [f"path {'-'.join(names)}: open"]
+
+
+def dsep_by_two_walks(path, x, y, given) -> str:
+    """The `dsep` output composed from the early-stopping verdict and a
+    second walk that lists and explains every path."""
+    net = parse(Path(path).read_text())
+    lines = ["d-separated" if d_separated(net, x, y, given) else "connected"]
+    for p in list_paths(net, x, y):
+        blockers = blocking_nodes(net, p, given)
+        lines.append(f"path {'-'.join(p.nodes)}: "
+                     + (f"blocked at {', '.join(blockers)}" if blockers else "open"))
+    return "\n".join(lines) + "\n"
+
+
+def dsep_queries(net, rng: random.Random, count: int):
+    names = net.var_names()
+    for _ in range(count):
+        x, y = rng.sample(names, 2)
+        rest = [v for v in names if v not in (x, y)]
+        yield x, y, rng.sample(rest, rng.randint(0, min(3, len(rest))))
+
+
+class TestDsepOutput:
+    @pytest.mark.parametrize("path", [CHAIN, FIG1, DETERMINISTIC])
+    def test_fixtures(self, path):
+        rng = random.Random(path)
+        for x, y, given in dsep_queries(parse(Path(path).read_text()), rng, 12):
+            code, out, err = cli("dsep", path, "--x", x, "--y", y, "--given", ",".join(given))
+            assert (code, err) == (0, "")
+            assert out == dsep_by_two_walks(path, x, y, given)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_dags(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "dense.bn"
+        path.write_text(serialize(netgen.dense_dag(rng, rng.randint(6, 11), 0.4)))
+        for x, y, given in dsep_queries(parse(path.read_text()), rng, 6):
+            code, out, _ = cli("dsep", str(path), "--x", x, "--y", y, "--given", ",".join(given))
+            assert code == 0 and out == dsep_by_two_walks(path, x, y, given)
+
+    def test_usage_errors_are_unchanged(self):
+        for argv, message in [
+            (["--x", "x2", "--y", "x2"], "endpoints must differ"),
+            (["--x", "x2", "--y", "x3", "--given", "x3"],
+             "the conditioning set may not contain an endpoint"),
+            (["--x", "x2", "--y", "nope"], "unknown variable 'nope'"),
+        ]:
+            assert cli("dsep", FIG1, *argv) == (1, "", f"usage error: {message}\n")
+
+
+def test_a_closed_pipe_ends_the_command_silently(tmp_path):
+    """`dsep ... | head -1`: the reader closes after one line, long before
+    the command has written its 2,000 or more paths."""
+    rng = random.Random(0)
+    net = netgen.dense_dag(random.Random("pipe"), 14, 0.4, tables=rng)
+    path = tmp_path / "dense.bn"
+    path.write_text(serialize(net))
+    assert netgen.count_paths(net, "d00", "d13") * 40 > 1 << 17  # more than a pipe buffers
+    src = str(Path(__file__).parent.parent / "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "beliefprop", "dsep", str(path), "--x", "d00", "--y", "d13"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.stdout.readline() in (b"connected\n", b"d-separated\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert err == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert code == -signal.SIGPIPE
 
 
 class TestCutset:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beliefprop.model import (
+    ROW_SUM_RENORM_TOL,
     Cpt,
     Network,
     Variable,
@@ -307,3 +308,51 @@ def test_row_index_is_row_major():
     for config in itertools.product(*(range(c) for c in cards)):
         assert net.row_index("x5", config) == expect
         expect += 1
+
+
+def renormalized_by_masks(table) -> np.ndarray:
+    """The table as `Cpt` first renormalized it, with vectorized masks:
+    every row divided by its sum if that is positive and within
+    ROW_SUM_RENORM_TOL of 1, else by 1.0.  The reference for `Cpt`'s bits."""
+    arr = np.array(table, dtype=float)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    sums = arr.sum(axis=1)
+    fixable = (np.abs(sums - 1.0) <= ROW_SUM_RENORM_TOL) & (sums > 0)
+    arr /= np.where(fixable, sums, 1.0)[:, None]
+    return arr
+
+
+def awkward_row(rng: np.random.Generator, width: int) -> np.ndarray:
+    """A row summing to 1 exactly, within 1e-6 of it, 2e-6 off, to 0, or
+    with a negative, NaN or inf entry."""
+    row = rng.random(width) ** 2
+    row /= row.sum()
+    kind = rng.integers(7)
+    if kind == 0:
+        row = np.zeros(width)
+        row[rng.integers(width)] = 1.0
+    elif kind == 1:
+        row *= 1 + rng.uniform(-1e-6, 1e-6)
+    elif kind == 2:
+        row *= 1 + rng.choice([-2e-6, 2e-6])
+    elif kind == 3:
+        row[:] = 0.0
+    elif kind > 3:
+        row[rng.integers(width)] = [-0.25, np.nan, np.inf][kind - 4]
+    return row
+
+
+def test_cpt_tables_are_bitwise_the_masked_renormalization():
+    rng = np.random.default_rng(17)
+    for n_rows in range(1, 65):
+        for width in (1, 2, 3, 5, 8, 13):
+            rows = [awkward_row(rng, width) for _ in range(n_rows)]
+            for table in (np.array(rows), [row.tolist() for row in rows]):
+                got = Cpt("A", (), table).table
+                want = renormalized_by_masks(table)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for row in ([0.3, 0.7 + 5e-7], [0.3, 0.7 + 2e-6], [0.0, 0.0], [np.nan, 1.0], [0.5, 0.5]):
+        got = Cpt("A", (), row).table  # a 1-D row is a one-row table
+        assert np.array_equal(got.view(np.uint64), renormalized_by_masks(row).view(np.uint64))

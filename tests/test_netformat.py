@@ -1,3 +1,9 @@
+import itertools
+import math
+import random
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +19,12 @@ from beliefprop.netformat import (
 )
 
 from helpers import build_net, chain_net, random_polytree
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import netgen  # noqa: E402
 
 MINIMAL = "var A : f t\ncpt A :\n  0.3 0.7\n"
 
@@ -180,6 +192,87 @@ class TestSerialize:
         first = parse(serialize(parse(CHAIN)))
         second = parse(serialize(first))
         assert structurally_equal(first, second)
+
+
+def serialize_by_rows(net) -> str:
+    """`serialize` as it was first written, one `format` call per entry and
+    one join per row: the reference its table templates must match byte
+    for byte."""
+    lines = [f"net {net.name}"] if net.name else []
+    lines += [f"var {v.name} : {' '.join(v.states)}" for v in net.variables]
+    for v in net.variables:
+        cpt = net.cpts[v.name]
+        if cpt.parents:
+            lines.append(f"cpt {v.name} | {' '.join(cpt.parents)} :")
+            parent_vars = [net.variable(p) for p in cpt.parents]
+            rows = cpt.table.tolist()
+            for i, config in enumerate(itertools.product(*(range(p.card) for p in parent_vars))):
+                labels = " ".join(p.states[s] for p, s in zip(parent_vars, config))
+                lines.append(f"  {labels} : {' '.join(format(x, '.12g') for x in rows[i])}")
+        else:
+            lines.append(f"cpt {v.name} :")
+            lines.append("  " + " ".join(format(x, ".12g") for x in cpt.table[0].tolist()))
+    return "\n".join(lines) + "\n"
+
+
+#: entries that format differently: extremes, subnormals, rounding at the
+#: 12th digit, and rows a Cpt keeps as they are because it cannot
+#: renormalize them
+AWKWARD = [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 0.123456789012345, 2 / 3, 1 / 7 * 1e-5,
+           123456789.123456789, -0.0, float("nan"), float("inf"), -2.5]
+
+
+def awkward_net(seed: int):
+    """Roots and tables of 1-4 parents, some state labels made of digits,
+    rows drawn at random or from AWKWARD."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(rng.randint(2, 9))]
+    variables = [(v, tuple(rng.choice([f"s{k}", str(k)]) for k in range(rng.randint(2, 4))))
+                 for v in names]
+    cards = {v: len(states) for v, states in variables}
+    tables = []
+    for i, v in enumerate(names):
+        parents = tuple(rng.sample(names[:i], min(i, rng.randint(0, 4))))
+        rows = []
+        for _ in range(math.prod(cards[p] for p in parents)):
+            if rng.random() < 0.4:
+                rows.append([rng.choice(AWKWARD) for _ in range(cards[v])])
+            else:
+                row = [rng.random() ** 3 for _ in range(cards[v])]
+                rows.append([x / sum(row) for x in row])
+        tables.append((v, parents, rows))
+    return build_net(variables, tables, name=rng.choice([None, f"n{seed}"]))
+
+
+class TestSerializeBytes:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_bytes_as_formatting_each_entry(self, seed):
+        net = awkward_net(seed)
+        assert serialize(net) == serialize_by_rows(net)
+
+    def test_bench_polytrees(self):
+        for i, n in enumerate([200, 270, 400]):
+            make = netgen.chain if n == 400 else netgen.bushy_polytree
+            net = make(random.Random(f"polytree/1/{i}"), n)
+            assert serialize(net) == serialize_by_rows(net)
+
+    def test_a_root_table_of_two_rows_writes_its_first(self):
+        net = build_net([("A", "ft")], [("A", (), [[0.3, 0.7], [0.6, 0.4]])])
+        assert serialize(net) == serialize_by_rows(net) == "var A : f t\ncpt A :\n  0.3 0.7\n"
+
+    def test_a_table_with_a_row_too_many_writes_one_per_configuration(self):
+        net = build_net([("A", "ft"), ("B", "ft")],
+                        [("A", (), [[0.3, 0.7]]), ("B", ("A",), [[0.9, 0.1]] * 3)])
+        assert serialize(net) == serialize_by_rows(net)
+
+    def test_a_table_missing_a_row_raises_the_same_error(self):
+        net = build_net([("A", "abc"), ("B", "ft")],
+                        [("A", (), [[0.2, 0.3, 0.5]]), ("B", ("A",), [[0.9, 0.1]] * 2)])
+        with pytest.raises(IndexError) as reference:
+            serialize_by_rows(net)
+        with pytest.raises(IndexError) as info:
+            serialize(net)
+        assert str(info.value) == str(reference.value)
 
 
 class TestStructurallyEqual:
