@@ -157,6 +157,17 @@ def _widths(table: tuple, shape: tuple, pis: list, own: tuple, out: tuple) -> tu
             _subscripts(table, *pis, own, out), width[out[-1]])
 
 
+@functools.cache
+def _layout(n_parents: int, batched: bool, shape: tuple, axis: int, before: int) -> tuple:
+    """The table sublist, then the `_widths`, of a step over tables of
+    `shape` with `n_parents` parents, to recipient axis `axis`; with
+    `before` (not -1), of transfer matrices that keep that parent's axis."""
+    table = _axes(n_parents, batched)
+    pis = [sub for j, sub in enumerate(_ROW[:n_parents]) if j != axis and j != before]
+    out = _ROW[axis] if before < 0 else (_MEMBER, _CASE, before, axis)
+    return (table, *_widths(table, shape, pis, _ROW[n_parents], out))
+
+
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each item's block and its place in it, for blocks of `counts` items."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -191,13 +202,13 @@ class TwoPassPlan:
         ranges = [range(net.card(m)) for m in self.members]
         self.names = names = tuple(net.var_names())
         cut = set(self.members)
-        arcs = [(p, c) for p, c in net.edges() if p not in cut]
+        arcs = [(p, c) for p, c in net.edges() if p not in cut] if cut else net.edges()
         if not (is_forest(arcs, names) if cut else net.is_singly_connected()):
             raise ValueError(f"not a valid cutset: {list(self.members)}")
         n_cases = math.prod(map(len, ranges))
-        self.cards = tuple(len(v.states) for v in net.variables)
+        self.cards = tuple([len(v.states) for v in net.variables])
         widest = max(self.cards, default=1)
-        batched = {c for p, c in net.edges() if p in cut}  # the tables with a case axis
+        batched = {c for p, c in net.edges() if p in cut} if cut else set()  # with a case axis
         # a case's rows, and each table with a case axis twice (its stack too)
         floats = (2 * len(arcs) + 1 + len(names)) * widest + 2 * sum(
             net.card(v) * math.prod(net.card(p) for p in net.parents(v) if p not in cut)
@@ -205,12 +216,12 @@ class TwoPassPlan:
         _check_size(n_cases, floats)
         self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(n_cases, -1)
         self.ids = ids = net.ids()
-        self.arcs = tuple((ids[p], ids[c]) for p, c in arcs)
+        flat = list(map(ids.__getitem__, itertools.chain.from_iterable(arcs)))
+        self.arcs = tuple(zip(flat[::2], flat[1::2]))
         self._net = net
         self._cased = cased = {ids[v]: self._case_tensor(net, v) for v in batched}
         self.ones = 2 * len(arcs)
-        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
-                           count=self.ones).reshape(-1, 2)
+        ends = np.array(flat, dtype=np.intp).reshape(-1, 2)
         cards = np.array(self.cards, dtype=np.intp)
         self.widths = (*np.repeat(cards[ends[:, 0]], 2).tolist(), widest, *self.cards)
         build = _Compiler(self, ends, np.isin(np.arange(len(names)), list(cased)),
@@ -356,7 +367,7 @@ class _Compiler:
         self.places[by_class] = _ragged(counts)[1]
         largest = np.maximum.reduceat(shapes[by_class], np.cumsum(counts) - counts)
         sizes = largest.prod(axis=1)
-        self.table = sizes.tolist()
+        self.table = sizes
         bases = np.cumsum(counts * sizes) - counts * sizes
         buffer = np.zeros(int((counts * sizes).sum()))
         # entry f of a table goes to its place in its padded row
@@ -366,7 +377,7 @@ class _Compiler:
         for d in np.flatnonzero((shapes > 1).any(axis=0)).tolist()[::-1]:
             f, index = np.divmod(f, shapes[owner, d])
             at += index * (strides[classes[owner], d] if d + 1 < shapes.shape[1] else 1)
-        buffer[at] = np.concatenate([np.zeros(0), *tables], axis=None)
+        buffer[at] = np.concatenate([np.zeros(0), *[table.ravel() for table in tables]])
         buffer.flags.writeable = False  # shared by every run of the plan
         heads = by_class[np.cumsum(counts) - counts]
         self.stacks = [buffer[base:base + count * sizes[k]].reshape(
@@ -409,10 +420,10 @@ class _Compiler:
         axis = np.where(up, arc - self.first_up[a], ups[a])
         drop = np.where(to >= 0, np.where(up, axis, ups[a] + 1 + self.child_at[arc]), _NONE)
         self._entries(a, to, slot, position, axis, drop, (to >= 0) & ~up)
-        self.slot, self.slots = slot, slot.tolist()
+        self.slot = slot
         units = []  # each run of single members goes through `_sequence`
-        for alone, chunks in itertools.groupby(self._schedule(a, to), lambda c: len(c) == 1):
-            units += self._sequence([c[0] for c in chunks]) if alone else [(c, False) for c in chunks]
+        for size, chunks in itertools.groupby(self._schedule(a, to), len):
+            units += self._sequence([c[0] for c in chunks]) if size == 1 else [(c, False) for c in chunks]
         return tuple(slot[sent].tolist()), len(walked) + len(walks) + 1, self._phases(units)
 
     def beliefs(self) -> tuple:
@@ -421,7 +432,7 @@ class _Compiler:
         nodes = np.arange(len(self.plan.names))
         none = np.full(len(nodes), -1)
         self._entries(nodes, none, none, none, self.ups, np.full(len(nodes), _NONE), nodes < 0)
-        groups = sorted(_groups(nodes, np.array(self.code)), key=len, reverse=True)
+        groups = sorted(_groups(nodes, self.codes), key=len, reverse=True)
         return self._phases([(chunk, False) for group in groups
                              for chunk in self._split(group.tolist())])
 
@@ -434,7 +445,9 @@ class _Compiler:
         self.index = np.column_stack([a, to, self.places[a], slot, position]).astype(np.int32)
         code = ((self.classes[a] * (_MEMBER + 1) + axis) * 2 + (slot < 0)) * 2 + (position < 0)
         self.drop, self.n_reads, self.axis = drop, self.length[a] - (to >= 0), axis
-        self.code, self.lams = code.tolist(), (self.length[a] - self.ups[a] - 1 - to_child).tolist()
+        self.codes, self.code = code, code.tolist()
+        self.lams = (self.length[a] - self.ups[a] - 1 - to_child).tolist()
+        self.floats = self.table[self.classes[a]].tolist()
 
     def _schedule(self, a: np.ndarray, to: np.ndarray) -> list:
         """Every entry (the message `a[e]` sends `to[e]`, or a root's mass)
@@ -451,67 +464,102 @@ class _Compiler:
         # outgoing chains: the message a sends `to` is read by every
         # message `to` sends except the one back, and by to's mass
         tails, top, top_to, second = [1] * len(a), [0] * n, [-2] * n, [0] * n
-        for e in range(len(a) - 1, -1, -1):
-            node, recipient = senders[e], recipients[e]
+        for e, node, recipient in zip(range(len(a) - 1, -1, -1), senders[::-1], recipients[::-1]):
             if recipient >= 0:
-                tails[e] += top[recipient] if top_to[recipient] != node else second[recipient]
-            if tails[e] > top[node]:
-                second[node], top[node], top_to[node] = top[node], tails[e], recipient
-            elif tails[e] > second[node]:
-                second[node] = tails[e]
+                tails[e] = tail = 1 + (top[recipient] if top_to[recipient] != node
+                                       else second[recipient])
+            else:
+                tail = 1
+            if tail > top[node]:
+                second[node], top[node], top_to[node] = top[node], tail, recipient
+            elif tail > second[node]:
+                second[node] = tail
         del top, top_to, second
         sent = np.flatnonzero(to >= 0)
-        message = dict(zip((a * n + to)[sent].tolist(), sent.tolist()))  # by sender, recipient
+        # the message back: the other direction of the same arc
+        of_slot = np.empty(len(sent), dtype=np.intp)
+        of_slot[self.slot[sent]] = sent
+        back = np.full(len(a), -1)
+        back[sent] = of_slot[self.slot[sent] ^ 1]
         sends = (len(a) - 1 - np.argsort(a[::-1], kind="stable")).tolist()  # the last first
-        first = [0, *np.cumsum(np.bincount(a, minlength=n)).tolist()]
-        # the neighbors each node has not heard from, and their ids summed
+        first = [0, *np.bincount(a, minlength=n).cumsum().tolist()]
+        # the neighbors each node has not heard from, and the messages it
+        # sends them summed, so that the last is known without a list
         waiting = np.bincount(a[sent], minlength=n)
-        unheard = np.bincount(a[sent], to[sent], minlength=n).astype(np.intp).tolist()
+        unsent = np.bincount(a[sent], sent, minlength=n).astype(np.intp).tolist()
         # ready from the start: a leaf's message to its one neighbor, and
         # the mass of a node with no neighbor
         ready = np.flatnonzero((waiting[a] == 0) | (waiting[a] == 1) & (to >= 0))
         ready = ready[np.argsort(a[ready], kind="stable")].tolist()
-        waiting = waiting.tolist()
         codes, groups, chunks = self.code, {}, []
+        if len(set(map(codes.__getitem__, ready))) == len(ready):
+            order = self._singles(a, to, tails)
+            if order is not None:
+                return [[e] for e in order]
+        waiting, back = waiting.tolist(), back.tolist()
+        # group: [longest tail, size, -lowest entry, code, members]; entry
+        # numbers differ, so `max` never compares codes
         while True:
-            if len(ready) == 1 and not groups:  # the one ready entry, alone
-                chosen = ready
-                chunks.append(chosen)
+            for e in ready:
+                group = groups.get(codes[e])
+                if group is None:
+                    groups[codes[e]] = [tails[e], 1, -e, codes[e], [e]]
+                    continue
+                if tails[e] > group[0]:
+                    group[0] = tails[e]
+                if -e > group[2]:
+                    group[2] = -e
+                group[1] += 1
+                group[4].append(e)
+            if not groups:
+                return chunks
+            group = groups.popitem()[1] if len(groups) == 1 else groups.pop(max(groups.values())[3])
+            chosen = group[4]
+            if group[1] > 1:
+                chunks += self._split(chosen)
             else:
-                for e in ready:  # group: [longest tail, size, -lowest entry, code, members]
-                    group = groups.get(codes[e])
-                    if group is None:
-                        groups[codes[e]] = [tails[e], 1, -e, codes[e], [e]]
-                        continue
-                    if tails[e] > group[0]:
-                        group[0] = tails[e]
-                    if -e > group[2]:
-                        group[2] = -e
-                    group[1] += 1
-                    group[4].append(e)
-                if not groups:
-                    return chunks
-                if len(groups) == 1:
-                    group = groups.popitem()[1]
-                else:  # entry numbers differ, so codes are never compared
-                    group = max(groups.values())
-                    del groups[group[3]]
-                chosen = group[4]
-                chunks += self._split(chosen) if group[1] > 1 else [chosen]
+                chunks.append(chosen)
             ready = []
             for e in chosen:  # `to` hears from `a`
                 recipient = recipients[e]
                 if recipient < 0:
                     continue
-                waiting[recipient] -= 1
-                unheard[recipient] -= senders[e]
-                if waiting[recipient] == 1:  # its message to the one left
-                    ready.append(message[recipient * n + unheard[recipient]])
-                elif waiting[recipient] == 0:  # all the others, and its mass
+                left = waiting[recipient] = waiting[recipient] - 1
+                if left == 1:  # its message to the one left
+                    unsent[recipient] -= back[e]
+                    ready.append(unsent[recipient])
+                elif left == 0:  # all the others, and its mass
                     mine = sends[first[recipient]:first[recipient + 1]]
+                    mine.remove(back[e])
                     ready += mine
-                    del ready[len(ready) - len(mine)
-                              + mine.index(message[recipient * n + senders[e]])]
+                else:
+                    unsent[recipient] -= back[e]
+
+    def _singles(self, a: np.ndarray, to: np.ndarray, tails: list) -> list | None:
+        """`_schedule`'s order of the entries if no two ready entries ever
+        share a code, else None.  Then every group holds one entry, and the
+        ready entry of the longest tail has the longest of all left (what an
+        entry reads has a longer tail), so the entries go in order of tail,
+        then of number.  Each is ready after the last of what it reads is
+        taken: the messages to its node, but the one from its recipient."""
+        order = np.lexsort((np.arange(len(a)), -np.array(tails)))
+        pos = np.empty(len(a), dtype=np.intp)
+        pos[order] = np.arange(len(a))
+        heard = np.flatnonzero(to >= 0)
+        heard = heard[np.lexsort((-pos[heard], to[heard]))]  # by recipient, the last first
+        head = np.flatnonzero(np.diff(to[heard], prepend=-1))
+        after = np.append(head[1:], len(heard))
+        last, second, last_from = np.full((3, len(self.plan.names)), -1)
+        last[to[heard[head]]], last_from[to[heard[head]]] = pos[heard[head]], a[heard[head]]
+        two = head[head + 1 < after]
+        second[to[heard[two]]] = pos[heard[two + 1]]
+        ready = np.where((last_from[a] == to) & (to >= 0), second[a], last[a])
+        # two entries of one code are ready together if one is ready
+        # before the other, of no later ready time, is taken
+        by = np.lexsort((ready, self.codes))
+        rise = np.cumsum(np.diff(self.codes[by], prepend=-1) != 0) * (len(a) + 2)
+        taken = np.maximum.accumulate(pos[by] + rise)
+        return None if (ready[by][1:] + rise[1:] < taken[:-1]).any() else order.tolist()
 
     def _split(self, members: list) -> list:
         """`members` of one code, by their number of lambda rows, in chunks
@@ -520,7 +568,7 @@ class _Compiler:
             return [members]
         lams, per_row = self.lams, self.per_row
         members = sorted(members, key=lams.__getitem__)
-        table = self.table[self.classes[self.index[members[0], _NODE]]]
+        table = self.floats[members[0]]
         if len(members) * (table + (1 + lams[members[-1]]) * per_row) <= _STEP_FLOATS:
             return [members]
         chunks, chunk = [], []
@@ -551,15 +599,12 @@ class _Compiler:
         a's own table when `alone`; with `before`, of their transfer
         matrices, that axis kept in the result."""
         key = code, a if alone else -1, before
-        if key not in self.metas:
-            k = int(self.ups[a])
-            table = _axes(k, bool(self.batched[a]))
+        meta = self.metas.get(key)
+        if meta is None:
             stack = self.plan.tensor(a) if alone else self.stacks[self.classes[a]]
-            pis = [sub for j, sub in enumerate(_ROW[:k]) if j != axis and j != before]
-            out = _ROW[axis] if before < 0 else (_MEMBER, _CASE, before, axis)
-            self.metas[key] = (stack, table,
-                               *_widths(table, stack.shape[1 - alone:], pis, _ROW[k], out))
-        return self.metas[key]
+            meta = self.metas[key] = (stack, *_layout(int(self.ups[a]), bool(self.batched[a]),
+                                                      stack.shape[1 - alone:], axis, before))
+        return meta
 
     def _sequence(self, members: list) -> list:
         """The run of single `members`: one-member steps, or from _SCAN_RUN
@@ -602,12 +647,14 @@ class _Compiler:
         paths = sorted(paths, key=len, reverse=True)
         block = 1 << max(0, math.isqrt(len(paths[0]) // 4).bit_length() - 1)
         blocks = -(-len(paths[0]) // block)
-        starts = np.array([[self.slots[path[b * block - 1]] if b * block < len(path) else -1
-                            for b in range(1, blocks)] for path in paths], dtype=np.intp)
         lengths = np.array([len(path) for path in paths])
         k, i = _ragged(lengths)
-        e = np.array([e for path in paths for e in path])
-        code = np.array([self.code[member] for member in e.tolist()])
+        e = np.fromiter(itertools.chain.from_iterable(paths), dtype=np.intp, count=len(k))
+        code = self.codes[e]
+        # the row each block after the first reads first: its path's member before
+        ends = np.arange(1, blocks) * block
+        starts = np.where(ends < lengths[:, None], self.slot[e[np.minimum(
+            (np.cumsum(lengths) - lengths)[:, None] + ends - 1, len(e) - 1)]], -1)
         before = np.where(i > 0, self.slot[e[np.arange(len(e)) - 1]], -1)  # the row it reads
         # member j of every block, a step or a few per code in order of
         # its first member
@@ -646,28 +693,31 @@ class _Compiler:
         members = [unit[0] for unit in units if type(unit) is not Sequence]
         if not members:
             return tuple(units)
-        counts = np.array([len(chunk) for chunk in members])
+        counts = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
         flat = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp,
                            count=counts.sum())
-        step, _ = _ragged(counts)
+        step = np.repeat(np.arange(len(counts)), counts)
+        firsts = np.cumsum(counts) - counts
         index = self.index[flat]
-        firsts = (np.cumsum(counts) - counts).tolist()
         # the last step before each step that writes a row it reads (a
-        # later one writes a block input of a scan)
-        lengths = self.n_reads[flat]
-        owner, j = _ragged(lengths)
-        written = np.full(len(self.plan.widths), -1)
-        writes = index[:, _SLOT] >= 0
-        written[index[writes, _SLOT]] = step[writes]
-        latest = written[self._rows(flat[owner], j)]
-        latest[latest >= step[owner]] = -1
-        latest = np.maximum.reduceat(latest, (np.cumsum(lengths) - lengths)[firsts]).tolist()
+        # later one writes a block input of a scan); beliefs write none
+        lengths, writes = self.n_reads[flat], index[:, _SLOT] >= 0
+        latest = [-1] * len(members)
+        if writes.any():
+            owner, j = _ragged(lengths)
+            written = np.full(len(self.plan.widths), -1)
+            written[index[writes, _SLOT]] = step[writes]
+            latest = written[self._rows(flat[owner], j)]
+            latest[latest >= step[owner]] = -1
+            latest = np.maximum.reduceat(latest, (np.cumsum(lengths) - lengths)[firsts]).tolist()
         cols = np.maximum.reduceat(lengths, firsts)
-        sends, collects = (index[firsts, _SLOT] >= 0).tolist(), (index[firsts, _POSITION] >= 0).tolist()
-        nodes, axes = index[firsts, _NODE], self.axis[flat[firsts]].tolist()
-        reads = (counts * cols * self.per_row).tolist()
-        sizes = (counts * cols * self.per_row + counts * np.array(self.table)[self.classes[nodes]])
-        sizes, nodes = sizes.tolist(), nodes.tolist()
+        heads = index[firsts]
+        sends, collects = (heads[:, _SLOT] >= 0).tolist(), (heads[:, _POSITION] >= 0).tolist()
+        nodes, axes = heads[:, _NODE], self.axis[flat[firsts]].tolist()
+        gathered = counts * cols * self.per_row
+        sizes = (gathered + counts * self.table[self.classes[nodes]]).tolist()
+        gathered, nodes = gathered.tolist(), nodes.tolist()
+        alone = [unit[1] for unit in units if type(unit) is not Sequence]
         groups, group, floats, width, metas, k = [], [], 0, 0, [], 0
         for unit in units:
             if type(unit) is Sequence:
@@ -675,18 +725,19 @@ class _Compiler:
                 group = []
                 continue
             meta = self._meta(self.code[unit[0][0]], nodes[k], axes[k], unit[1])
-            size = reads[k] + meta[0].size if unit[1] else sizes[k]
+            size = gathered[k] + meta[0].size if unit[1] else sizes[k]
             if group and (latest[k] >= group[0] or floats + size > _STEP_FLOATS
                           or meta[-1] != width and max(meta[-1], width) >= _UNPADDED):
                 groups.append(group)
                 group, floats, width = [], 0, 0
-            metas.append((meta, unit[1]))
+            metas.append(meta)
             group.append(k)
             floats, width, k = floats + size, max(width, meta[-1]), k + 1
         if group:
             groups.append(group)
-        groups = [unit if type(unit) is Sequence else
-                  sorted(unit, key=lambda k: (not sends[k], collects[k])) for unit in groups]
+        first = [2 * (not sent) + collected for sent, collected in zip(sends, collects)]
+        groups = [unit if type(unit) is Sequence else sorted(unit, key=first.__getitem__)
+                  for unit in groups]
         order = [k for group in groups if type(group) is not Sequence for k in group]
         rank = np.empty(len(order), dtype=np.intp)
         rank[order] = np.arange(len(order))
@@ -697,28 +748,27 @@ class _Compiler:
         j, g = np.divmod(at, counts[step])
         rows = self._rows(flat[(np.cumsum(counts) - counts)[step] + g], j)
         ends, stops = [0, *np.cumsum(counts * cols).tolist()], [0, *np.cumsum(counts).tolist()]
-        phases, k, cols = [], 0, cols.tolist()
+        index[[stops[q] for q, k in enumerate(order) if alone[k]], _PLACE] = 0  # own tables
+        phases, k, cols, counts = [], 0, cols.tolist(), counts.tolist()
         for group in groups:
             if type(group) is Sequence:
                 phases.append(group)
                 continue
-            start, first, k = ends[k], stops[k], k + len(group)
+            q0, start, first, k = k, ends[k], stops[k], k + len(group)
             block, members = rows[start:ends[k]].copy(), index[first:stops[k]]
-            done, spans = [], []
-            for q in range(k - len(group), k):
-                (stack, *meta), alone = metas[order[q]]
-                if alone:
-                    index[stops[q], _PLACE] = 0
+            done, spans, sent, collected, width = [], [], 0, 0, 0
+            for q in range(q0, k):
+                u = order[q]
                 done.append(Step(index[stops[q]:stops[q + 1]],
                                  block[ends[q] - start:ends[q + 1] - start].reshape(cols[q], -1).T,
-                                 sends[order[q]], stack, *meta, collects[order[q]]))
+                                 sends[u], *metas[u], collects[u]))
                 spans.append((ends[q] - start, ends[q + 1] - start, stops[q] - first,
                               stops[q + 1] - first))
-            sent = sum(len(step.index) for step in done if step.sends)
-            collected = sum(len(step.index) for step in done if not step.collects)
+                sent += counts[q] if sends[u] else 0
+                collected += 0 if collects[u] else counts[q]
+                width = max(width, metas[u][-1])
             phases.append(Phase(tuple(done), block, tuple(spans), members[:sent, _SLOT], sent,
-                                members[collected:, _POSITION], collected,
-                                max(step.width for step in done)))
+                                members[collected:, _POSITION], collected, width))
         return tuple(phases)
 
 

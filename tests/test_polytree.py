@@ -1083,6 +1083,33 @@ class TestReadinessSchedule:
         assert indexes[0] == indexes[1]
 
 
+@pytest.mark.parametrize("build", SCHEDULED)
+def test_one_by_one_order_is_the_list_schedule(build, monkeypatch):
+    # `_singles` orders the entries by tail when no two ready entries ever
+    # share a code: it must give the list schedule's order, and decline
+    # exactly where the list schedule joins entries in a step
+    schedule, singles = plan_module._Compiler._schedule, plan_module._Compiler._singles
+    orders = []
+
+    def one_by_one(compiler, a, to, tails):
+        orders.append(singles(compiler, a, to, tails))
+        return orders[-1]
+
+    def both(compiler, a, to):
+        with monkeypatch.context() as m:
+            m.setattr(plan_module._Compiler, "_singles", lambda *args: None)
+            listed = schedule(compiler, a, to)
+        tried = len(orders)
+        assert schedule(compiler, a, to) == listed
+        used = len(orders) > tried and orders[-1] is not None
+        assert used == all(len(chunk) == 1 for chunk in listed)
+        return listed
+
+    monkeypatch.setattr(plan_module._Compiler, "_singles", one_by_one)
+    monkeypatch.setattr(plan_module._Compiler, "_schedule", both)
+    plan_module.TwoPassPlan(*build())
+
+
 def test_plan_is_not_written_by_runs_or_relaxations():
     net, _, _ = binary_star(1100, random.Random(3))
     state = init_messages(net, {})
