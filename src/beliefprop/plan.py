@@ -216,12 +216,12 @@ class TwoPassPlan:
         _check_size(n_cases, floats)
         self.cases = np.array(list(itertools.product(*ranges)), dtype=np.intp).reshape(n_cases, -1)
         self.ids = ids = net.ids()
-        flat = list(map(ids.__getitem__, itertools.chain.from_iterable(arcs)))
-        self.arcs = tuple(zip(flat[::2], flat[1::2]))
+        self.arcs = tuple([(ids[p], ids[c]) for p, c in arcs])
         self._net = net
         self._cased = cased = {ids[v]: self._case_tensor(net, v) for v in batched}
         self.ones = 2 * len(arcs)
-        ends = np.array(flat, dtype=np.intp).reshape(-1, 2)
+        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp,
+                           count=self.ones).reshape(-1, 2)
         cards = np.array(self.cards, dtype=np.intp)
         self.widths = (*np.repeat(cards[ends[:, 0]], 2).tolist(), widest, *self.cards)
         build = _Compiler(self, ends, np.isin(np.arange(len(names)), list(cased)),
@@ -370,13 +370,17 @@ class _Compiler:
         self.table = sizes
         bases = np.cumsum(counts * sizes) - counts * sizes
         buffer = np.zeros(int((counts * sizes).sum()))
-        # entry f of a table goes to its place in its padded row
-        owner, f = _ragged(shapes.prod(axis=1))
+        # row r of a table (its own states) goes to its place in its padded
+        # row, found from the shape of its other axes
+        shapes[np.arange(n), 1 + ups] = 1
+        owner, r = _ragged(shapes.prod(axis=1))
         at = (bases[classes] + self.places * sizes[classes])[owner]
         strides = np.cumprod(largest[:, :0:-1], axis=1)[:, ::-1]  # of each axis but the first
         for d in np.flatnonzero((shapes > 1).any(axis=0)).tolist()[::-1]:
-            f, index = np.divmod(f, shapes[owner, d])
-            at += index * (strides[classes[owner], d] if d + 1 < shapes.shape[1] else 1)
+            r, index = np.divmod(r, shapes[owner, d])
+            at += index * strides[classes[owner], d]
+        width = cards[owner]
+        at = np.repeat(at - (np.cumsum(width) - width), width) + np.arange(width.sum())
         buffer[at] = np.concatenate([np.zeros(0), *[table.ravel() for table in tables]])
         buffer.flags.writeable = False  # shared by every run of the plan
         heads = by_class[np.cumsum(counts) - counts]
@@ -393,9 +397,10 @@ class _Compiler:
         rank = np.empty(n, dtype=np.intp)
         rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
         one, other = np.concatenate([rank[ends], rank[ends[:, ::-1]]]).T
-        adjacent = other[np.lexsort((other, one))].tolist()
+        adjacent = other[np.argsort(one * n + other)].tolist()  # by node, then neighbor
         bounds = [0, *np.cumsum(np.bincount(one, minlength=n)).tolist()]
-        walks = forest_walks(rank.tolist(), lambda r: adjacent[bounds[r]:bounds[r + 1]])
+        adjacent = [adjacent[start:end] for start, end in zip(bounds, bounds[1:])]
+        walks = forest_walks(rank.tolist(), adjacent.__getitem__)
         lengths = np.array([len(walk) for _, walk in walks], dtype=np.intp)
         walked = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
             walk for _, walk in walks)), dtype=np.intp, count=2 * lengths.sum()).reshape(-1, 2)
@@ -542,11 +547,11 @@ class _Compiler:
         entry reads has a longer tail), so the entries go in order of tail,
         then of number.  Each is ready after the last of what it reads is
         taken: the messages to its node, but the one from its recipient."""
-        order = np.lexsort((np.arange(len(a)), -np.array(tails)))
+        order = np.argsort(-np.array(tails), kind="stable")
         pos = np.empty(len(a), dtype=np.intp)
         pos[order] = np.arange(len(a))
         heard = np.flatnonzero(to >= 0)
-        heard = heard[np.lexsort((-pos[heard], to[heard]))]  # by recipient, the last first
+        heard = heard[np.argsort(to[heard] * len(a) - pos[heard])]  # by recipient, the last first
         head = np.flatnonzero(np.diff(to[heard], prepend=-1))
         after = np.append(head[1:], len(heard))
         last, second, last_from = np.full((3, len(self.plan.names)), -1)
@@ -556,7 +561,7 @@ class _Compiler:
         ready = np.where((last_from[a] == to) & (to >= 0), second[a], last[a])
         # two entries of one code are ready together if one is ready
         # before the other, of no later ready time, is taken
-        by = np.lexsort((ready, self.codes))
+        by = np.argsort(self.codes * (len(a) + 1) + ready)
         rise = np.cumsum(np.diff(self.codes[by], prepend=-1) != 0) * (len(a) + 2)
         taken = np.maximum.accumulate(pos[by] + rise)
         return None if (ready[by][1:] + rise[1:] < taken[:-1]).any() else order.tolist()
@@ -780,6 +785,8 @@ def _groups(items: np.ndarray, keys: np.ndarray, major=None) -> list:
     if major is not None:
         keys = major * (keys.max() + 1) + keys
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.lexsort((np.arange(len(keys)), first[inverse], *(() if major is None else (major,))))
-    bounds = np.flatnonzero(np.diff(inverse[order])) + 1
-    return np.split(items[order], bounds)
+    order = np.argsort(first[inverse] if major is None else major * len(keys) + first[inverse],
+                       kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(inverse[order])) + 1).tolist(), len(keys)]
+    items = items[order]
+    return [items[start:end] for start, end in zip(bounds, bounds[1:])]
