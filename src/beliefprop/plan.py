@@ -462,7 +462,8 @@ class _Compiler:
         entries wait in groups by code; each time the group holding the
         ready entry with the longest chain of readers ahead is taken and
         split (`_split`); ties go to the larger group, then the lower entry
-        (HLFET list scheduling)."""
+        (HLFET list scheduling).  Where no two ready entries ever share a
+        code, as on a chain, `_singles` finds that order by sorting."""
         n, senders, recipients = len(self.plan.names), a.tolist(), to.tolist()
         # the longest chain from each entry through its readers, found in
         # one pass from the last entry back, from each node's two longest
@@ -559,8 +560,8 @@ class _Compiler:
         two = head[head + 1 < after]
         second[to[heard[two]]] = pos[heard[two + 1]]
         ready = np.where((last_from[a] == to) & (to >= 0), second[a], last[a])
-        # two entries of one code are ready together if one is ready
-        # before the other, of no later ready time, is taken
+        # two entries of one code wait together if one turns ready before
+        # the other, which turned ready no later, is taken
         by = np.argsort(self.codes * (len(a) + 1) + ready)
         rise = np.cumsum(np.diff(self.codes[by], prepend=-1) != 0) * (len(a) + 2)
         taken = np.maximum.accumulate(pos[by] + rise)
@@ -631,19 +632,30 @@ class _Compiler:
                                                                minlength=len(run)) == 0)
         follows = np.full(len(run), -2)
         follows[owner] = rows
-        follows = np.where(once, follows, -2).tolist()
-        reads, bounds = rows.tolist(), np.searchsorted(owner, np.arange(len(run) + 1)).tolist()
-        paths, waves, tails, wave_of = [], [], {}, {}  # tails: a path's last row
-        for g, (e, slot) in enumerate(zip(members, slots.tolist())):
-            if follows[g] in tails:
-                path = tails.pop(follows[g])
-            else:
-                path = len(paths)
-                paths.append([])
-                waves.append(1 + max((wave_of[row] for row in reads[bounds[g]:bounds[g + 1]]),
-                                     default=-1))
-            paths[path].append(e)
-            tails[slot], wave_of[slot] = path, waves[path]
+        # the earlier member that wrote it; the first member to follow one
+        # continues its path, and each path leads back to its first member
+        writer = np.full(len(self.plan.widths), -1)
+        writer[slots[slots >= 0]] = np.flatnonzero(slots >= 0)
+        g = np.arange(len(run))
+        pred = np.where(once & (follows >= 0), writer[follows], -1)
+        pred[pred >= g] = -1
+        first = np.unique(np.where(pred >= 0, pred, -1 - g), return_index=True)[1]
+        goes_on = np.zeros(len(run), dtype=bool)
+        goes_on[first] = pred[first] >= 0
+        link = np.where(goes_on, pred, g)
+        while (link[link] != link).any():
+            link = link[link]
+        path_of = (np.cumsum(~goes_on) - 1)[link]
+        starts = [0, *np.cumsum(np.bincount(path_of)).tolist()]
+        by_path = run[np.argsort(path_of, kind="stable")].tolist()
+        paths = [by_path[start:end] for start, end in zip(starts, starts[1:])]
+        # a path's wave: one after the waves of the paths its first member reads
+        wrote = path_of[writer[rows]].tolist()
+        bounds = np.searchsorted(owner, np.arange(len(run) + 1)).tolist()
+        waves = []
+        for head in np.flatnonzero(~goes_on).tolist():
+            waves.append(1 + max((waves[path] for path in wrote[bounds[head]:bounds[head + 1]]),
+                                 default=-1))
         return [self._wave([path for path, w in zip(paths, waves) if w == wave])
                 for wave in range(max(waves) + 1)]
 
@@ -740,8 +752,8 @@ class _Compiler:
             floats, width, k = floats + size, max(width, meta[-1]), k + 1
         if group:
             groups.append(group)
-        first = [2 * (not sent) + collected for sent, collected in zip(sends, collects)]
-        groups = [unit if type(unit) is Sequence else sorted(unit, key=first.__getitem__)
+        ahead = [2 * (not sent) + collected for sent, collected in zip(sends, collects)]
+        groups = [unit if type(unit) is Sequence else sorted(unit, key=ahead.__getitem__)
                   for unit in groups]
         order = [k for group in groups if type(group) is not Sequence for k in group]
         rank = np.empty(len(order), dtype=np.intp)
